@@ -5,10 +5,10 @@ double-slit / entangled-pair scenarios built on top of them."""
 
 __version__ = "0.1.0"
 
-from .algebra import (Delta, Packet, PairStateExpr, PlaneWave, QuadForm,
-                      StateExpr, blend, compile_pair, gaussian_integral,
-                      hilbert_norm, inner_product, l2_inner_product, norm_sq,
-                      pair_inner_product, primitive_overlap)
+from .algebra import (Delta, Packet, PlaneWave, QuadForm, StateExpr, blend,
+                      compile_pair, gaussian_integral, hilbert_norm,
+                      inner_product, l2_inner_product, norm_sq,
+                      primitive_overlap)
 from .errors import (BoxTooSmallError, DivergenceError, DomainError,
                      GeodesicUndeterminedError, NumericalFailureError,
                      StateSphereError)

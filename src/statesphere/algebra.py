@@ -108,93 +108,70 @@ class Packet:
 Primitive = Union[Delta, PlaneWave, Packet]
 
 
-def _check_terms(terms, arity: int):
-    if not terms:
-        raise DomainError("state expression needs at least one term")
-    dim = None
-    any_nonzero = False
-    out = []
-    for term in terms:
-        if len(term) != 1 + arity:
-            raise DomainError(f"term {term!r} does not have {1 + arity} entries")
-        coeff = _finite_complex(term[0], "coefficient")
-        prims = term[1:]
-        for prim in prims:
-            if not isinstance(prim, (Delta, PlaneWave, Packet)):
-                raise DomainError(f"not a primitive: {prim!r}")
-            if dim is None:
-                dim = prim.dimension
-            elif prim.dimension != dim:
-                raise DomainError("all primitives in a state must share one dimension")
-        any_nonzero = any_nonzero or coeff != 0
-        out.append((coeff, *prims))
-    if not any_nonzero:
-        raise DomainError("state expression must have a nonzero coefficient")
-    return tuple(out), dim
-
-
 @dataclass(frozen=True)
 class StateExpr:
-    """Finite complex combination of primitives describing one particle."""
+    """Finite complex combination of product primitives.
+
+    Each term is (coefficient, primitive_1, ..., primitive_arity): arity 1
+    describes one particle, arity 2 a particle pair in the tensor-product
+    space.  All terms share one arity and one dimension.
+    """
 
     terms: tuple
 
     def __post_init__(self):
-        terms, dim = _check_terms(self.terms, arity=1)
-        object.__setattr__(self, "terms", terms)
+        if not self.terms:
+            raise DomainError("state expression needs at least one term")
+        arity = len(self.terms[0]) - 1
+        if arity < 1:
+            raise DomainError("a term needs a coefficient and at least one primitive")
+        dim = None
+        any_nonzero = False
+        terms = []
+        for term in self.terms:
+            if len(term) != 1 + arity:
+                raise DomainError("all terms of a state must have the same arity")
+            coeff = _finite_complex(term[0], "coefficient")
+            for prim in term[1:]:
+                if not isinstance(prim, (Delta, PlaneWave, Packet)):
+                    raise DomainError(f"not a primitive: {prim!r}")
+                if dim is None:
+                    dim = prim.dimension
+                elif prim.dimension != dim:
+                    raise DomainError("all primitives in a state must share one dimension")
+            any_nonzero = any_nonzero or coeff != 0
+            terms.append((coeff, *term[1:]))
+        if not any_nonzero:
+            raise DomainError("state expression must have a nonzero coefficient")
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "_arity", arity)
         object.__setattr__(self, "_dim", dim)
+
+    @property
+    def arity(self) -> int:
+        return self._arity
 
     @property
     def dimension(self) -> int:
         return self._dim
 
     @classmethod
-    def single(cls, prim: Primitive, coeff=1.0) -> "StateExpr":
-        return cls(((coeff, prim),))
+    def single(cls, *prims: Primitive, coeff=1.0) -> "StateExpr":
+        return cls(((coeff, *prims),))
 
     def scaled(self, z) -> "StateExpr":
         z = _finite_complex(z, "scale")
-        return StateExpr(tuple((c * z, p) for c, p in self.terms))
+        return StateExpr(tuple((t[0] * z, *t[1:]) for t in self.terms))
 
 
-@dataclass(frozen=True)
-class PairStateExpr:
-    """Finite complex combination of product primitives for a particle pair."""
-
-    terms: tuple
-
-    def __post_init__(self):
-        terms, dim = _check_terms(self.terms, arity=2)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_dim", dim)
-
-    @property
-    def dimension(self) -> int:
-        return self._dim
-
-    @classmethod
-    def single(cls, left: Primitive, right: Primitive, coeff=1.0) -> "PairStateExpr":
-        return cls(((coeff, left, right),))
-
-    def scaled(self, z) -> "PairStateExpr":
-        z = _finite_complex(z, "scale")
-        return PairStateExpr(tuple((c * z, l, r) for c, l, r in self.terms))
-
-
-AnyState = Union[StateExpr, PairStateExpr]
-
-
-def blend(wa, a: AnyState, wb, b: AnyState) -> AnyState:
-    """Linear combination wa*a + wb*b of two expressions of equal arity."""
-    if type(a) is not type(b):
-        raise DomainError("cannot blend a single-particle state with a pair state")
-    if a.dimension != b.dimension:
-        raise DomainError("cannot blend states of different dimensions")
+def blend(wa, a: StateExpr, wb, b: StateExpr) -> StateExpr:
+    """Linear combination wa*a + wb*b of two expressions of equal arity and
+    dimension; the combined expression rejects a mismatch."""
     wa = _finite_complex(wa, "weight")
     wb = _finite_complex(wb, "weight")
     terms = tuple((wa * t[0], *t[1:]) for t in a.terms)
     terms += tuple((wb * t[0], *t[1:]) for t in b.terms)
-    return type(a)(terms)
+    return StateExpr(terms)
 
 
 @dataclass
@@ -210,7 +187,7 @@ class QuadForm:
         return len(self.linear)
 
 
-def gaussian_integral(form: QuadForm, cond_cap: float = CONDITION_CAP) -> complex:
+def gaussian_integral(form: QuadForm) -> complex:
     """Closed-form value of the canonical Gaussian integral.
 
     The determinant square root multiplies the principal square roots of the
@@ -222,7 +199,7 @@ def gaussian_integral(form: QuadForm, cond_cap: float = CONDITION_CAP) -> comple
     DomainError
         If the real part of A is not positive definite.
     NumericalFailureError
-        If the condition number of A exceeds `cond_cap`.
+        If the condition number of A exceeds CONDITION_CAP.
     """
     n = form.n
     if n == 0:
@@ -231,9 +208,9 @@ def gaussian_integral(form: QuadForm, cond_cap: float = CONDITION_CAP) -> comple
     b = np.asarray(form.linear, dtype=complex)
     if np.linalg.eigvalsh(a.real).min() <= 0.0:
         raise DomainError("real part of the quadratic form is not positive definite")
-    if np.linalg.cond(a) > cond_cap:
+    if np.linalg.cond(a) > CONDITION_CAP:
         raise NumericalFailureError(
-            f"quadratic form is near singular (condition number above {cond_cap:g})")
+            f"quadratic form is near singular (condition number above {CONDITION_CAP:g})")
     sqrt_det = complex(np.prod(np.sqrt(np.linalg.eigvals(a))))
     x = np.linalg.solve(a, b)
     exponent = 0.5 * complex(np.dot(b, x)) + form.constant
@@ -320,63 +297,45 @@ def _clamp_norm(total: complex) -> complex:
     return complex(re, 0.0)
 
 
-def inner_product(phi: StateExpr, psi: StateExpr, kernel: KernelSpec) -> complex:
-    """Sesquilinear inner product, linear in `phi` and conjugate-linear in `psi`.
+def _sum_terms(phi: StateExpr, psi: StateExpr, factor) -> complex:
+    """Sum over term pairs of c_i conj(d_j) times the product, particle by
+    particle, of factor(f, g).
 
     For phi == psi the value is real nonnegative; an imaginary residue within
     1e-10 (relative) is clamped to zero, anything larger raises.
     """
     if not isinstance(phi, StateExpr) or not isinstance(psi, StateExpr):
-        raise DomainError("inner_product expects single-particle states")
+        raise DomainError("inner products need two state expressions")
+    if phi.arity != psi.arity:
+        raise DomainError(f"states have different arities ({phi.arity} and {psi.arity})")
     if phi.dimension != psi.dimension:
         raise DomainError("states have different dimensions")
+    right = [(t[0].conjugate(), t[1:]) for t in psi.terms if t[0] != 0]
     total = 0j
-    for ci, fi in phi.terms:
+    for ci, *fi in phi.terms:
         if ci == 0:
             continue
-        for dj, gj in psi.terms:
-            if dj == 0:
-                continue
-            total += ci * dj.conjugate() * primitive_overlap(fi, gj, kernel)
+        for dj_bar, gj in right:
+            total += math.prod(map(factor, fi, gj), start=ci * dj_bar)
     if phi == psi:
         total = _clamp_norm(total)
     return total
 
 
-def pair_inner_product(phi: PairStateExpr, psi: PairStateExpr, kernel: KernelSpec) -> complex:
-    """Inner product on the tensor-product space: factors multiply per term pair."""
-    if not isinstance(phi, PairStateExpr) or not isinstance(psi, PairStateExpr):
-        raise DomainError("pair_inner_product expects pair states")
-    if phi.dimension != psi.dimension:
-        raise DomainError("states have different dimensions")
-    total = 0j
-    for ci, fl, fr in phi.terms:
-        if ci == 0:
-            continue
-        for dj, gl, gr in psi.terms:
-            if dj == 0:
-                continue
-            total += (ci * dj.conjugate()
-                      * primitive_overlap(fl, gl, kernel)
-                      * primitive_overlap(fr, gr, kernel))
-    if phi == psi:
-        total = _clamp_norm(total)
-    return total
+def inner_product(phi: StateExpr, psi: StateExpr, kernel: KernelSpec) -> complex:
+    """Sesquilinear inner product, linear in `phi` and conjugate-linear in `psi`.
+
+    On pair states the factors of each product term multiply.
+    """
+    return _sum_terms(phi, psi, lambda f, g: primitive_overlap(f, g, kernel))
 
 
-def overlap(phi: AnyState, psi: AnyState, kernel: KernelSpec) -> complex:
-    """Inner product dispatching on single-particle vs pair states."""
-    if isinstance(phi, PairStateExpr):
-        return pair_inner_product(phi, psi, kernel)
-    return inner_product(phi, psi, kernel)
-
-
-def norm_sq(expr: AnyState, kernel: KernelSpec) -> float:
+def norm_sq(expr: StateExpr, kernel: KernelSpec) -> float:
     """Squared kernel norm of a state (real, nonnegative)."""
-    return overlap(expr, expr, kernel).real
+    return inner_product(expr, expr, kernel).real
 
 
-def hilbert_norm(expr: AnyState, kernel: KernelSpec) -> float:
+def hilbert_norm(expr: StateExpr, kernel: KernelSpec) -> float:
     return math.sqrt(norm_sq(expr, kernel))
 
 
@@ -393,21 +352,7 @@ def l2_inner_product(phi: StateExpr, psi: StateExpr) -> complex:
 
     Deltas and plane waves are rejected since they are not square-integrable.
     """
-    if phi.dimension != psi.dimension:
-        raise DomainError("states have different dimensions")
-    for expr in (phi, psi):
-        for _, prim in expr.terms:
-            if not isinstance(prim, Packet):
-                raise DomainError(
-                    f"L2 inner product requires packets only, got {type(prim).__name__}")
-    total = 0j
-    for ci, fi in phi.terms:
-        if ci == 0:
-            continue
-        for dj, gj in psi.terms:
-            if dj == 0:
-                continue
-            total += ci * dj.conjugate() * _l2_pair(fi, gj)
-    if phi == psi:
-        total = _clamp_norm(total)
-    return total
+    for prim in (p for expr in (phi, psi) for term in expr.terms for p in term[1:]):
+        if not isinstance(prim, Packet):
+            raise DomainError(f"L2 inner product requires packets only, got {type(prim).__name__}")
+    return _sum_terms(phi, psi, _l2_pair)

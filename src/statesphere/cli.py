@@ -22,8 +22,8 @@ from .algebra import (Delta, Packet, PlaneWave, StateExpr, inner_product)
 from .errors import DomainError, StateSphereError
 from .experiments import (EPRConfig, SlitConfig, build_double_slit_trajectory,
                           build_epr_state, detector_intensity,
-                          momentum_correlation_profile, position_collapse,
-                          position_correlation_profile)
+                          momentum_collapse, momentum_correlation_profile,
+                          position_collapse, position_correlation_profile)
 from .geometry import (UnitSystem, arc_length, collapse_time, fs_angle,
                        geodesic_at, geodesic_between, normalize, sphere_angle,
                        state_overlap)
@@ -57,11 +57,29 @@ def parse_kernel(text: str) -> KernelSpec:
     raise DomainError(f"bad kernel spec {text!r}; use translation:SIGMA or confined:ALPHA,BETA")
 
 
-def _floats(text: str) -> tuple[float, ...]:
+def _floats(text: str, count: int | None = None) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(","))
+        values = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise DomainError(f"bad number list {text!r}") from exc
+    if count is not None and len(values) != count:
+        raise DomainError(f"expected {count} comma-separated numbers, got {text!r}")
+    return values
+
+
+def _grid(text: str) -> list:
+    """'LO,HI,COUNT' with LO < HI and an integer COUNT >= 2."""
+    lo, hi, count = _floats(text, 3)
+    if not (lo < hi and count.is_integer() and count >= 2):
+        raise DomainError(f"bad grid {text!r}; need LO < HI and an integer COUNT >= 2")
+    return [lo, hi, int(count)]
+
+
+def _complex(text: str) -> complex:
+    try:
+        return complex(text)
+    except ValueError as exc:
+        raise DomainError(f"bad coefficient {text!r}") from exc
 
 
 def parse_primitive(text: str):
@@ -87,11 +105,7 @@ def parse_state(text: str) -> StateExpr:
         coeff, sep, prim = chunk.partition("@")
         if not sep:
             coeff, prim = "1", chunk
-        try:
-            z = complex(coeff)
-        except ValueError as exc:
-            raise DomainError(f"bad coefficient {coeff!r}") from exc
-        terms.append((z, parse_primitive(prim)))
+        terms.append((_complex(coeff), parse_primitive(prim)))
     return StateExpr(tuple(terms))
 
 
@@ -133,6 +147,8 @@ def run_distance(config: dict):
 
 
 def run_geodesic(config: dict):
+    if config["samples"] < 0:
+        raise DomainError("geodesic samples must be nonnegative")
     kernel = parse_kernel(config["kernel"])
     start = normalize(parse_state(config["states"][0]), kernel)
     end = normalize(parse_state(config["states"][1]), kernel)
@@ -168,6 +184,8 @@ def run_gram(config: dict):
     if config["points"] is not None:
         points = [_floats(p) for p in config["points"].split(";")]
     else:
+        if config["random"] < 1 or not 1 <= config["dim"] <= 3:
+            raise DomainError("gram needs at least one random point and 1 <= dim <= 3")
         rng = np.random.default_rng(config["seed"])
         lo, hi = config["box"]
         points = [tuple(rng.uniform(lo, hi, config["dim"]))
@@ -258,8 +276,6 @@ def run_epr(config: dict):
             "collapse_time_s": collapse_time(path, units),
         }
     if cfg.measured_momentum is not None:
-        from .experiments import momentum_collapse
-
         state = normalize(build_epr_state(cfg, cfg.momentum_kernel), cfg.momentum_kernel)
         path = momentum_collapse(state, cfg.measured_momentum, cfg)
         results["momentum_collapse"] = {
@@ -294,6 +310,8 @@ def _random_convergent_pair(rng, kernel):
 
 
 def run_oracle_verify(config: dict):
+    if config["count"] < 1:
+        raise DomainError("oracle-verify needs a count of at least 1")
     rng = np.random.default_rng(config["seed"])
     spec = QuadratureSpec()
     worst = 0.0
@@ -431,24 +449,25 @@ def _config_from_args(args) -> tuple[str, dict, str | None]:
     if command == "gram":
         return command, {"kernel": args.kernel, "points": args.points,
                          "random": args.random, "dim": args.dim,
-                         "box": _floats(args.box), "seed": args.seed}, None
+                         "box": _floats(args.box, 2), "seed": args.seed}, None
     if command == "double-slit":
-        grid = _floats(args.grid)
+        coeffs = [str(_complex(c)) for c in args.coeffs.split(",")]
+        if len(coeffs) != 2:
+            raise DomainError(f"expected 2 slit coefficients, got {args.coeffs!r}")
         return command, {
-            "slits": list(_floats(args.slits)),
-            "coeffs": [str(complex(c)) for c in args.coeffs.split(",")],
+            "slits": list(_floats(args.slits, 2)),
+            "coeffs": coeffs,
             "width": args.width, "wavenumber": args.wavenumber,
-            "distance": args.distance, "grid": [grid[0], grid[1], int(grid[2])],
+            "distance": args.distance, "grid": _grid(args.grid),
             "which_path": bool(args.which_path),
             "detected_point": args.detected_point,
         }, csv_path
     if command == "epr":
-        grid = _floats(args.grid)
         return command, {
             "x0": args.x0, "envelope_width": args.envelope_width, "n": args.n,
             "alpha": args.alpha, "profile": args.profile,
             "a_values": list(_floats(args.a_values)),
-            "grid": [grid[0], grid[1], int(grid[2])],
+            "grid": _grid(args.grid),
             "measure_position": args.measure_position,
             "measure_momentum": args.measure_momentum,
         }, csv_path

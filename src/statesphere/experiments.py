@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (Delta, Packet, PairStateExpr, StateExpr, blend,
-                      hilbert_norm, overlap)
+from .algebra import (Delta, Packet, StateExpr, blend, hilbert_norm,
+                      inner_product)
 from .errors import DivergenceError, DomainError
 from .geometry import (GeodesicPath, SphereState, UnitSystem, collapse_time,
                        geodesic_at, geodesic_between, normalize, sphere_angle)
@@ -375,7 +375,7 @@ class EPRConfig:
 
 
 def build_epr_state(cfg: EPRConfig,
-                    kernel: KernelSpec | None = None) -> PairStateExpr:
+                    kernel: KernelSpec | None = None) -> StateExpr:
     """Discretized, envelope-regularized correlated pair state, normalized
     under the given kernel (default: the position kernel)."""
     kernel = cfg.position_kernel if kernel is None else kernel
@@ -389,14 +389,10 @@ def build_epr_state(cfg: EPRConfig,
     coeffs = weights * np.exp(-(u**2) / (2.0 * width**2))
     terms = tuple((complex(c), Delta((float(uj),)), Delta((float(cfg.x0 + uj),)))
                   for c, uj in zip(coeffs, u))
-    expr = PairStateExpr(terms)
-    norm = hilbert_norm(expr, kernel)
-    if norm <= 0:
-        raise DomainError("regularized pair state has zero norm")
-    return expr.scaled(1.0 / norm)
+    return normalize(StateExpr(terms), kernel).expr
 
 
-def position_correlation_profile(state: PairStateExpr, cfg: EPRConfig, a: float,
+def position_correlation_profile(state: StateExpr, cfg: EPRConfig, a: float,
                                  b_grid) -> list[tuple[float, float]]:
     """Real overlap of the pair state with normalized point pairs (a, b).
 
@@ -408,7 +404,7 @@ def position_correlation_profile(state: PairStateExpr, cfg: EPRConfig, a: float,
     out = []
     for b in np.asarray(b_grid, dtype=float):
         target = embed_pair_position((a,), (float(b),))
-        value = overlap(state, target, kernel) / hilbert_norm(target, kernel)
+        value = inner_product(state, target, kernel) / hilbert_norm(target, kernel)
         out.append((float(b), value.real))
     return out
 
@@ -450,6 +446,7 @@ def momentum_correlation_profile(state: SphereState, cfg: EPRConfig,
     for q1 in qs:
         for q2 in qs:
             target = embed_pair_momentum((float(q1),), (float(q2),))
-            value = overlap(state.expr, target, state.kernel) / hilbert_norm(target, state.kernel)
+            value = (inner_product(state.expr, target, state.kernel)
+                     / hilbert_norm(target, state.kernel))
             out.append(((float(q1), float(q2)), abs(value)))
     return out

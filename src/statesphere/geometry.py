@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import AnyState, PairStateExpr, StateExpr, blend, norm_sq, overlap
+from .algebra import StateExpr, as_vec, blend, inner_product, norm_sq
 from .errors import DomainError, GeodesicUndeterminedError
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _positive
 
 PLANCK_LENGTH_M = 1.6e-35
 LIGHT_SPEED_M_PER_S = 2.99792458e8
@@ -32,12 +32,11 @@ class UnitSystem:
     planck_time_s: float = None
 
     def __post_init__(self):
-        if self.planck_length_m <= 0 or self.light_speed_m_per_s <= 0:
-            raise DomainError("unit constants must be positive")
-        derived = self.planck_length_m / self.light_speed_m_per_s
+        length = _positive(self.planck_length_m, "planck_length_m")
+        derived = length / _positive(self.light_speed_m_per_s, "light_speed_m_per_s")
         if self.planck_time_s is None:
             object.__setattr__(self, "planck_time_s", derived)
-        elif abs(self.planck_time_s - derived) > 1e-12 * derived:
+        elif not abs(self.planck_time_s - derived) <= 1e-12 * derived:
             raise DomainError("planck_time_s is inconsistent with length / speed")
 
 
@@ -49,23 +48,21 @@ class SphereState:
     expression that was normalized, so the original is recoverable.
     """
 
-    expr: AnyState
+    expr: StateExpr
     kernel: KernelSpec
     raw_norm: float
 
     @property
     def is_pair(self) -> bool:
-        return isinstance(self.expr, PairStateExpr)
+        return self.expr.arity == 2
 
     def norm_defect(self) -> float:
         """|<expr,expr> - 1|; diagnostic for the unit-norm invariant."""
         return abs(norm_sq(self.expr, self.kernel) - 1.0)
 
 
-def normalize(expr: AnyState, kernel: KernelSpec) -> SphereState:
+def normalize(expr: StateExpr, kernel: KernelSpec) -> SphereState:
     """Project a state expression onto the unit sphere of the kernel norm."""
-    if not isinstance(expr, (StateExpr, PairStateExpr)):
-        raise DomainError(f"not a state expression: {expr!r}")
     n2 = norm_sq(expr, kernel)
     if not math.isfinite(n2) or n2 <= 0.0:
         raise DomainError(f"state has zero or undefined norm ({n2!r}); cannot normalize")
@@ -73,26 +70,22 @@ def normalize(expr: AnyState, kernel: KernelSpec) -> SphereState:
     return SphereState(expr=expr.scaled(1.0 / norm), kernel=kernel, raw_norm=norm)
 
 
-def _checked_overlap(a: SphereState, b: SphereState) -> complex:
-    if a.kernel != b.kernel:
-        raise DomainError("states live on spheres of different kernels")
-    return overlap(a.expr, b.expr, a.kernel)
-
-
 def state_overlap(a: SphereState, b: SphereState) -> complex:
     """Kernel inner product of two unit states."""
-    return _checked_overlap(a, b)
+    if a.kernel != b.kernel:
+        raise DomainError("states live on spheres of different kernels")
+    return inner_product(a.expr, b.expr, a.kernel)
 
 
 def sphere_angle(a: SphereState, b: SphereState) -> float:
     """Angle between the states as vectors: arccos of the real overlap part."""
-    ov = _checked_overlap(a, b)
+    ov = state_overlap(a, b)
     return math.acos(min(1.0, max(-1.0, ov.real)))
 
 
 def fs_angle(a: SphereState, b: SphereState) -> float:
     """Phase-insensitive angle: arccos of the overlap modulus, in [0, pi/2]."""
-    ov = _checked_overlap(a, b)
+    ov = state_overlap(a, b)
     return math.acos(min(1.0, max(0.0, abs(ov))))
 
 
@@ -117,7 +110,7 @@ def geodesic_between(start: SphereState, end: SphereState) -> GeodesicPath:
     Raises GeodesicUndeterminedError for antipodal endpoints (real overlap
     -1), where no unique great-circle plane exists.
     """
-    ov = _checked_overlap(start, end)
+    ov = state_overlap(start, end)
     if ov.real <= -(1.0 - _ANTIPODAL_TOL):
         raise GeodesicUndeterminedError(
             "endpoints are antipodal; the geodesic plane is undetermined")
@@ -162,8 +155,7 @@ def collapse_time(path: GeodesicPath, units: UnitSystem = UnitSystem(),
                   speed_m_per_s: float | None = None) -> float:
     """Seconds to traverse the path at the given speed (default: light speed)."""
     speed = units.light_speed_m_per_s if speed_m_per_s is None else speed_m_per_s
-    if speed <= 0:
-        raise DomainError("speed must be positive")
+    _positive(speed, "speed")
     return path.theta * units.planck_length_m / speed
 
 
@@ -174,8 +166,6 @@ def classical_path_length(a, b) -> float:
     distance |a - b|, which can exceed the chordal sphere distance without
     bound.
     """
-    from .algebra import as_vec
-
     av, bv = as_vec(a), as_vec(b)
     if len(av) != len(bv):
         raise DomainError("points have different dimensions")

@@ -139,6 +139,8 @@ def induced_metric(kernel: KernelSpec, at, h: float = 1e-3,
 
     h = _positive(h, "h")
     point = tuple(float(c) for c in np.atleast_1d(np.asarray(at, dtype=float)))
+    if not all(math.isfinite(c) for c in point):
+        raise DomainError(f"metric point must be finite, got {point!r}")
     d = len(point)
     pt = np.array(point)
 
@@ -167,14 +169,11 @@ def norm_ratio(phi, kernel: TranslationKernel) -> float:
     the total mass of the Gaussian kernel, so the ratio tends to 1 as packet
     widths grow large against sigma.
     """
-    from .algebra import Packet, inner_product, l2_inner_product
+    from .algebra import inner_product, l2_inner_product
 
     if not isinstance(kernel, TranslationKernel):
         raise DomainError("norm_ratio compares against translation kernels only")
-    if not all(isinstance(prim, Packet) for _, prim in phi.terms):
-        raise DomainError("norm_ratio requires a packets-only state")
-    d = phi.dimension
+    l2_norm = l2_inner_product(phi, phi).real  # rejects anything but packets
     h_norm = inner_product(phi, phi, kernel).real
-    l2_norm = l2_inner_product(phi, phi).real
-    mass = (2.0 * math.pi * kernel.sigma**2) ** (d / 2.0)
+    mass = (2.0 * math.pi * kernel.sigma**2) ** (phi.dimension / 2.0)
     return h_norm / (mass * l2_norm)

@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (Delta, PairStateExpr, PlaneWave, StateExpr, as_vec,
-                      hilbert_norm, overlap)
+from .algebra import (Delta, PlaneWave, StateExpr, as_vec, hilbert_norm,
+                      inner_product)
 from .errors import DomainError
 from .geometry import SphereState, normalize
 from .kernels import KernelSpec, kernel_value
@@ -48,14 +48,14 @@ def embed_momentum(p) -> StateExpr:
     return StateExpr.single(PlaneWave(as_vec(p)))
 
 
-def embed_pair_position(u, v) -> PairStateExpr:
+def embed_pair_position(u, v) -> StateExpr:
     """Map a pair of classical points to the product of their delta states."""
-    return PairStateExpr.single(Delta(as_vec(u)), Delta(as_vec(v)))
+    return StateExpr.single(Delta(as_vec(u)), Delta(as_vec(v)))
 
 
-def embed_pair_momentum(p, q) -> PairStateExpr:
+def embed_pair_momentum(p, q) -> StateExpr:
     """Map a pair of momenta to the product of their plane-wave states."""
-    return PairStateExpr.single(PlaneWave(as_vec(p)), PlaneWave(as_vec(q)))
+    return StateExpr.single(PlaneWave(as_vec(p)), PlaneWave(as_vec(q)))
 
 
 def gram_matrix(points, kernel: KernelSpec) -> np.ndarray:
@@ -140,8 +140,7 @@ def _golden_max(f, lo: float, hi: float, tol: float):
 
 
 def nearest_classical_point(state: SphereState, manifold: ManifoldId, box,
-                            coarse: int = 33, tol: float = 1e-8,
-                            use_modulus: bool = False) -> ProjectionResult:
+                            coarse: int = 33, tol: float = 1e-8) -> ProjectionResult:
     """Best-overlap point of a classical manifold for the given state.
 
     Scans a coarse grid over `box` (one (lo, hi) interval per manifold
@@ -159,8 +158,8 @@ def nearest_classical_point(state: SphereState, manifold: ManifoldId, box,
 
     def objective(params: np.ndarray) -> float:
         target = _manifold_expr(manifold, params, d)
-        value = overlap(state.expr, target, state.kernel) / hilbert_norm(target, state.kernel)
-        return abs(value) if use_modulus else value.real
+        return (inner_product(state.expr, target, state.kernel)
+                / hilbert_norm(target, state.kernel)).real
 
     grids = [np.linspace(lo, hi, coarse) for lo, hi in intervals]
     best_value = -math.inf
@@ -234,6 +233,6 @@ def manifold_separation(params, manifold_a: ManifoldId, manifold_b: ManifoldId,
     for index in itertools.product(range(resolution), repeat=axes):
         p = np.array([grids[k][i] for k, i in enumerate(index)])
         target = _manifold_expr(manifold_b, p, d)
-        value = abs(overlap(state_a.expr, target, kernel)) / hilbert_norm(target, kernel)
+        value = abs(inner_product(state_a.expr, target, kernel)) / hilbert_norm(target, kernel)
         best = min(best, math.acos(min(1.0, value)))
     return best

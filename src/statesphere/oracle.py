@@ -20,8 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (AnyState, Delta, Packet, PairStateExpr, PlaneWave,
-                      Primitive, StateExpr)
+from .algebra import Delta, Packet, PlaneWave, Primitive, StateExpr
 from .errors import BoxTooSmallError, DomainError, NumericalFailureError
 from .kernels import KernelSpec, kernel_coefficients, kernel_value
 
@@ -206,32 +205,31 @@ def quad_pair_overlap(f: Primitive, g: Primitive, kernel: KernelSpec,
     return value, estimate
 
 
-def quad_inner_product(phi: AnyState, psi: AnyState, kernel: KernelSpec,
+def quad_inner_product(phi: StateExpr, psi: StateExpr, kernel: KernelSpec,
                        spec: QuadratureSpec = QuadratureSpec()) -> tuple[complex, float]:
-    """Inner product of two states by quadrature; error estimates add per term."""
-    if type(phi) is not type(psi):
+    """Inner product of two states by quadrature; error estimates add per term.
+
+    On pair states the per-particle factors of a term pair multiply; values
+    v_k with errors e_k contribute sum_k e_k prod_{j != k} |v_j| to the estimate.
+    """
+    if not isinstance(phi, StateExpr) or not isinstance(psi, StateExpr):
+        raise DomainError(f"not state expressions: {phi!r}, {psi!r}")
+    if phi.arity != psi.arity:
         raise DomainError("states must have matching arity")
     total = 0j
     err = 0.0
-    if isinstance(phi, PairStateExpr):
-        for ci, fl, fr in phi.terms:
-            for dj, gl, gr in psi.terms:
-                if ci == 0 or dj == 0:
-                    continue
-                vl, el = quad_pair_overlap(fl, gl, kernel, spec)
-                vr, er = quad_pair_overlap(fr, gr, kernel, spec)
-                total += ci * dj.conjugate() * vl * vr
-                err += abs(ci * dj) * (abs(vl) * er + abs(vr) * el)
-    elif isinstance(phi, StateExpr):
-        for ci, fi in phi.terms:
-            for dj, gj in psi.terms:
-                if ci == 0 or dj == 0:
-                    continue
-                v, e = quad_pair_overlap(fi, gj, kernel, spec)
-                total += ci * dj.conjugate() * v
-                err += abs(ci * dj) * e
-    else:
-        raise DomainError(f"not a state expression: {phi!r}")
+    for ci, *fi in phi.terms:
+        for dj, *gj in psi.terms:
+            if ci == 0 or dj == 0:
+                continue
+            parts = [quad_pair_overlap(f, g, kernel, spec) for f, g in zip(fi, gj)]
+            value = ci * dj.conjugate()
+            for v, _ in parts:
+                value *= v
+            total += value
+            err += abs(ci * dj) * sum(
+                e * math.prod(abs(v) for j, (v, _) in enumerate(parts) if j != k)
+                for k, (_, e) in enumerate(parts))
     return total, err
 
 

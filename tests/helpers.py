@@ -1,10 +1,8 @@
 """Shared helpers for the test suite."""
 
-import math
-
 import numpy as np
 
-from statesphere import Delta, Packet, PairStateExpr, PlaneWave, StateExpr, primitive_overlap
+from statesphere import Delta, Packet, PlaneWave, StateExpr, hilbert_norm
 
 
 def diff_norm(a, b, kernel) -> float:
@@ -20,17 +18,8 @@ def diff_norm(a, b, kernel) -> float:
     for term in b.terms:
         key = term[1:]
         merged[key] = merged.get(key, 0j) - term[0]
-    items = [(c, key) for key, c in merged.items() if c != 0]
-    if not items:
-        return 0.0
-    total = 0j
-    for ci, ki in items:
-        for cj, kj in items:
-            value = primitive_overlap(ki[0], kj[0], kernel)
-            if len(ki) == 2:
-                value *= primitive_overlap(ki[1], kj[1], kernel)
-            total += ci * cj.conjugate() * value
-    return math.sqrt(max(total.real, 0.0))
+    terms = tuple((c, *key) for key, c in merged.items() if c != 0)
+    return hilbert_norm(StateExpr(terms), kernel) if terms else 0.0
 
 
 def random_primitive(rng, d=1, kinds=("delta", "packet")):
@@ -50,12 +39,12 @@ def random_state(rng, d=1, kinds=("delta", "packet"), max_terms=3) -> StateExpr:
     return StateExpr(terms)
 
 
-def random_pair_state(rng, d=1, kinds=("delta", "packet"), max_terms=2) -> PairStateExpr:
+def random_pair_state(rng, d=1, kinds=("delta", "packet"), max_terms=2) -> StateExpr:
     n = int(rng.integers(1, max_terms + 1))
     terms = tuple((complex(rng.normal(), rng.normal()),
                    random_primitive(rng, d, kinds), random_primitive(rng, d, kinds))
                   for _ in range(n))
-    return PairStateExpr(terms)
+    return StateExpr(terms)
 
 
 def tensor_grid_quadrature(exponent, boxes, n=801):

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
-                         NumericalFailureError, Packet, PairStateExpr,
-                         PlaneWave, QuadForm, StateExpr, TranslationKernel,
-                         blend, gaussian_integral, inner_product,
-                         l2_inner_product, pair_inner_product,
+                         NumericalFailureError, Packet, PlaneWave, QuadForm,
+                         StateExpr, TranslationKernel, blend,
+                         gaussian_integral, inner_product, l2_inner_product,
                          primitive_overlap, compile_pair)
 from statesphere.oracle import QuadratureSpec, quad_pair_overlap
 
@@ -44,7 +43,16 @@ class TestTypes:
         with pytest.raises(DomainError):
             StateExpr(((1.0, Delta((0.0,))), (1.0, Delta((0.0, 1.0)))))
         with pytest.raises(DomainError):
-            PairStateExpr(((1.0, Delta((0.0,)), Delta((0.0, 1.0))),))
+            StateExpr(((1.0, Delta((0.0,)), Delta((0.0, 1.0))),))
+        with pytest.raises(DomainError):
+            StateExpr(((1.0, Delta((0.0,))), (1.0, Delta((0.0,)), Delta((1.0,)))))
+        single = StateExpr.single(Delta((0.0,)))
+        pair = StateExpr.single(Delta((0.0,)), Delta((1.0,)))
+        assert (single.arity, pair.arity) == (1, 2)
+        with pytest.raises(DomainError):
+            inner_product(single, pair, K1)
+        with pytest.raises(DomainError):
+            blend(1.0, single, 1.0, pair)
 
     def test_rejects_dimension_above_three(self):
         with pytest.raises(DomainError):
@@ -218,22 +226,21 @@ class TestInnerProduct:
 
 class TestPairInnerProduct:
     def test_product_delta_norm_is_one(self):
-        state = PairStateExpr.single(Delta((0.5,)), Delta((-2.0,)))
-        np.testing.assert_allclose(pair_inner_product(state, state, K1), 1.0, rtol=1e-14)
+        state = StateExpr.single(Delta((0.5,)), Delta((-2.0,)))
+        np.testing.assert_allclose(inner_product(state, state, K1), 1.0, rtol=1e-14)
 
     def test_product_overlap_factorizes(self):
-        lhs = PairStateExpr.single(Delta((0.0,)), Delta((1.0,)))
-        rhs = PairStateExpr.single(Delta((2.0,)), Delta((-1.0,)))
+        lhs = StateExpr.single(Delta((0.0,)), Delta((1.0,)))
+        rhs = StateExpr.single(Delta((2.0,)), Delta((-1.0,)))
         expected = math.exp(-0.5 * 4.0) * math.exp(-0.5 * 4.0)
-        np.testing.assert_allclose(pair_inner_product(lhs, rhs, K1), expected, rtol=1e-13)
+        np.testing.assert_allclose(inner_product(lhs, rhs, K1), expected, rtol=1e-13)
 
     def test_matches_per_factor_product(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             fl, fr = random_primitive(rng), random_primitive(rng)
             gl, gr = random_primitive(rng), random_primitive(rng)
-            pair = pair_inner_product(PairStateExpr.single(fl, fr),
-                                      PairStateExpr.single(gl, gr), K1)
+            pair = inner_product(StateExpr.single(fl, fr), StateExpr.single(gl, gr), K1)
             product = primitive_overlap(fl, gl, K1) * primitive_overlap(fr, gr, K1)
             assert abs(pair - product) <= 1e-12 * max(1.0, abs(product))
 

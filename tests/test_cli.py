@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from statesphere.cli import main
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "statesphere", *args]
@@ -119,11 +121,32 @@ def test_round_trip_reproducibility():
     assert second == first
 
 
-def test_invalid_input_exit_code_two():
+MALFORMED = [
+    "gram --box 1",
+    "gram --random 0",
+    "double-slit --slits=1",
+    "double-slit --grid=-30,30",
+    "double-slit --coeffs 1,x",
+    "epr --grid=-2,2",
+    "geodesic --delta 0 --delta 1 --samples -1",
+    "oracle-verify --count -1",
+    "geodesic --delta 0 --delta 1 --speed nan",
+    "geodesic --delta 0 --delta 1 --speed inf",
+    "metric --at nan,0,0",
+    "metric --at inf,0,0",
+]
+
+
+def test_invalid_input_exit_code_two(capsys):
     cp = run_cli("distance", "--kernel", "translation:0", "--delta", "0", "--delta", "1")
     assert cp.returncode == 2
     error = json.loads(cp.stderr)
     assert error["error"]["type"] == "DomainError"
+    for argv in MALFORMED:  # in-process: one interpreter for all inputs
+        assert main(argv.split()) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert json.loads(captured.err)["error"]["type"] == "DomainError", argv
 
 
 def test_numerical_failure_exit_code_three():

@@ -172,8 +172,8 @@ class TestEPRState:
         cfg = EPRConfig(discretization_n=32)
         state = build_epr_state(cfg)
         kernel = cfg.position_kernel
-        from statesphere import pair_inner_product
-        np.testing.assert_allclose(pair_inner_product(state, state, kernel).real,
+        from statesphere import inner_product
+        np.testing.assert_allclose(inner_product(state, state, kernel).real,
                                    1.0, rtol=1e-10)
 
     def test_discretization_convergence(self):

@@ -34,6 +34,10 @@ class TestUnitSystem:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             UnitSystem(planck_length_m=0.0)
+        for value in (math.nan, math.inf):
+            for field in ("planck_length_m", "light_speed_m_per_s", "planck_time_s"):
+                with pytest.raises(DomainError):
+                    UnitSystem(**{field: value})
 
 
 class TestNormalize:
@@ -193,8 +197,9 @@ class TestCollapseTime:
 
     def test_rejects_bad_speed(self):
         path = geodesic_between(delta_state(0.0), delta_state(1.0))
-        with pytest.raises(DomainError):
-            collapse_time(path, speed_m_per_s=0.0)
+        for speed in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                collapse_time(path, speed_m_per_s=speed)
 
     def test_universal_bound(self):
         rng = np.random.default_rng(11)

@@ -47,6 +47,11 @@ class TestKernelValue:
 
 
 class TestInducedMetric:
+    @pytest.mark.parametrize("at", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)])
+    def test_rejects_non_finite_point(self, at):
+        with pytest.raises(DomainError):
+            induced_metric(K1, at)
+
     def test_translation_unit_sigma_is_euclidean(self):
         rng = np.random.default_rng(4)
         for _ in range(5):

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError,
-                         Packet, PairStateExpr, PlaneWave, StateExpr,
-                         TranslationKernel, inner_product, pair_inner_product,
-                         primitive_overlap)
+                         Packet, PlaneWave, StateExpr, TranslationKernel,
+                         inner_product, primitive_overlap)
 from statesphere.oracle import (QuadratureRule, QuadratureSpec,
                                 finite_difference, quad_inner_product,
                                 quad_pair_overlap)
@@ -98,18 +97,20 @@ class TestQuadInnerProduct:
         assert abs(closed - value) <= max(1e-9, 10 * estimate)
 
     def test_pair_state_agreement(self):
-        phi = PairStateExpr(((1.0, Delta((0.0,)), Delta((1.0,))),
-                             (0.5, Delta((0.5,)), Delta((1.5,)))))
-        psi = PairStateExpr(((1.0, Packet((0.2,), 0.9), Delta((1.2,))),))
-        closed = pair_inner_product(phi, psi, K1)
+        phi = StateExpr(((1.0, Delta((0.0,)), Delta((1.0,))),
+                          (0.5, Delta((0.5,)), Delta((1.5,)))))
+        psi = StateExpr(((1.0, Packet((0.2,), 0.9), Delta((1.2,))),))
+        closed = inner_product(phi, psi, K1)
         value, _ = quad_inner_product(phi, psi, K1)
         np.testing.assert_allclose(value, closed, rtol=1e-8)
 
     def test_arity_mismatch_rejected(self):
         phi = StateExpr.single(Delta((0.0,)))
-        psi = PairStateExpr.single(Delta((0.0,)), Delta((0.0,)))
+        psi = StateExpr.single(Delta((0.0,)), Delta((0.0,)))
         with pytest.raises(DomainError):
             quad_inner_product(phi, psi, K1)
+        with pytest.raises(DomainError):
+            inner_product(phi, psi, K1)
 
 
 class TestFiniteDifference:
