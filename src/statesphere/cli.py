@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -239,8 +240,10 @@ def run_epr(config: dict):
     units = UnitSystem()
     results: dict = {}
     rows = None
+    # one normalized pair state per kernel, shared by profile and collapse
+    state_under = functools.cache(lambda kernel: build_epr_state(cfg, kernel))
     if config["profile"] == "position":
-        state = build_epr_state(cfg)
+        state = state_under(cfg.position_kernel).expr
         rows = [("a", "b", "overlap")]
         ridges = []
         for a in config["a_values"]:
@@ -253,7 +256,7 @@ def run_epr(config: dict):
                            "grid_step": float(grid[1] - grid[0])})
         results["position_ridge"] = ridges
     elif config["profile"] == "momentum":
-        state = normalize(build_epr_state(cfg, cfg.momentum_kernel), cfg.momentum_kernel)
+        state = state_under(cfg.momentum_kernel)
         lo, hi, count = config["grid"]
         qs = np.linspace(lo, hi, int(count))
         profile = momentum_correlation_profile(state, cfg, qs)
@@ -267,8 +270,7 @@ def run_epr(config: dict):
                                "grid_step": float(qs[1] - qs[0])})
         results["momentum_ridge"] = ridges
     if cfg.measured_position is not None:
-        state = normalize(build_epr_state(cfg), cfg.position_kernel)
-        path = position_collapse(state, cfg.measured_position, cfg)
+        path = position_collapse(state_under(cfg.position_kernel), cfg.measured_position, cfg)
         results["position_collapse"] = {
             "a": cfg.measured_position,
             "partner_point": cfg.x0 + cfg.measured_position,
@@ -276,8 +278,7 @@ def run_epr(config: dict):
             "collapse_time_s": collapse_time(path, units),
         }
     if cfg.measured_momentum is not None:
-        state = normalize(build_epr_state(cfg, cfg.momentum_kernel), cfg.momentum_kernel)
-        path = momentum_collapse(state, cfg.measured_momentum, cfg)
+        path = momentum_collapse(state_under(cfg.momentum_kernel), cfg.measured_momentum, cfg)
         results["momentum_collapse"] = {
             "q": cfg.measured_momentum,
             "partner_momentum": -cfg.measured_momentum,
@@ -312,6 +313,9 @@ def _random_convergent_pair(rng, kernel):
 def run_oracle_verify(config: dict):
     if config["count"] < 1:
         raise DomainError("oracle-verify needs a count of at least 1")
+    if not (math.isfinite(config["tolerance"]) and config["tolerance"] >= 0.0):
+        raise DomainError(f"tolerance must be a finite nonnegative number, "
+                          f"got {config['tolerance']!r}")
     rng = np.random.default_rng(config["seed"])
     spec = QuadratureSpec()
     worst = 0.0

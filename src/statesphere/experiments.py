@@ -16,14 +16,13 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (Delta, Packet, StateExpr, blend, hilbert_norm,
-                      inner_product)
+from .algebra import Delta, Packet, StateExpr, blend
 from .errors import DivergenceError, DomainError
 from .geometry import (GeodesicPath, SphereState, UnitSystem, collapse_time,
                        geodesic_at, geodesic_between, normalize, sphere_angle)
-from .kernels import ConfinedKernel, KernelSpec, TranslationKernel
-from .manifolds import (ManifoldId, embed_pair_momentum, embed_pair_position,
-                        nearest_classical_point)
+from .kernels import ConfinedKernel, KernelSpec, TranslationKernel, _positive
+from .manifolds import (ManifoldId, ManifoldOverlap, embed_pair_momentum,
+                        embed_pair_position, nearest_classical_point)
 
 
 # --------------------------------------------------------------------------
@@ -59,12 +58,8 @@ class SlitConfig:
         if c1 == 0 and c2 == 0:
             raise DomainError("at least one slit coefficient must be nonzero")
         object.__setattr__(self, "coefficients", (c1, c2))
-        if self.packet_width <= 0:
-            raise DomainError("packet width must be positive")
-        if self.wavenumber <= 0:
-            raise DomainError("wavenumber must be positive")
-        if self.screen_to_detector <= 0:
-            raise DomainError("screen-to-detector distance must be positive")
+        for name in ("packet_width", "wavenumber", "screen_to_detector"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
         lo, hi, count = self.detector_grid
         if not (lo < hi and int(count) >= 2):
             raise DomainError("detector grid needs lo < hi and at least 2 points")
@@ -375,9 +370,9 @@ class EPRConfig:
 
 
 def build_epr_state(cfg: EPRConfig,
-                    kernel: KernelSpec | None = None) -> StateExpr:
-    """Discretized, envelope-regularized correlated pair state, normalized
-    under the given kernel (default: the position kernel)."""
+                    kernel: KernelSpec | None = None) -> SphereState:
+    """Discretized, envelope-regularized correlated pair state on the unit
+    sphere of the given kernel (default: the position kernel)."""
     kernel = cfg.position_kernel if kernel is None else kernel
     n = cfg.discretization_n
     width = cfg.envelope_width
@@ -389,7 +384,7 @@ def build_epr_state(cfg: EPRConfig,
     coeffs = weights * np.exp(-(u**2) / (2.0 * width**2))
     terms = tuple((complex(c), Delta((float(uj),)), Delta((float(cfg.x0 + uj),)))
                   for c, uj in zip(coeffs, u))
-    return normalize(StateExpr(terms), kernel).expr
+    return normalize(StateExpr(terms), kernel)
 
 
 def position_correlation_profile(state: StateExpr, cfg: EPRConfig, a: float,
@@ -400,13 +395,10 @@ def position_correlation_profile(state: StateExpr, cfg: EPRConfig, a: float,
     bias a / (envelope_width^2 + 1), which stays within one grid step for
     grids at least that coarse.
     """
-    kernel = cfg.position_kernel
-    out = []
-    for b in np.asarray(b_grid, dtype=float):
-        target = embed_pair_position((a,), (float(b),))
-        value = inner_product(state, target, kernel) / hilbert_norm(target, kernel)
-        out.append((float(b), value.real))
-    return out
+    bs = np.asarray(b_grid, dtype=float)
+    overlap = ManifoldOverlap(state, cfg.position_kernel, ManifoldId.POSITION_PAIR)
+    values = overlap(np.column_stack([np.full(len(bs), float(a)), bs]))
+    return list(zip(bs.tolist(), values.real.tolist()))
 
 
 def position_collapse(state: SphereState, a: float, cfg: EPRConfig) -> GeodesicPath:
@@ -442,11 +434,7 @@ def momentum_correlation_profile(state: SphereState, cfg: EPRConfig,
     if not isinstance(state.kernel, ConfinedKernel):
         raise DivergenceError("momentum profiles require a confined kernel")
     qs = np.asarray(q_grid, dtype=float)
-    out = []
-    for q1 in qs:
-        for q2 in qs:
-            target = embed_pair_momentum((float(q1),), (float(q2),))
-            value = (inner_product(state.expr, target, state.kernel)
-                     / hilbert_norm(target, state.kernel))
-            out.append(((float(q1), float(q2)), abs(value)))
-    return out
+    pairs = np.stack(np.meshgrid(qs, qs, indexing="ij"), axis=-1).reshape(-1, 2)
+    overlap = ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)
+    values = np.abs(overlap(pairs))
+    return [((q1, q2), v) for (q1, q2), v in zip(pairs.tolist(), values.tolist())]

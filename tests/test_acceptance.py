@@ -187,12 +187,12 @@ def test_08_epr_correlations():
     ok = True
     for a in (-cfg.envelope_width, 0.0, cfg.envelope_width):
         grid = np.arange(cfg.x0 + a - 3.0, cfg.x0 + a + 3.0 + 1e-9, step)
-        profile = position_correlation_profile(state, cfg, a, grid)
+        profile = position_correlation_profile(state.expr, cfg, a, grid)
         best_b = max(profile, key=lambda bv: bv[1])[0]
         ok &= abs(best_b - (cfg.x0 + a)) <= step + 1e-12
 
     momentum_kernel = cfg.momentum_kernel
-    mstate = normalize(build_epr_state(cfg, momentum_kernel), momentum_kernel)
+    mstate = build_epr_state(cfg, momentum_kernel)
     qs = np.arange(-2.0, 2.0 + 1e-9, 0.5)
     profile = momentum_correlation_profile(mstate, cfg, qs)
     for q1 in (-1.0, 0.0, 1.0):
@@ -200,9 +200,8 @@ def test_08_epr_correlations():
         best_q2 = max(row, key=lambda qv: qv[1])[0]
         ok &= abs(best_q2 - (-q1)) <= 0.5 + 1e-12
 
-    s64 = normalize(state, cfg.position_kernel)
-    s128 = normalize(build_epr_state(EPRConfig(discretization_n=128)), cfg.position_kernel)
-    angle = sphere_angle(s64, s128)
+    s128 = build_epr_state(EPRConfig(discretization_n=128))
+    angle = sphere_angle(state, s128)
     ok &= angle < 1e-3
     elapsed = time.perf_counter() - start
     report(8, "entangled-pair correlations", ok,

@@ -134,6 +134,9 @@ MALFORMED = [
     "geodesic --delta 0 --delta 1 --speed inf",
     "metric --at nan,0,0",
     "metric --at inf,0,0",
+    "oracle-verify --tolerance nan",
+    "oracle-verify --tolerance inf",
+    "oracle-verify --tolerance -1",
 ]
 
 

@@ -10,8 +10,8 @@ from statesphere import (DivergenceError, DomainError,
                          arc_length, build_double_slit_trajectory,
                          build_epr_state, collapse_time, detector_intensity,
                          momentum_collapse, momentum_correlation_profile,
-                         normalize, position_collapse,
-                         position_correlation_profile, sphere_angle)
+                         position_collapse, position_correlation_profile,
+                         sphere_angle)
 
 PLANCK_TIME = UnitSystem().planck_time_s
 
@@ -26,6 +26,12 @@ class TestSlitConfig:
             SlitConfig(packet_width=0.0)
         with pytest.raises(DomainError):
             SlitConfig(detector_grid=(1.0, -1.0, 100))
+
+    def test_rejects_non_finite_scalars(self):
+        for field in ("packet_width", "wavenumber", "screen_to_detector"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(DomainError, match=field):
+                    SlitConfig(**{field: bad})
 
     def test_predicted_spacing(self):
         cfg = SlitConfig()
@@ -170,7 +176,7 @@ class TestEPRState:
 
     def test_state_is_normalized(self):
         cfg = EPRConfig(discretization_n=32)
-        state = build_epr_state(cfg)
+        state = build_epr_state(cfg).expr
         kernel = cfg.position_kernel
         from statesphere import inner_product
         np.testing.assert_allclose(inner_product(state, state, kernel).real,
@@ -179,13 +185,13 @@ class TestEPRState:
     def test_discretization_convergence(self):
         cfg = EPRConfig()
         kernel = cfg.position_kernel
-        s64 = normalize(build_epr_state(cfg), kernel)
-        s128 = normalize(build_epr_state(EPRConfig(discretization_n=128)), kernel)
+        s64 = build_epr_state(cfg, kernel)
+        s128 = build_epr_state(EPRConfig(discretization_n=128), kernel)
         assert sphere_angle(s64, s128) < 1e-3
 
     def test_position_ridge(self):
         cfg = EPRConfig()
-        state = build_epr_state(cfg)
+        state = build_epr_state(cfg).expr
         step = 0.25
         for a in (-cfg.envelope_width, 0.0, cfg.envelope_width):
             grid = np.arange(cfg.x0 + a - 3.0, cfg.x0 + a + 3.0 + 1e-9, step)
@@ -195,7 +201,7 @@ class TestEPRState:
 
     def test_symmetric_profile_at_origin(self):
         cfg = EPRConfig(x0=0.0)
-        state = build_epr_state(cfg)
+        state = build_epr_state(cfg).expr
         grid = np.linspace(-3.0, 3.0, 25)
         profile = dict(position_correlation_profile(state, cfg, 0.0, grid))
         for b in grid[: len(grid) // 2]:
@@ -205,7 +211,7 @@ class TestEPRState:
 class TestEPRCollapse:
     def test_position_collapse_fast_everywhere(self):
         cfg = EPRConfig()
-        state = normalize(build_epr_state(cfg), cfg.position_kernel)
+        state = build_epr_state(cfg)
         for a in (-4.0, -1.0, 0.0, 2.0, 5.0):
             path = position_collapse(state, a, cfg)
             assert collapse_time(path) < 1e-43
@@ -214,7 +220,7 @@ class TestEPRCollapse:
 
     def test_position_collapse_lands_on_manifold(self):
         cfg = EPRConfig()
-        state = normalize(build_epr_state(cfg), cfg.position_kernel)
+        state = build_epr_state(cfg)
         path = position_collapse(state, 1.0, cfg)
         target = path.end_aligned
         assert target.expr.terms[0][1].center == (1.0,)
@@ -223,7 +229,7 @@ class TestEPRCollapse:
     def test_momentum_collapse_under_confined(self):
         cfg = EPRConfig()
         kernel = cfg.momentum_kernel
-        state = normalize(build_epr_state(cfg, kernel), kernel)
+        state = build_epr_state(cfg, kernel)
         path = momentum_collapse(state, 0.8, cfg)
         assert arc_length(path) < math.pi
         target = path.end_aligned.expr.terms[0]
@@ -232,14 +238,14 @@ class TestEPRCollapse:
 
     def test_momentum_collapse_rejects_translation_kernel(self):
         cfg = EPRConfig()
-        state = normalize(build_epr_state(cfg), cfg.position_kernel)
+        state = build_epr_state(cfg)
         with pytest.raises(DivergenceError):
             momentum_collapse(state, 1.0, cfg)
 
     def test_zero_momentum_target_is_constant_state(self):
         cfg = EPRConfig()
         kernel = cfg.momentum_kernel
-        state = normalize(build_epr_state(cfg, kernel), kernel)
+        state = build_epr_state(cfg, kernel)
         path = momentum_collapse(state, 0.0, cfg)
         target = path.end_aligned.expr.terms[0]
         assert target[1].momentum == (0.0,) and target[2].momentum == (0.0,)
@@ -249,7 +255,7 @@ class TestEPRCollapse:
 def profile_setup():
     cfg = EPRConfig()
     kernel = cfg.momentum_kernel
-    state = normalize(build_epr_state(cfg, kernel), kernel)
+    state = build_epr_state(cfg, kernel)
     qs = np.arange(-2.0, 2.0 + 1e-9, 0.5)
     return cfg, state, qs, momentum_correlation_profile(state, cfg, qs)
 
@@ -266,7 +272,7 @@ class TestMomentumProfile:
     def test_profile_symmetric_for_centered_pair(self):
         cfg = EPRConfig(x0=0.0)
         kernel = cfg.momentum_kernel
-        state = normalize(build_epr_state(cfg, kernel), kernel)
+        state = build_epr_state(cfg, kernel)
         qs = np.array([-1.0, 0.0, 1.0])
         profile = dict(momentum_correlation_profile(state, cfg, qs))
         np.testing.assert_allclose(profile[(1.0, -1.0)], profile[(-1.0, 1.0)], rtol=1e-9)
@@ -285,6 +291,6 @@ class TestMomentumProfile:
 
     def test_profile_requires_confined_kernel(self):
         cfg = EPRConfig()
-        state = normalize(build_epr_state(cfg), cfg.position_kernel)
+        state = build_epr_state(cfg)
         with pytest.raises(DivergenceError):
             momentum_correlation_profile(state, cfg, np.array([0.0]))

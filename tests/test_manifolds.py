@@ -4,17 +4,72 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
-                         ManifoldId, Packet, StateExpr, TranslationKernel,
+                         ManifoldId, NumericalFailureError, Packet, PlaneWave,
+                         StateExpr, StateSphereError, TranslationKernel,
                          blend, embed_momentum, embed_pair_momentum,
                          embed_pair_position, embed_position,
                          gram_min_eigenvalue, hilbert_norm, inner_product,
                          manifold_member, manifold_separation,
                          nearest_classical_point, normalize, sphere_angle)
+from statesphere.manifolds import ManifoldOverlap
 
 K1 = TranslationKernel(1.0)
 KC = ConfinedKernel(0.1, 1.0)
+
+EMBED = {
+    ManifoldId.POSITION: lambda t, d: embed_position(t),
+    ManifoldId.MOMENTUM: lambda t, d: embed_momentum(t),
+    ManifoldId.POSITION_PAIR: lambda t, d: embed_pair_position(t[:d], t[d:]),
+    ManifoldId.MOMENTUM_PAIR: lambda t, d: embed_pair_momentum(t[:d], t[d:]),
+}
+
+
+def scalar_overlap(expr, kernel, manifold, theta):
+    """Term-by-term reference: <expr, m(theta)> / ||m(theta)||."""
+    target = EMBED[manifold](tuple(float(t) for t in theta), expr.dimension)
+    return inner_product(expr, target, kernel) / hilbert_norm(target, kernel)
+
+
+coords = st.floats(-8.0, 8.0)
+kernels = st.one_of(
+    st.builds(TranslationKernel, st.floats(0.5, 2.0)),
+    st.builds(ConfinedKernel, st.floats(0.05, 0.5), st.floats(0.5, 2.0)))
+
+
+@st.composite
+def primitives(draw, d, kinds=("delta", "packet", "wave")):
+    kind = draw(st.sampled_from(kinds))
+    vec = st.tuples(*[coords] * d)
+    if kind == "delta":
+        return Delta(draw(vec))
+    momentum = st.tuples(*[st.floats(-3.0, 3.0)] * d)
+    if kind == "wave":
+        return PlaneWave(draw(momentum))
+    return Packet(draw(vec), draw(st.floats(0.2, 3.0)), draw(momentum))
+
+
+@st.composite
+def states(draw, arity, d, kinds=("delta", "packet", "wave")):
+    coeff = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
+        lambda c: abs(c) > 0.1)
+    terms = draw(st.lists(
+        st.tuples(coeff, *[primitives(d, kinds)] * arity), min_size=1, max_size=3))
+    return StateExpr(tuple(terms))
+
+
+@st.composite
+def overlap_cases(draw):
+    manifold = draw(st.sampled_from(list(ManifoldId)))
+    d = draw(st.integers(1, 2))
+    arity = 2 if manifold.is_pair else 1
+    expr = draw(states(arity, d))
+    theta = np.array(draw(st.lists(st.tuples(*[coords] * (arity * d)),
+                                   min_size=1, max_size=4)))
+    return manifold, draw(kernels), expr, theta
 
 
 class TestEmbeddings:
@@ -130,6 +185,16 @@ class TestNearestClassicalPoint:
         assert abs(result.point[0] - 0.8) <= 1e-5
         assert result.residual_angle <= 1e-6
 
+    def test_oblique_ridge_pair_projection(self):
+        # the real overlap peaks on p = q at the end of a ridge oblique to
+        # both axes, where coordinate sweeps alone crawl
+        state = normalize(StateExpr(((1j, Delta((3.0,)), Delta((3.0,))),)),
+                          ConfinedKernel(0.5, 1.0))
+        result = nearest_classical_point(state, ManifoldId.MOMENTUM_PAIR, (-6.0, 6.0),
+                                         coarse=5)
+        (p,), (q,) = result.point
+        assert abs(p - q) <= 1e-6
+
     def test_arity_mismatch_rejected(self):
         state = normalize(embed_position((0.0,)), K1)
         with pytest.raises(DomainError):
@@ -139,6 +204,99 @@ class TestNearestClassicalPoint:
         state = normalize(embed_position((0.0,)), K1)
         with pytest.raises(DomainError):
             nearest_classical_point(state, ManifoldId.POSITION, (2.0, 2.0))
+
+    def test_far_box_under_confined_kernel(self):
+        # ||delta_u||^2 = exp(-1800) underflows at the box edges; the ratio
+        # <psi, delta_u> / ||delta_u|| stays finite.
+        state = normalize(StateExpr.single(Packet((0.5,), 1.0)), ConfinedKernel(1.0, 1.0))
+        result = nearest_classical_point(state, ManifoldId.POSITION, (-30.0, 30.0))
+        assert math.isfinite(result.overlap)
+        assert 0.0 <= result.residual_angle <= math.pi / 2
+
+    def test_tie_across_grid_chunks(self):
+        # 65^2 grid points span two evaluation chunks; the second peak,
+        # (3.875, 3.875), lies in the second one
+        expr = blend(1.0, embed_pair_position((-3.0,), (-3.0,)),
+                     1.0, embed_pair_position((3.875,), (3.875,)))
+        state = normalize(expr, K1)
+        result = nearest_classical_point(state, ManifoldId.POSITION_PAIR,
+                                         ((-4.0, 4.0), (-4.0, 4.0)), coarse=65)
+        assert result.tie
+        (u,), (v,) = result.point
+        assert abs(u + 3.0) <= 1e-6 and abs(v + 3.0) <= 1e-6
+        assert result.iterations > 65**2
+
+
+class TestManifoldOverlap:
+    """The batched evaluator against the term-by-term inner product."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(overlap_cases())
+    def test_matches_term_by_term(self, case):
+        manifold, kernel, expr, theta = case
+        try:
+            want = [scalar_overlap(expr, kernel, manifold, t) for t in theta]
+        except StateSphereError as exc:
+            with pytest.raises(type(exc)):
+                ManifoldOverlap(expr, kernel, manifold)(theta)
+            return
+        got = ManifoldOverlap(expr, kernel, manifold)(theta)
+        for t, g, w in zip(theta, got, want):
+            # relative to the term magnitudes, so cancellation between terms
+            # does not loosen or tighten the check
+            scale = sum(abs(scalar_overlap(StateExpr((term,)), kernel, manifold, t))
+                        for term in expr.terms)
+            assert abs(g - w) <= 1e-12 * scale + 1e-300
+
+    @pytest.mark.parametrize("kernel, error", [
+        (K1, DivergenceError),
+        (ConfinedKernel(1e-13, 1.0), NumericalFailureError),
+    ])
+    def test_momentum_errors_match(self, kernel, error):
+        expr = StateExpr.single(Delta((0.5,)))
+        with pytest.raises(error):
+            scalar_overlap(expr, kernel, ManifoldId.MOMENTUM, (0.0,))
+        with pytest.raises(error):
+            ManifoldOverlap(expr, kernel, ManifoldId.MOMENTUM)
+        with pytest.raises(error):
+            nearest_classical_point(normalize(expr, kernel), ManifoldId.MOMENTUM, (-1.0, 1.0))
+
+    def test_rejects_wrong_point_size(self):
+        overlap = ManifoldOverlap(embed_pair_position((0.0,), (1.0,)), K1,
+                                  ManifoldId.POSITION_PAIR)
+        with pytest.raises(DomainError):
+            overlap(np.zeros((3, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_projection_is_a_local_maximum(self, data):
+        manifold = data.draw(st.sampled_from(list(ManifoldId)))
+        momentum = manifold in (ManifoldId.MOMENTUM, ManifoldId.MOMENTUM_PAIR)
+        kernel = data.draw(kernels.filter(
+            lambda k: isinstance(k, ConfinedKernel) or not momentum))
+        kinds = ("delta", "packet", "wave") if isinstance(kernel, ConfinedKernel) \
+            else ("delta", "packet")
+        arity = 2 if manifold.is_pair else 1
+        state = normalize(data.draw(states(arity, 1, kinds)), kernel)
+        coarse = data.draw(st.integers(5, 17))
+        lo, hi = -6.0, 6.0
+        result = nearest_classical_point(state, manifold, (lo, hi), coarse=coarse)
+        point = np.array(result.point).ravel()
+
+        def clamped(theta):
+            value = scalar_overlap(state.expr, kernel, manifold, theta).real
+            return min(1.0, max(0.0, value))
+
+        grid = np.linspace(lo, hi, coarse)
+        for theta in np.stack(np.meshgrid(*[grid] * arity, indexing="ij"), -1).reshape(-1, arity):
+            # a cell within the 1e-9 tie tolerance of an earlier one loses to it
+            assert result.overlap >= clamped(theta) - 1e-9
+        for k in range(arity):
+            for step in (-1e-4, 1e-4):
+                theta = point.copy()
+                theta[k] += step
+                if lo <= theta[k] <= hi:
+                    assert result.overlap >= clamped(theta) - 1e-12
 
 
 class TestManifoldSeparation:
