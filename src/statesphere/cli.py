@@ -28,7 +28,7 @@ from .experiments import (EPRConfig, SlitConfig, build_double_slit_trajectory,
 from .geometry import (UnitSystem, arc_length, collapse_time, fs_angle,
                        geodesic_at, geodesic_between, normalize, sphere_angle,
                        state_overlap)
-from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel,
+from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
                       induced_metric)
 from .manifolds import gram_min_eigenvalue
 from .oracle import QuadratureSpec, quad_inner_product
@@ -69,10 +69,10 @@ def _floats(text: str, count: int | None = None) -> tuple[float, ...]:
 
 
 def _grid(text: str) -> list:
-    """'LO,HI,COUNT' with LO < HI and an integer COUNT >= 2."""
+    """'LO,HI,COUNT' with finite LO < HI and an integer COUNT >= 2."""
     lo, hi, count = _floats(text, 3)
-    if not (lo < hi and count.is_integer() and count >= 2):
-        raise DomainError(f"bad grid {text!r}; need LO < HI and an integer COUNT >= 2")
+    if not (-math.inf < lo < hi < math.inf and count.is_integer() and count >= 2):
+        raise DomainError(f"bad grid {text!r}; need finite LO < HI and an integer COUNT >= 2")
     return [lo, hi, int(count)]
 
 
@@ -182,13 +182,15 @@ def run_metric(config: dict):
 
 def run_gram(config: dict):
     kernel = parse_kernel(config["kernel"])
+    lo, hi = (_finite(v, "box") for v in config["box"])
+    if lo > hi:
+        raise DomainError(f"box needs LO <= HI, got {config['box']!r}")
     if config["points"] is not None:
         points = [_floats(p) for p in config["points"].split(";")]
     else:
         if config["random"] < 1 or not 1 <= config["dim"] <= 3:
             raise DomainError("gram needs at least one random point and 1 <= dim <= 3")
         rng = np.random.default_rng(config["seed"])
-        lo, hi = config["box"]
         points = [tuple(rng.uniform(lo, hi, config["dim"]))
                   for _ in range(config["random"])]
     value = gram_min_eigenvalue(points, kernel)
@@ -237,6 +239,8 @@ def run_epr(config: dict):
         measured_position=config["measure_position"],
         measured_momentum=config["measure_momentum"],
     )
+    for a in config["a_values"]:
+        _finite(a, "a_values")
     units = UnitSystem()
     results: dict = {}
     rows = None

@@ -16,11 +16,12 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import Delta, Packet, StateExpr, blend
+from .algebra import Delta, Packet, StateExpr, _finite_complex, blend
 from .errors import DivergenceError, DomainError
 from .geometry import (GeodesicPath, SphereState, UnitSystem, collapse_time,
                        geodesic_at, geodesic_between, normalize, sphere_angle)
-from .kernels import ConfinedKernel, KernelSpec, TranslationKernel, _positive
+from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
+                      _positive)
 from .manifolds import (ManifoldId, ManifoldOverlap, embed_pair_momentum,
                         embed_pair_position, nearest_classical_point)
 
@@ -51,18 +52,22 @@ class SlitConfig:
     spread_widths: bool = False
 
     def __post_init__(self):
-        x1, x2 = self.slit_positions
+        x1, x2 = (_finite(x, "slit_positions") for x in self.slit_positions)
         if x1 == x2:
             raise DomainError("slit positions must differ")
-        c1, c2 = (complex(c) for c in self.coefficients)
+        object.__setattr__(self, "slit_positions", (x1, x2))
+        c1, c2 = (_finite_complex(c, "coefficients") for c in self.coefficients)
         if c1 == 0 and c2 == 0:
             raise DomainError("at least one slit coefficient must be nonzero")
         object.__setattr__(self, "coefficients", (c1, c2))
         for name in ("packet_width", "wavenumber", "screen_to_detector"):
             object.__setattr__(self, name, _positive(getattr(self, name), name))
+        for name in ("detected_point", "source_center"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _finite(getattr(self, name), name))
         lo, hi, count = self.detector_grid
-        if not (lo < hi and int(count) >= 2):
-            raise DomainError("detector grid needs lo < hi and at least 2 points")
+        if not (-math.inf < lo < hi < math.inf and int(count) >= 2):
+            raise DomainError("detector grid needs finite lo < hi and at least 2 points")
         if self.samples_per_segment < 2:
             raise DomainError("need at least 2 samples per segment")
 
@@ -220,16 +225,19 @@ def _polyline_arc(states) -> float:
     return sum(sphere_angle(a, b) for a, b in zip(states, states[1:]))
 
 
-def _segment(kind, offset, states, kernel, residual_box, units, path=None,
-             compute_residuals=True):
+def _segment(kind, offset, states, residual_box, units, residuals, path=None):
+    """One trajectory segment; `residuals` maps each state already projected
+    onto the position manifold to its residual angle, or is None to skip
+    the projection."""
     n = len(states)
     samples = tuple((offset + j / (n - 1), s) for j, s in enumerate(states))
     residual = 0.0
-    if compute_residuals:
-        residual = max(
-            nearest_classical_point(s, ManifoldId.POSITION, residual_box,
-                                    coarse=41).residual_angle
-            for s in states)
+    if residuals is not None:
+        for s in states:
+            if s not in residuals:
+                residuals[s] = nearest_classical_point(
+                    s, ManifoldId.POSITION, residual_box, coarse=41).residual_angle
+        residual = max(residuals[s] for s in states)
     time = collapse_time(path, units) if path is not None else None
     return TrajectorySegment(kind=kind, samples=samples,
                              arc_length=_polyline_arc(states),
@@ -281,19 +289,22 @@ def build_double_slit_trajectory(cfg: SlitConfig,
         seg2_states.append(normalize(blend(1.0 - t, arrived.expr, t, split.expr), kernel))
     seg2_states.append(split)
 
+    # residual angle per distinct sample state, shared by all segments
+    residuals = {} if compute_residuals else None
+
+    def segment(kind, offset, states, path=None):
+        return _segment(kind, offset, states, box, units, residuals, path)
+
     segments = [
-        _segment(SegmentKind.PROPAGATION, 0.0, seg1_states, kernel, box, units,
-                 compute_residuals=compute_residuals),
-        _segment(SegmentKind.REFRACTION_SPLIT, 1.0, seg2_states, kernel, box, units,
-                 compute_residuals=compute_residuals),
+        segment(SegmentKind.PROPAGATION, 0.0, seg1_states),
+        segment(SegmentKind.REFRACTION_SPLIT, 1.0, seg2_states),
     ]
 
     def collapse_segment(offset, start_state, target_state):
         path = geodesic_between(start_state, target_state)
         states = [geodesic_at(path, t) for t in np.linspace(0.0, 1.0, n)]
         states[0], states[-1] = path.start, path.end_aligned
-        return _segment(SegmentKind.COLLAPSE, offset, states, kernel, box, units,
-                        path=path, compute_residuals=compute_residuals)
+        return segment(SegmentKind.COLLAPSE, offset, states, path)
 
     if cfg.which_path:
         slit = which_path_slit(cfg)
@@ -305,8 +316,7 @@ def build_double_slit_trajectory(cfg: SlitConfig,
         else:
             seg4_states = [last] * n
         segments.append(seg3)
-        segments.append(_segment(SegmentKind.PROPAGATION, 3.0, seg4_states, kernel, box,
-                                 units, compute_residuals=compute_residuals))
+        segments.append(segment(SegmentKind.PROPAGATION, 3.0, seg4_states))
     else:
         if cfg.spread_widths:
             def spread_superposition(t):
@@ -319,8 +329,7 @@ def build_double_slit_trajectory(cfg: SlitConfig,
                                      for t in np.linspace(0.0, 1.0, n)[1:]]
         else:
             seg3_states = [split] * n
-        segments.append(_segment(SegmentKind.PROPAGATION, 2.0, seg3_states, kernel, box,
-                                 units, compute_residuals=compute_residuals))
+        segments.append(segment(SegmentKind.PROPAGATION, 2.0, seg3_states))
         arriving = seg3_states[-1]
         target = packet_state(detected, widths_along(1.0) if cfg.spread_widths else w)
         segments.append(collapse_segment(3.0, arriving, target))
@@ -351,12 +360,14 @@ class EPRConfig:
     measured_momentum: float | None = None
 
     def __post_init__(self):
-        if self.envelope_width <= 0:
-            raise DomainError("envelope width must be positive")
+        object.__setattr__(self, "x0", _finite(self.x0, "x0"))
+        for name in ("envelope_width", "confined_alpha"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        for name in ("measured_position", "measured_momentum"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _finite(getattr(self, name), name))
         if self.discretization_n < 8:
             raise DomainError("discretization needs at least 8 nodes")
-        if self.confined_alpha <= 0:
-            raise DomainError("confinement alpha must be positive")
         if self.measured_position is not None and self.measured_momentum is not None:
             raise DomainError("set at most one of measured_position / measured_momentum")
 

@@ -26,6 +26,13 @@ import numpy as np
 from .errors import DomainError
 
 
+def _finite(value: float, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def _positive(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:

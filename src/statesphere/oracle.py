@@ -14,6 +14,7 @@ below 1e-16 of its peak at every box edge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,9 +56,18 @@ class QuadratureSpec:
             raise DomainError("refinement_levels must be >= 1")
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _nodes(rule: QuadratureRule, lo: float, hi: float, n: int):
     if rule is QuadratureRule.GAUSS_LEGENDRE:
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _gauss_legendre(n)
         half = 0.5 * (hi - lo)
         return lo + half * (x + 1.0), half * w
     x = np.linspace(lo, hi, n)

@@ -1,8 +1,23 @@
 """Shared helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import statesphere
 from statesphere import Delta, Packet, PlaneWave, StateExpr, hilbert_norm
+
+SRC = str(Path(statesphere.__file__).resolve().parent.parent)
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports statesphere from this checkout."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def diff_norm(a, b, kernel) -> float:

@@ -3,15 +3,14 @@
 import json
 import math
 import subprocess
-import sys
 from pathlib import Path
 
+from helpers import run_python
 from statesphere.cli import main
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "statesphere", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return run_python("-m", "statesphere", *args)
 
 
 def record_of(cp: subprocess.CompletedProcess) -> dict:
@@ -137,6 +136,37 @@ MALFORMED = [
     "oracle-verify --tolerance nan",
     "oracle-verify --tolerance inf",
     "oracle-verify --tolerance -1",
+    "epr --alpha nan",
+    "epr --alpha inf",
+    "epr --a-values nan",
+    "double-slit --detected-point inf",
+    "gram --box nan,1 --random 3",
+    "epr --envelope-width nan",
+    "double-slit --detected-point nan",
+    "epr --x0 inf",
+    "epr --measure-position inf --profile none",
+    "epr --measure-momentum nan --profile none",
+    "epr --profile momentum --a-values inf",
+    "epr --grid=-inf,2,17",
+    "gram --box 1,0 --random 3",
+    "gram --points 0,0;1,1 --box 0,inf",
+    "double-slit --grid=-30,inf,101",
+    "double-slit --slits nan,1",
+    "double-slit --coeffs infj,1",
+]
+
+# (argv, config field the error message must name)
+NON_FINITE = [
+    ("epr --alpha nan", "confined_alpha"),
+    ("epr --envelope-width nan", "envelope_width"),
+    ("epr --x0 inf", "x0"),
+    ("epr --measure-position inf --profile none", "measured_position"),
+    ("epr --measure-momentum nan --profile none", "measured_momentum"),
+    ("epr --a-values nan", "a_values"),
+    ("double-slit --detected-point nan", "detected_point"),
+    ("double-slit --slits nan,1", "slit_positions"),
+    ("double-slit --coeffs infj,1", "coefficients"),
+    ("gram --box nan,1 --random 3", "box"),
 ]
 
 
@@ -150,6 +180,13 @@ def test_invalid_input_exit_code_two(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert json.loads(captured.err)["error"]["type"] == "DomainError", argv
+
+
+def test_non_finite_input_names_field(capsys):
+    for argv, field in NON_FINITE:
+        assert main(argv.split()) == 2, argv
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert field in message, (argv, message)
 
 
 def test_numerical_failure_exit_code_three():

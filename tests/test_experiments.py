@@ -33,6 +33,17 @@ class TestSlitConfig:
                 with pytest.raises(DomainError, match=field):
                     SlitConfig(**{field: bad})
 
+    def test_rejects_non_finite_points(self):
+        nan, inf = float("nan"), float("inf")
+        cases = [("detected_point", inf), ("detected_point", nan),
+                 ("source_center", nan), ("slit_positions", (nan, 1.0)),
+                 ("slit_positions", (-inf, 1.0)), ("coefficients", (1.0, complex(0, inf)))]
+        for field, bad in cases:
+            with pytest.raises(DomainError, match=field):
+                SlitConfig(**{field: bad})
+        with pytest.raises(DomainError):
+            SlitConfig(detector_grid=(-inf, 30.0, 101))
+
     def test_predicted_spacing(self):
         cfg = SlitConfig()
         np.testing.assert_allclose(cfg.predicted_fringe_spacing,
@@ -142,6 +153,26 @@ class TestDoubleSlitTrajectory:
         collapse = trajectory.segments[2]
         assert collapse.collapse_time_s < 1e-43
 
+    @pytest.mark.parametrize("which_path", [False, True])
+    def test_projects_each_distinct_state_once(self, which_path, monkeypatch):
+        import statesphere.experiments as experiments
+        project = experiments.nearest_classical_point
+        calls = []
+
+        def counting(state, *args, **kwargs):
+            calls.append((state, args, kwargs))
+            return project(state, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "nearest_classical_point", counting)
+        trajectory = build_double_slit_trajectory(SlitConfig(which_path=which_path))
+        distinct = {state for seg in trajectory.segments for _, state in seg.samples}
+        assert len(calls) == len(distinct)
+        _, args, kwargs = calls[0]
+        for seg in trajectory.segments:
+            expected = max(project(state, *args, **kwargs).residual_angle
+                           for _, state in seg.samples)
+            assert seg.max_residual_angle == expected
+
     def test_collapse_times_bounded_by_pi(self, trajectory):
         for seg in trajectory.segments:
             if seg.collapse_time_s is not None:
@@ -173,6 +204,13 @@ class TestEPRState:
             EPRConfig(discretization_n=4)
         with pytest.raises(DomainError):
             EPRConfig(measured_position=1.0, measured_momentum=1.0)
+
+    def test_rejects_non_finite_scalars(self):
+        for field in ("x0", "envelope_width", "confined_alpha",
+                      "measured_position", "measured_momentum"):
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(DomainError, match=field):
+                    EPRConfig(**{field: bad})
 
     def test_state_is_normalized(self):
         cfg = EPRConfig(discretization_n=32)

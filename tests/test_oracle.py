@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from helpers import run_python
 from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError,
                          Packet, PlaneWave, StateExpr, TranslationKernel,
                          inner_product, primitive_overlap)
-from statesphere.oracle import (QuadratureRule, QuadratureSpec,
-                                finite_difference, quad_inner_product,
+from statesphere.oracle import (QuadratureRule, QuadratureSpec, _gauss_legendre,
+                                _nodes, finite_difference, quad_inner_product,
                                 quad_pair_overlap)
 
 K1 = TranslationKernel(1.0)
@@ -86,6 +87,54 @@ class TestQuadPairOverlap:
         estimates = [abs(b - a) for a, b in zip(history, history[1:])]
         assert all(later < earlier for earlier, later in zip(estimates, estimates[1:]))
         assert estimates[-1] < 1e-10
+
+
+class TestGaussLegendreCache:
+    def test_mapped_nodes_match_fresh_rule_bit_for_bit(self):
+        lo, hi = -1.5, 2.75
+        half = 0.5 * (hi - lo)
+        for n in (33, 257, 513):
+            x, w = np.polynomial.legendre.leggauss(n)
+            for _ in range(2):  # cold, then warm
+                got_x, got_w = _nodes(QuadratureRule.GAUSS_LEGENDRE, lo, hi, n)
+                assert got_x.tobytes() == (lo + half * (x + 1.0)).tobytes()
+                assert got_w.tobytes() == (half * w).tobytes()
+
+    def test_cached_rule_is_read_only(self):
+        x, w = _gauss_legendre(33)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        assert _gauss_legendre(33)[0] is x
+
+    def test_cold_and_warm_cache_agree_with_fresh_rules(self, monkeypatch):
+        f = Packet((0.5, -0.2), 0.6, (1.2, 0.3))
+        g = Packet((-0.8, 0.4), 1.1, (-0.5, 0.0))
+        _gauss_legendre.cache_clear()
+        cold = quad_pair_overlap(f, g, KC)
+        warm = quad_pair_overlap(f, g, KC)
+        with monkeypatch.context() as m:
+            m.setattr("statesphere.oracle._gauss_legendre",
+                      np.polynomial.legendre.leggauss)
+            fresh = quad_pair_overlap(f, g, KC)
+        assert cold == warm == fresh
+
+    def test_import_builds_no_rule(self):
+        cp = run_python("-c", "import statesphere.oracle as o; "
+                              "print(o._gauss_legendre.cache_info().currsize)")
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "0"
+
+    def test_trapezoid_rule_bypasses_cache(self):
+        f = Packet((0.0,), 1.0)
+        g = Packet((1.0,), 1.0)
+        spec = QuadratureSpec(rule=QuadratureRule.TRAPEZOID, nodes_per_axis=129)
+        _gauss_legendre.cache_clear()
+        cold = quad_pair_overlap(f, g, K1, spec)
+        assert _gauss_legendre.cache_info().currsize == 0
+        quad_pair_overlap(f, g, K1)
+        assert quad_pair_overlap(f, g, K1, spec) == cold
 
 
 class TestQuadInnerProduct:
