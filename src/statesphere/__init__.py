@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .algebra import (Delta, Packet, PlaneWave, QuadForm, StateExpr, blend,
                       compile_pair, gaussian_integral, hilbert_norm,
                       inner_product, l2_inner_product, norm_sq,
-                      primitive_overlap)
+                      overlap_matrix, primitive_overlap)
 from .errors import (BoxTooSmallError, DivergenceError, DomainError,
                      GeodesicUndeterminedError, NumericalFailureError,
                      StateSphereError)

@@ -341,6 +341,10 @@ def build_double_slit_trajectory(cfg: SlitConfig,
 # entangled pair
 # --------------------------------------------------------------------------
 
+# An n-term pair state takes n x n overlap matrices per particle.
+MAX_DISCRETIZATION = 1024
+
+
 @dataclass(frozen=True)
 class EPRConfig:
     """Entangled-pair scenario: positions correlate as x2 = x0 + x1 and
@@ -366,8 +370,10 @@ class EPRConfig:
         for name in ("measured_position", "measured_momentum"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _finite(getattr(self, name), name))
-        if self.discretization_n < 8:
-            raise DomainError("discretization needs at least 8 nodes")
+        n = self.discretization_n
+        if isinstance(n, bool) or not isinstance(n, int) or not 8 <= n <= MAX_DISCRETIZATION:
+            raise DomainError(f"discretization_n must be an integer from 8 to "
+                              f"{MAX_DISCRETIZATION}, got {n!r}")
         if self.measured_position is not None and self.measured_momentum is not None:
             raise DomainError("set at most one of measured_position / measured_momentum")
 

@@ -21,7 +21,7 @@ from .errors import DivergenceError, DomainError, NumericalFailureError
 from .geometry import SphereState, normalize
 from .kernels import KernelSpec, kernel_coefficients, kernel_value
 
-_TIE_TOL = 1e-9
+_TIE_TOL = 1e-9  # relative to the compared overlaps
 _CHUNK = 4096  # manifold points per batched evaluation
 _LINE = 21  # points per line grid of the refinement zoom
 _NEWTON_STEPS = 20
@@ -85,7 +85,7 @@ class ProjectionResult:
 
     `overlap` is the (clamped) real overlap with the normalized manifold
     state and equals cos(residual_angle); `tie` reports that a second coarse
-    grid cell came within 1e-9 of the maximum.
+    grid cell came within 1e-9 (relative) of the maximum.
     """
 
     point: tuple
@@ -274,9 +274,10 @@ def nearest_classical_point(state: SphereState, manifold: ManifoldId, box,
     for theta, values in overlap.grid(grids):
         evals += len(theta)
         for i, value in enumerate(values.real.tolist()):
-            if value > best_value + _TIE_TOL:
+            margin = _TIE_TOL * min(abs(value), abs(best_value))
+            if value > best_value + margin:
                 best_value, best_point, tie = value, theta[i], False
-            elif value > best_value - _TIE_TOL:
+            elif value >= best_value - margin:
                 tie = True
                 if value > best_value:
                     best_value = value  # keep the earlier (lexicographically smaller) cell

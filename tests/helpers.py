@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 import statesphere
-from statesphere import Delta, Packet, PlaneWave, StateExpr, hilbert_norm
+from statesphere import (ConfinedKernel, Delta, Packet, PlaneWave, StateExpr,
+                         TranslationKernel, hilbert_norm)
 
 SRC = str(Path(statesphere.__file__).resolve().parent.parent)
 
@@ -60,6 +62,25 @@ def random_pair_state(rng, d=1, kinds=("delta", "packet"), max_terms=2) -> State
                    random_primitive(rng, d, kinds), random_primitive(rng, d, kinds))
                   for _ in range(n))
     return StateExpr(terms)
+
+
+coords = st.floats(-8.0, 8.0)
+kernels = st.one_of(
+    st.builds(TranslationKernel, st.floats(0.5, 2.0)),
+    st.builds(ConfinedKernel, st.floats(0.05, 0.5), st.floats(0.5, 2.0)))
+
+
+@st.composite
+def primitives(draw, d, kinds=("delta", "packet", "wave")):
+    """Hypothesis strategy: one primitive of dimension d, coordinates +-8."""
+    kind = draw(st.sampled_from(kinds))
+    vec = st.tuples(*[coords] * d)
+    if kind == "delta":
+        return Delta(draw(vec))
+    momentum = st.tuples(*[st.floats(-3.0, 3.0)] * d)
+    if kind == "wave":
+        return PlaneWave(draw(momentum))
+    return Packet(draw(vec), draw(st.floats(0.2, 3.0)), draw(momentum))
 
 
 def tensor_grid_quadrature(exponent, boxes, n=801):

@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
-                         NumericalFailureError, Packet, PlaneWave, QuadForm,
-                         StateExpr, TranslationKernel, blend,
+                         EPRConfig, NumericalFailureError, Packet, PlaneWave,
+                         QuadForm, StateExpr, StateSphereError,
+                         TranslationKernel, blend, build_epr_state,
                          gaussian_integral, inner_product, l2_inner_product,
-                         primitive_overlap, compile_pair)
+                         overlap_matrix, primitive_overlap, compile_pair)
+from statesphere import algebra
 from statesphere.oracle import QuadratureSpec, quad_pair_overlap
 
-from helpers import random_primitive, random_state, tensor_grid_quadrature
+from helpers import (kernels, primitives, random_primitive, random_state,
+                     tensor_grid_quadrature)
 
 K1 = TranslationKernel(1.0)
 KC = ConfinedKernel(0.1, 1.0)
@@ -243,6 +248,97 @@ class TestPairInnerProduct:
             pair = inner_product(StateExpr.single(fl, fr), StateExpr.single(gl, gr), K1)
             product = primitive_overlap(fl, gl, K1) * primitive_overlap(fr, gr, K1)
             assert abs(pair - product) <= 1e-12 * max(1.0, abs(product))
+
+
+def reference_overlap(f, g, kernel) -> complex:
+    return gaussian_integral(compile_pair(f, g, kernel))
+
+
+@st.composite
+def matrix_cases(draw):
+    d = draw(st.integers(1, 3))
+    fs = draw(st.lists(primitives(d), min_size=1, max_size=4))
+    gs = draw(st.lists(primitives(d), min_size=1, max_size=4))
+    return fs, gs, draw(kernels)
+
+
+class TestOverlapMatrix:
+    """The broadcast overlap matrix against the general integral, entry by entry."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(matrix_cases())
+    def test_matches_general_integral(self, case):
+        fs, gs, kernel = case
+        try:
+            want = [[reference_overlap(f, g, kernel) for g in gs] for f in fs]
+        except StateSphereError as exc:
+            with pytest.raises(type(exc)):
+                overlap_matrix(fs, gs, kernel)
+            return
+        got = overlap_matrix(fs, gs, kernel)
+        assert got.shape == (len(fs), len(gs)) and got.dtype == complex
+        for i, f in enumerate(fs):
+            for j, g in enumerate(gs):
+                if isinstance(f, Delta) or isinstance(g, Delta):
+                    # 1e-300 absorbs entries that underflow to subnormals
+                    assert abs(got[i, j] - want[i][j]) <= 1e-12 * abs(want[i][j]) + 1e-300
+                else:
+                    assert got[i, j] == want[i][j]  # free-free: the same arithmetic
+
+    @pytest.mark.parametrize("f", [Delta((0.0,)), Packet((0.0,), 1.0), PlaneWave((1.0,))])
+    @pytest.mark.parametrize("g", [Delta((0.0, 1.0)), Packet((0.0, 1.0), 1.0),
+                                   PlaneWave((1.0, 0.5))])
+    def test_dimension_mismatch(self, f, g):
+        with pytest.raises(DomainError):
+            compile_pair(f, g, KC)
+        with pytest.raises(DomainError):
+            overlap_matrix([f], [g], KC)
+        with pytest.raises(DomainError):
+            overlap_matrix([Delta((2.0,)), g], [f, Delta((2.0, 0.0))], KC)
+
+    def test_wave_pair_diverges_under_translation_kernel(self):
+        waves = [PlaneWave((1.0,)), PlaneWave((-0.5,))]
+        with pytest.raises(DivergenceError):
+            reference_overlap(waves[0], waves[1], K1)
+        with pytest.raises(DivergenceError):
+            overlap_matrix([Delta((0.0,))] + waves, waves, K1)
+
+    def test_primitive_overlap_is_the_one_by_one_case(self):
+        f, g = Packet((0.5,), 0.8, (0.3,)), Delta((1.0,))
+        assert primitive_overlap(f, g, KC) == overlap_matrix([f], [g], KC)[0, 0]
+
+    def test_epr_norm_matches_reference_loop(self):
+        cfg = EPRConfig()
+        for kernel in (cfg.position_kernel, cfg.momentum_kernel):
+            expr = build_epr_state(cfg, kernel).expr
+            want = 0j
+            for ci, f1, f2 in expr.terms:
+                for dj, g1, g2 in expr.terms:
+                    want += (ci * dj.conjugate() * reference_overlap(f1, g1, kernel)
+                             * reference_overlap(f2, g2, kernel))
+            got = inner_product(expr, expr, kernel)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+class TestFreeOverlapCache:
+    def test_hit_returns_identical_value(self):
+        f, g = Packet((0.25,), 0.6, (0.5,)), PlaneWave((-0.75,))
+        first = overlap_matrix([f], [g], KC)[0, 0]
+        hits = algebra._free_overlap.cache_info().hits
+        second = overlap_matrix([f], [g], KC)[0, 0]
+        assert algebra._free_overlap.cache_info().hits == hits + 1
+        assert second == first
+        assert second == reference_overlap(f, g, KC)
+
+    def test_size_is_bounded(self):
+        maxsize = algebra._free_overlap.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1024
+
+    def test_diverging_pair_raises_every_time(self):
+        wave = PlaneWave((0.5,))
+        for _ in range(2):
+            with pytest.raises(DivergenceError):
+                overlap_matrix([wave], [wave], K1)
 
 
 class TestL2InnerProduct:

@@ -153,6 +153,8 @@ MALFORMED = [
     "double-slit --grid=-30,inf,101",
     "double-slit --slits nan,1",
     "double-slit --coeffs infj,1",
+    "epr --n 100000000000000000000",
+    "epr --n 1025",
 ]
 
 # (argv, config field the error message must name)

@@ -205,6 +205,13 @@ class TestEPRState:
         with pytest.raises(DomainError):
             EPRConfig(measured_position=1.0, measured_momentum=1.0)
 
+    def test_rejects_bad_discretization(self):
+        # an n-term state takes n x n overlap matrices, so n is bounded above
+        for bad in (7, 1025, 10**20, 64.0, True, "64"):
+            with pytest.raises(DomainError, match="discretization_n"):
+                EPRConfig(discretization_n=bad)
+        assert EPRConfig(discretization_n=1024).discretization_n == 1024
+
     def test_rejects_non_finite_scalars(self):
         for field in ("x0", "envelope_width", "confined_alpha",
                       "measured_position", "measured_momentum"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
-                         ManifoldId, NumericalFailureError, Packet, PlaneWave,
+                         ManifoldId, NumericalFailureError, Packet,
                          StateExpr, StateSphereError, TranslationKernel,
                          blend, embed_momentum, embed_pair_momentum,
                          embed_pair_position, embed_position,
@@ -16,6 +16,8 @@ from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
                          manifold_member, manifold_separation,
                          nearest_classical_point, normalize, sphere_angle)
 from statesphere.manifolds import ManifoldOverlap
+
+from helpers import coords, kernels, primitives
 
 K1 = TranslationKernel(1.0)
 KC = ConfinedKernel(0.1, 1.0)
@@ -32,24 +34,6 @@ def scalar_overlap(expr, kernel, manifold, theta):
     """Term-by-term reference: <expr, m(theta)> / ||m(theta)||."""
     target = EMBED[manifold](tuple(float(t) for t in theta), expr.dimension)
     return inner_product(expr, target, kernel) / hilbert_norm(target, kernel)
-
-
-coords = st.floats(-8.0, 8.0)
-kernels = st.one_of(
-    st.builds(TranslationKernel, st.floats(0.5, 2.0)),
-    st.builds(ConfinedKernel, st.floats(0.05, 0.5), st.floats(0.5, 2.0)))
-
-
-@st.composite
-def primitives(draw, d, kinds=("delta", "packet", "wave")):
-    kind = draw(st.sampled_from(kinds))
-    vec = st.tuples(*[coords] * d)
-    if kind == "delta":
-        return Delta(draw(vec))
-    momentum = st.tuples(*[st.floats(-3.0, 3.0)] * d)
-    if kind == "wave":
-        return PlaneWave(draw(momentum))
-    return Packet(draw(vec), draw(st.floats(0.2, 3.0)), draw(momentum))
 
 
 @st.composite
@@ -169,6 +153,15 @@ class TestNearestClassicalPoint:
                                          coarse=33)
         assert result.tie
         assert abs(result.point[0] + s) <= 1e-6  # lexicographically smaller peak
+
+    def test_tiny_real_overlaps_rank_instead_of_tie(self):
+        # every real overlap lies below 1e-9, yet the grid cell at 0 is the
+        # clear maximum: an absolute tie tolerance made all seven cells tie
+        state = normalize(StateExpr.single(Delta((0.0,)), coeff=1e-12 + 0.5j), K1)
+        result = nearest_classical_point(state, ManifoldId.POSITION, (-6.0, 6.0), coarse=7)
+        assert not result.tie
+        assert abs(result.point[0]) <= 1e-6
+        assert result.overlap == pytest.approx(2e-12, rel=1e-6)
 
     def test_pair_manifold_projection(self):
         state = normalize(embed_pair_position((0.5,), (1.5,)), K1)
