@@ -268,7 +268,9 @@ def compile_pair(f: Primitive, g: Primitive, kernel: KernelSpec) -> QuadForm:
 
     s_f, lin_f, const_f = _profile(f, conjugate=False)
     s_g, lin_g, const_g = _profile(g, conjugate=True)
-    margin = (conf + pair + s_f) * (conf + pair + s_g) - pair**2
+    # (conf + pair + s_f)(conf + pair + s_g) - pair^2 without cancellation:
+    # exactly 0 for two plane waves under a translation kernel
+    margin = (conf + s_f) * (conf + pair + s_g) + pair * (conf + s_g)
     if margin <= 0.0:
         raise DivergenceError(
             f"inner product of {type(f).__name__} and {type(g).__name__} diverges "

@@ -438,6 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parsing does not change a parser
+
+
 def _config_from_args(args) -> tuple[str, dict, str | None]:
     command = args.command
     csv_path = getattr(args, "csv", None)
@@ -486,9 +489,8 @@ def _config_from_args(args) -> tuple[str, dict, str | None]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         command, config, csv_path = _config_from_args(args)
         record, rows = run_record(command, config)
     except StateSphereError as exc:

@@ -11,20 +11,20 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .algebra import CONDITION_CAP, Delta, PlaneWave, StateExpr, _profile, as_vec
+from .algebra import (CONDITION_CAP, Delta, PlaneWave, StateExpr, _profile, as_vec,
+                      overlap_matrix)
 from .errors import DivergenceError, DomainError, NumericalFailureError
 from .geometry import SphereState, normalize
-from .kernels import KernelSpec, kernel_coefficients, kernel_value
+from .kernels import KernelSpec, _finite, _positive, kernel_coefficients
 
 _TIE_TOL = 1e-9  # relative to the compared overlaps
 _CHUNK = 4096  # manifold points per batched evaluation
-_LINE = 21  # points per line grid of the refinement zoom
-_NEWTON_STEPS = 20
 
 
 class ManifoldId(Enum):
@@ -62,15 +62,10 @@ def embed_pair_momentum(p, q) -> StateExpr:
 
 def gram_matrix(points, kernel: KernelSpec) -> np.ndarray:
     """Gram matrix of embedded delta states at the given points."""
-    pts = [as_vec(p) for p in points]
-    if len(set(pts)) != len(pts):
+    deltas = [Delta(p) for p in points]
+    if len(set(deltas)) != len(deltas):
         raise DomainError("points must be pairwise distinct")
-    n = len(pts)
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = kernel_value(kernel, pts[i], pts[j])
-    return g
+    return overlap_matrix(deltas, deltas, kernel).real
 
 
 def gram_min_eigenvalue(points, kernel: KernelSpec) -> float:
@@ -113,7 +108,7 @@ def _normalize_box(box, axes: int):
         raise DomainError(f"box must give {axes} (lo, hi) intervals")
     out = []
     for lo, hi in pairs:
-        lo, hi = float(lo), float(hi)
+        lo, hi = _finite(lo, "box"), _finite(hi, "box")
         if not lo < hi:
             raise DomainError(f"empty box interval ({lo}, {hi})")
         out.append((lo, hi))
@@ -226,16 +221,14 @@ class ManifoldOverlap:
             raise DomainError(f"manifold points need {self.axes} coordinates each")
         return self._terms(theta).sum(axis=1)
 
-    def newton_step(self, theta: np.ndarray):
-        """Newton step towards a maximum of the real part at one point, or
-        None where its Hessian is not negative definite."""
-        weights = self._terms(theta)
-        slopes = self._beta + 2.0 * theta[:, None] * self._gamma  # d exponent / d theta
+    def derivatives(self, point: np.ndarray):
+        """Real part of the overlap at one point, with its gradient and
+        Hessian, from one evaluation of the terms."""
+        weights = self._terms(point)
+        slopes = self._beta + 2.0 * point[:, None] * self._gamma  # d exponent / d theta
         gradient = (slopes @ weights).real
         hessian = ((slopes * weights) @ slopes.T + np.diag(2.0 * self._gamma @ weights)).real
-        if np.linalg.eigvalsh(hessian).max() >= 0.0:
-            return None
-        return -np.linalg.solve(hessian, gradient)
+        return float(weights.sum().real), gradient, hessian
 
     def grid(self, grids):
         """Values over the product of per-axis grids in `itertools.product`
@@ -249,21 +242,31 @@ class ManifoldOverlap:
             yield theta, self(theta)
 
 
+def _grid_count(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 2:
+        raise DomainError(f"{name} must be an integer of at least 2, got {value!r}")
+    return int(value)
+
+
 def nearest_classical_point(state: SphereState, manifold: ManifoldId, box,
                             coarse: int = 33, tol: float = 1e-8) -> ProjectionResult:
     """Best-overlap point of a classical manifold for the given state.
 
-    Evaluates a coarse grid over `box` (one (lo, hi) interval per manifold
-    parameter axis), then refines the winning cell by coordinate sweeps: on
-    each axis a line grid of _LINE points over +-cell zooms onto its best
-    point until its spacing is at most `tol`.  Newton steps on the
-    closed-form derivatives then polish the point.  Ties on the coarse grid
-    go to the lexicographically smallest parameter and set the `tie` flag.
-    `iterations` counts the manifold points evaluated.
+    Evaluates a coarse grid of `coarse` points per axis over `box` (one
+    (lo, hi) interval per manifold parameter axis); ties go to the
+    lexicographically smallest parameter and set the `tie` flag.  From the
+    best cell a shifted Newton ascent climbs the real overlap on its
+    closed-form derivatives: coordinates on a bound whose gradient points
+    out of the box are held (active set), the others take the clipped step
+    (lam I - H)^-1 g, with lam just above max(0, top eigenvalue of H) and
+    raised 4x until the overlap rises.  The ascent stops after a step of at
+    most `tol` (taken unless the overlap falls), when no shift rises, or
+    after 100 iterations.  `iterations` counts the manifold points
+    evaluated: the grid and every point of the ascent.
     """
+    coarse = _grid_count(coarse, "coarse")
+    tol = _positive(tol, "tol")
     overlap = ManifoldOverlap(state.expr, state.kernel, manifold)
-    if coarse < 2:
-        raise DomainError("coarse grid needs at least 2 cells per axis")
     intervals = _normalize_box(box, overlap.axes)
 
     grids = [np.linspace(lo, hi, coarse) for lo, hi in intervals]
@@ -282,47 +285,33 @@ def nearest_classical_point(state: SphereState, manifold: ManifoldId, box,
                 if value > best_value:
                     best_value = value  # keep the earlier (lexicographically smaller) cell
 
-    point = best_point.copy()
-    value = best_value
-    cells = [(hi - lo) / (coarse - 1) for lo, hi in intervals]
-    for _ in range(100):
-        moved = 0.0
-        for k in range(overlap.axes):
-            start = point[k]
-            lo = max(intervals[k][0], start - cells[k])
-            hi = min(intervals[k][1], start + cells[k])
-            while True:
-                line = np.linspace(lo, hi, _LINE)
-                trial = np.tile(point, (_LINE, 1))
-                trial[:, k] = line
-                values = overlap(trial).real
-                evals += _LINE
-                best = int(np.argmax(values))
-                point[k], value = line[best], float(values[best])
-                if line[1] - line[0] <= tol:
-                    break
-                lo, hi = line[max(best - 1, 0)], line[min(best + 1, _LINE - 1)]
-            step = abs(point[k] - start)
-            moved = max(moved, step)
-            # a halving window that the climb keeps hitting would stall it
-            cells[k] = max(0.5 * cells[k], 2.0 * step, tol)
-        if moved < tol:
-            break
-
-    # Coordinate sweeps zigzag slowly up ridges oblique to the axes, as on
-    # pair manifolds; Newton steps finish the climb where the maximum is concave.
     lows, highs = np.array(intervals).T
-    for _ in range(_NEWTON_STEPS):
-        step = overlap.newton_step(point)
-        if step is None:
+    point = best_point.copy()
+    value, gradient, hessian = overlap.derivatives(point)
+    evals += 1
+    for _ in range(100):
+        free = ~(((point <= lows) & (gradient < 0.0)) | ((point >= highs) & (gradient > 0.0)))
+        g = gradient[free]
+        if not g.any():
             break
-        trial = np.clip(point + step, lows, highs)
-        trial_value = float(overlap(trial[None]).real[0])
-        evals += 1
-        if not trial_value > value:
-            break
-        point, value = trial, trial_value
-        if np.abs(step).max() <= tol:
+        eigenvalues, vectors = np.linalg.eigh(hessian[np.ix_(free, free)])
+        along = vectors.T @ g
+        scale = max(np.abs(eigenvalues).max(), np.abs(g).max())
+        shift = max(0.0, eigenvalues[-1]) + 1e-12 * scale
+        for _ in range(64):  # after k tries a step is at most axes * 1e12 / 4**k
+            trial = point.copy()
+            trial[free] += vectors @ (along / (shift - eigenvalues))
+            np.clip(trial, lows, highs, out=trial)
+            last = np.abs(trial - point).max() <= tol
+            trial_value, *trial_derivatives = overlap.derivatives(trial)
+            evals += 1
+            rose = trial_value > value or (last and trial_value >= value)
+            if rose:
+                point, value, (gradient, hessian) = trial, trial_value, trial_derivatives
+            if rose or last:
+                break
+            shift *= 4.0
+        if last or not rose:
             break
 
     final = min(1.0, max(0.0, value))
@@ -348,6 +337,7 @@ def manifold_separation(params, manifold_a: ManifoldId, manifold_b: ManifoldId,
     not meet near the scanned region; a member of its own manifold returns 0
     at the matching grid point.
     """
+    resolution = _grid_count(resolution, "resolution")
     state_a = manifold_member(manifold_a, params, kernel)
     overlap = ManifoldOverlap(state_a.expr, kernel, manifold_b)
     intervals = _normalize_box(box, overlap.axes)

@@ -129,8 +129,10 @@ class TestCompilePair:
         assert np.linalg.eigvalsh(form.matrix.real).min() > 0
 
     def test_plane_wave_pair_translation_diverges(self):
-        with pytest.raises(DivergenceError, match="PlaneWave"):
-            compile_pair(PlaneWave((1.0,)), PlaneWave((1.0,)), K1)
+        # at sigma = 0.6205471095295118, pair * pair - pair**2 rounds to 2.2e-16
+        for kernel in (K1, TranslationKernel(0.6205471095295118)):
+            with pytest.raises(DivergenceError, match="PlaneWave"):
+                compile_pair(PlaneWave((1.0,)), PlaneWave((1.0,)), kernel)
 
     def test_packet_pair_matches_oracle(self):
         f = Packet((1.0,), 0.8, (0.7,))

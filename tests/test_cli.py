@@ -6,6 +6,7 @@ import subprocess
 from pathlib import Path
 
 from helpers import run_python
+from statesphere import cli
 from statesphere.cli import main
 
 
@@ -189,6 +190,29 @@ def test_non_finite_input_names_field(capsys):
         assert main(argv.split()) == 2, argv
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert field in message, (argv, message)
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    argvs = ["constants", "distance --delta 0 --delta 1", "gram --random 0",
+             "gram --random 5 --seed 3", "constants --bogus", "constants"]
+
+    def outputs():
+        out = []
+        for argv in argvs:
+            try:
+                code = main(argv.split())
+            except SystemExit as exc:  # argparse rejects unknown flags itself
+                code = exc.code
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    cli._parser.cache_clear()
+    cached = outputs()
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, *_ in cached] == [0, 0, 2, 0, 2, 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == cached
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_numerical_failure_exit_code_three():

@@ -15,7 +15,8 @@ from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
                          gram_min_eigenvalue, hilbert_norm, inner_product,
                          manifold_member, manifold_separation,
                          nearest_classical_point, normalize, sphere_angle)
-from statesphere.manifolds import ManifoldOverlap
+from statesphere.kernels import kernel_coefficients, kernel_value
+from statesphere.manifolds import ManifoldOverlap, gram_matrix
 
 from helpers import coords, kernels, primitives
 
@@ -120,6 +121,29 @@ class TestGram:
         with pytest.raises(DomainError):
             gram_min_eigenvalue([(0.0,), (0.0,)], K1)
 
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DomainError):
+            gram_matrix([(0.0,), (1.0, 2.0)], K1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_entries_match_kernel_value(self, data):
+        kernel = data.draw(kernels)
+        d = data.draw(st.integers(1, 3))
+        points = data.draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=6,
+                                    unique=True))
+        g = gram_matrix(points, kernel)
+        assert (g == g.T).all()
+        conf, pair = kernel_coefficients(kernel)
+        for i, x in enumerate(points):
+            for j, y in enumerate(points):
+                want = kernel_value(kernel, x, y)
+                # one rounding of the summed exponent e moves exp(e) by about
+                # |e| ulp, so the bound grows with the exponent's size
+                exponent = pair * sum((a - b) ** 2 for a, b in zip(x, y)) \
+                    + conf * (sum(a * a for a in x) + sum(b * b for b in y))
+                assert abs(g[i, j] - want) <= 1e-15 * max(1.0, exponent) * want
+
 
 class TestNearestClassicalPoint:
     def test_delta_recovers_its_point(self):
@@ -219,6 +243,46 @@ class TestNearestClassicalPoint:
         assert abs(u + 3.0) <= 1e-6 and abs(v + 3.0) <= 1e-6
         assert result.iterations > 65**2
 
+    def test_ascent_holds_bound_with_outward_gradient(self):
+        # the best cell lies on the v = -6 bound, whose gradient points out
+        # of the box; clipped steps without an active set stalled there
+        expr = StateExpr(((-1.0, Delta((0.0,)), Delta((0.0,))),
+                          (-1.0, Delta((1.0,)), Packet((0.0,), 1.0, (3.0,)))))
+        state = normalize(expr, TranslationKernel(1.5))
+        result = nearest_classical_point(state, ManifoldId.POSITION_PAIR, (-6.0, 6.0),
+                                         coarse=5)
+        assert result.point[1] == (-6.0,)
+        assert_local_maximum(result, state, ManifoldId.POSITION_PAIR, -6.0, 6.0, 5)
+
+    @pytest.mark.parametrize("width", [0.08, 0.1, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("center", [0.0, 0.37, -1.234])
+    def test_packet_center_is_exact(self, width, center):
+        state = normalize(StateExpr.single(Packet((center,), width)), K1)
+        coarse = 33
+        result = nearest_classical_point(state, ManifoldId.POSITION, (-5.0, 5.0),
+                                         coarse=coarse)
+        assert abs(result.point[0] - center) <= 1e-12
+        assert result.iterations <= coarse + 50
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"tol": math.nan}, "tol"),
+        ({"tol": -1.0}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"coarse": 5.5}, "coarse"),
+        ({"coarse": 1}, "coarse"),
+        ({"coarse": True}, "coarse"),
+        ({"box": (-math.inf, 1.0)}, "box"),
+        ({"box": (0.0, math.inf)}, "box"),
+        ({"box": (math.nan, 1.0)}, "box"),
+    ])
+    def test_rejects_bad_search_arguments(self, kwargs, name):
+        # non-finite tol and box bounds made the refinement loop forever
+        state = normalize(embed_position((0.0,)), K1)
+        with pytest.raises(DomainError, match=name):
+            nearest_classical_point(state, ManifoldId.POSITION,
+                                    **({"box": (-1.0, 1.0)} | kwargs))
+
 
 class TestManifoldOverlap:
     """The batched evaluator against the term-by-term inner product."""
@@ -263,33 +327,51 @@ class TestManifoldOverlap:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_projection_is_a_local_maximum(self, data):
-        manifold = data.draw(st.sampled_from(list(ManifoldId)))
-        momentum = manifold in (ManifoldId.MOMENTUM, ManifoldId.MOMENTUM_PAIR)
-        kernel = data.draw(kernels.filter(
-            lambda k: isinstance(k, ConfinedKernel) or not momentum))
-        kinds = ("delta", "packet", "wave") if isinstance(kernel, ConfinedKernel) \
-            else ("delta", "packet")
-        arity = 2 if manifold.is_pair else 1
-        state = normalize(data.draw(states(arity, 1, kinds)), kernel)
-        coarse = data.draw(st.integers(5, 17))
-        lo, hi = -6.0, 6.0
-        result = nearest_classical_point(state, manifold, (lo, hi), coarse=coarse)
-        point = np.array(result.point).ravel()
+        check_projection_is_local_maximum(data)
 
-        def clamped(theta):
-            value = scalar_overlap(state.expr, kernel, manifold, theta).real
-            return min(1.0, max(0.0, value))
+    @pytest.mark.slow
+    @settings(max_examples=1500, deadline=None)
+    @given(st.data())
+    def test_projection_is_a_local_maximum_stress(self, data):
+        check_projection_is_local_maximum(data)
 
-        grid = np.linspace(lo, hi, coarse)
-        for theta in np.stack(np.meshgrid(*[grid] * arity, indexing="ij"), -1).reshape(-1, arity):
-            # a cell within the 1e-9 tie tolerance of an earlier one loses to it
-            assert result.overlap >= clamped(theta) - 1e-9
-        for k in range(arity):
-            for step in (-1e-4, 1e-4):
-                theta = point.copy()
-                theta[k] += step
-                if lo <= theta[k] <= hi:
-                    assert result.overlap >= clamped(theta) - 1e-12
+
+def assert_local_maximum(result, state, manifold, lo, hi, coarse):
+    """The projection beats every coarse grid cell and its +-1e-4 neighbours
+    along each axis inside the box."""
+    kernel = state.kernel
+    point = np.array(result.point).ravel()
+    axes = len(point)
+
+    def clamped(theta):
+        value = scalar_overlap(state.expr, kernel, manifold, theta).real
+        return min(1.0, max(0.0, value))
+
+    grid = np.linspace(lo, hi, coarse)
+    for theta in np.stack(np.meshgrid(*[grid] * axes, indexing="ij"), -1).reshape(-1, axes):
+        # a cell within the 1e-9 tie tolerance of an earlier one loses to it
+        assert result.overlap >= clamped(theta) - 1e-9
+    for k in range(axes):
+        for step in (-1e-4, 1e-4):
+            theta = point.copy()
+            theta[k] += step
+            if lo <= theta[k] <= hi:
+                assert result.overlap >= clamped(theta) - 1e-12
+
+
+def check_projection_is_local_maximum(data):
+    manifold = data.draw(st.sampled_from(list(ManifoldId)))
+    momentum = manifold in (ManifoldId.MOMENTUM, ManifoldId.MOMENTUM_PAIR)
+    kernel = data.draw(kernels.filter(
+        lambda k: isinstance(k, ConfinedKernel) or not momentum))
+    kinds = ("delta", "packet", "wave") if isinstance(kernel, ConfinedKernel) \
+        else ("delta", "packet")
+    arity = 2 if manifold.is_pair else 1
+    state = normalize(data.draw(states(arity, 1, kinds)), kernel)
+    coarse = data.draw(st.integers(5, 17))
+    lo, hi = -6.0, 6.0
+    result = nearest_classical_point(state, manifold, (lo, hi), coarse=coarse)
+    assert_local_maximum(result, state, manifold, lo, hi, coarse)
 
 
 class TestManifoldSeparation:
@@ -319,6 +401,19 @@ class TestManifoldSeparation:
                                       box=(-2.0, 2.0), resolution=9)
                   for alpha in (1.0, 0.1, 0.01)]
         assert angles[0] < angles[1] < angles[2] < math.pi / 2
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"box": (-math.inf, 3.0)}, "box"),
+        ({"box": (-3.0, math.nan)}, "box"),
+        ({"resolution": 0}, "resolution"),
+        ({"resolution": 1}, "resolution"),
+        ({"resolution": 2.5}, "resolution"),
+        ({"resolution": True}, "resolution"),
+    ])
+    def test_rejects_bad_scan_arguments(self, kwargs, name):
+        with pytest.raises(DomainError, match=name):
+            manifold_separation((0.0,), ManifoldId.POSITION, ManifoldId.MOMENTUM, KC,
+                                **kwargs)
 
     def test_member_state_helper(self):
         state = manifold_member(ManifoldId.POSITION, (1.0,), K1)
