@@ -117,7 +117,8 @@ class StateExpr:
 
     Each term is (coefficient, primitive_1, ..., primitive_arity): arity 1
     describes one particle, arity 2 a particle pair in the tensor-product
-    space.  All terms share one arity and one dimension.
+    space.  All terms share one arity and one dimension.  Terms with a zero
+    coefficient are validated, then dropped.
     """
 
     terms: tuple
@@ -129,7 +130,6 @@ class StateExpr:
         if arity < 1:
             raise DomainError("a term needs a coefficient and at least one primitive")
         dim = None
-        any_nonzero = False
         terms = []
         for term in self.terms:
             if len(term) != 1 + arity:
@@ -142,9 +142,9 @@ class StateExpr:
                     dim = prim.dimension
                 elif prim.dimension != dim:
                     raise DomainError("all primitives in a state must share one dimension")
-            any_nonzero = any_nonzero or coeff != 0
-            terms.append((coeff, *term[1:]))
-        if not any_nonzero:
+            if coeff != 0:
+                terms.append((coeff, *term[1:]))
+        if not terms:
             raise DomainError("state expression must have a nonzero coefficient")
         object.__setattr__(self, "terms", tuple(terms))
         object.__setattr__(self, "_arity", arity)
@@ -190,6 +190,29 @@ class QuadForm:
         return len(self.linear)
 
 
+def _check_form_matrix(a: np.ndarray):
+    """Re(A) positive definite, else `DomainError`; cond(A) <= CONDITION_CAP,
+    else `NumericalFailureError`."""
+    if np.linalg.eigvalsh(a.real).min() <= 0.0:
+        raise DomainError("real part of the quadratic form is not positive definite")
+    if np.linalg.cond(a) > CONDITION_CAP:
+        raise NumericalFailureError(
+            f"quadratic form is near singular (condition number above {CONDITION_CAP:g})")
+
+
+def _free_pair_margin(f_kind: str, s_f: float, g_kind: str, s_g: float,
+                      kernel: KernelSpec) -> float:
+    """det(M) / 4 = (conf + pair + s_f)(conf + pair + s_g) - pair^2 of the
+    per-axis matrix M of two free factors, formed without cancellation (0 for
+    two plane waves under a translation kernel); `DivergenceError` unless > 0."""
+    conf, pair = kernel_coefficients(kernel)
+    margin = (conf + s_f) * (conf + pair + s_g) + pair * (conf + s_g)
+    if margin <= 0.0:
+        raise DivergenceError(f"inner product of {f_kind} and {g_kind} diverges "
+                              f"under {type(kernel).__name__}")
+    return margin
+
+
 def gaussian_integral(form: QuadForm) -> complex:
     """Closed-form value of the canonical Gaussian integral.
 
@@ -209,11 +232,7 @@ def gaussian_integral(form: QuadForm) -> complex:
         return complex(np.exp(form.constant))
     a = np.asarray(form.matrix, dtype=complex)
     b = np.asarray(form.linear, dtype=complex)
-    if np.linalg.eigvalsh(a.real).min() <= 0.0:
-        raise DomainError("real part of the quadratic form is not positive definite")
-    if np.linalg.cond(a) > CONDITION_CAP:
-        raise NumericalFailureError(
-            f"quadratic form is near singular (condition number above {CONDITION_CAP:g})")
+    _check_form_matrix(a)
     sqrt_det = complex(np.prod(np.sqrt(np.linalg.eigvals(a))))
     x = np.linalg.solve(a, b)
     exponent = 0.5 * complex(np.dot(b, x)) + form.constant
@@ -268,13 +287,7 @@ def compile_pair(f: Primitive, g: Primitive, kernel: KernelSpec) -> QuadForm:
 
     s_f, lin_f, const_f = _profile(f, conjugate=False)
     s_g, lin_g, const_g = _profile(g, conjugate=True)
-    # (conf + pair + s_f)(conf + pair + s_g) - pair^2 without cancellation:
-    # exactly 0 for two plane waves under a translation kernel
-    margin = (conf + s_f) * (conf + pair + s_g) + pair * (conf + s_g)
-    if margin <= 0.0:
-        raise DivergenceError(
-            f"inner product of {type(f).__name__} and {type(g).__name__} diverges "
-            f"under {type(kernel).__name__}")
+    _free_pair_margin(type(f).__name__, s_f, type(g).__name__, s_g, kernel)
     a = np.zeros((2 * d, 2 * d), dtype=complex)
     a[:d, :d] = 2.0 * (conf + pair + s_f) * eye
     a[d:, d:] = 2.0 * (conf + pair + s_g) * eye
@@ -380,29 +393,36 @@ def _clamp_norm(total: complex) -> complex:
     return complex(re, 0.0)
 
 
-def _sum_terms(phi: StateExpr, psi: StateExpr, pair_matrix) -> complex:
-    """Sum over term pairs of c_i conj(d_j) times the product, particle by
-    particle, of the primitive overlaps.
-
-    Terms with a zero coefficient are dropped; then, with M_k =
-    pair_matrix(slot-k primitives of phi, slot-k primitives of psi), the
-    value is the one array reduction sum(outer(c, conj(d)) * M_1 * ... *
-    M_arity).  For phi == psi the value is real nonnegative; an imaginary
-    residue within 1e-10 (relative) is clamped to zero, anything larger
-    raises.
-    """
+def _slot_matrices(phi: StateExpr, psi: StateExpr, pair_matrix):
+    """Weights outer(c, conj(d)) of two validated states and, per slot k,
+    pair_matrix(slot-k primitives of phi, slot-k primitives of psi)."""
     if not isinstance(phi, StateExpr) or not isinstance(psi, StateExpr):
         raise DomainError("inner products need two state expressions")
     if phi.arity != psi.arity:
         raise DomainError(f"states have different arities ({phi.arity} and {psi.arity})")
     if phi.dimension != psi.dimension:
         raise DomainError("states have different dimensions")
-    left = [t for t in phi.terms if t[0] != 0]
-    right = [t for t in psi.terms if t[0] != 0]
-    weights = np.array([t[0] for t in left])[:, None] * np.array([t[0] for t in right]).conj()
-    for k in range(1, phi.arity + 1):
-        weights = weights * pair_matrix([t[k] for t in left], [t[k] for t in right])
-    total = complex(weights.sum())
+    c = np.array([t[0] for t in phi.terms])
+    d = np.array([t[0] for t in psi.terms])
+    slots = [pair_matrix([t[k] for t in phi.terms], [t[k] for t in psi.terms])
+             for k in range(1, phi.arity + 1)]
+    return c[:, None] * d.conj(), slots
+
+
+def _pairwise(fs, gs, pair) -> np.ndarray:
+    """Matrix of pair(f, g) over the primitives fs (rows) and gs (columns)."""
+    return np.array([[pair(f, g) for g in gs] for f in fs])
+
+
+def _sum_terms(phi: StateExpr, psi: StateExpr, pair_matrix) -> complex:
+    """Sum over term pairs of c_i conj(d_j) times the product, particle by
+    particle, of the primitive overlaps: the one array reduction
+    sum(outer(c, conj(d)) * M_1 * ... * M_arity) over `_slot_matrices`.
+    For phi == psi the value is real nonnegative; an imaginary residue within
+    1e-10 (relative) is clamped to zero, anything larger raises.
+    """
+    weights, matrices = _slot_matrices(phi, psi, pair_matrix)
+    total = complex(math.prod(matrices, start=weights).sum())
     if phi == psi:
         total = _clamp_norm(total)
     return total
@@ -441,5 +461,4 @@ def l2_inner_product(phi: StateExpr, psi: StateExpr) -> complex:
     for prim in (p for expr in (phi, psi) for term in expr.terms for p in term[1:]):
         if not isinstance(prim, Packet):
             raise DomainError(f"L2 inner product requires packets only, got {type(prim).__name__}")
-    return _sum_terms(phi, psi, lambda fs, gs: np.array([[_l2_pair(f, g) for g in gs]
-                                                         for f in fs]))
+    return _sum_terms(phi, psi, lambda fs, gs: _pairwise(fs, gs, _l2_pair))

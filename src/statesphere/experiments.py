@@ -11,7 +11,7 @@ a geodesic collapse onto a classical-manifold state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -91,12 +91,17 @@ class SlitConfig:
     def predicted_fringe_spacing(self) -> float:
         return 2.0 * math.pi * self.screen_to_detector / (self.wavenumber * self.slit_separation)
 
+    def spread_width(self, fraction: float) -> float:
+        """Packet width after free spreading over `fraction` of the flight
+        from the screen to the detector."""
+        w = self.packet_width
+        flight = fraction * self.screen_to_detector / self.wavenumber
+        return w * math.sqrt(1.0 + (flight / (2.0 * w * w)) ** 2)
+
     @property
     def detector_envelope_width(self) -> float:
         """Packet width after free spreading over the flight to the detector."""
-        w = self.packet_width
-        flight_time = self.screen_to_detector / self.wavenumber
-        return w * math.sqrt(1.0 + (flight_time / (2.0 * w * w)) ** 2)
+        return self.spread_width(1.0)
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,19 @@ def _fringe_summary(xs: np.ndarray, intensity: np.ndarray, mid: float, spacing: 
     return visibility, measured
 
 
+def _intensity(cfg: SlitConfig, sources) -> tuple[np.ndarray, np.ndarray]:
+    """Detector grid and intensity of the (coefficient, slit position) sources."""
+    lo, hi, count = cfg.detector_grid
+    xs = np.linspace(lo, hi, int(count))
+    length = cfg.screen_to_detector
+    w_env = cfg.detector_envelope_width
+    amplitude = np.zeros(len(xs), dtype=complex)
+    for c, xj in sources:
+        r = np.sqrt(length**2 + (xs - xj) ** 2)
+        amplitude += c * np.exp(1j * cfg.wavenumber * r) * np.exp(-((xs - xj) ** 2) / (4.0 * w_env**2))
+    return xs, np.abs(amplitude) ** 2
+
+
 def detector_intensity(cfg: SlitConfig) -> DetectorCurve:
     """Two-path detector intensity on the configured grid.
 
@@ -146,49 +164,37 @@ def detector_intensity(cfg: SlitConfig) -> DetectorCurve:
     envelope; intensity is the squared modulus of the sum.  A which-path
     collapse leaves a single envelope and destroys the fringes.
     """
-    lo, hi, count = cfg.detector_grid
-    xs = np.linspace(lo, hi, int(count))
-    length = cfg.screen_to_detector
-    w_env = cfg.detector_envelope_width
-    coeffs = list(cfg.coefficients)
+    sources = list(zip(cfg.coefficients, cfg.slit_positions))
     slit = None
     if cfg.which_path:
         slit = which_path_slit(cfg)
-        keep = cfg.slit_positions.index(slit)
-        coeffs = [c if j == keep else 0j for j, c in enumerate(coeffs)]
-    amplitude = np.zeros(len(xs), dtype=complex)
-    for c, xj in zip(coeffs, cfg.slit_positions):
-        if c == 0:
-            continue
-        r = np.sqrt(length**2 + (xs - xj) ** 2)
-        amplitude += c * np.exp(1j * cfg.wavenumber * r) * np.exp(-((xs - xj) ** 2) / (4.0 * w_env**2))
-    intensity = np.abs(amplitude) ** 2
+        sources = [sources[cfg.slit_positions.index(slit)]]
+    xs, intensity = _intensity(cfg, sources)
     visibility, measured = _fringe_summary(xs, intensity, cfg.slit_midpoint,
                                            cfg.predicted_fringe_spacing)
     return DetectorCurve(points=tuple(zip(xs.tolist(), intensity.tolist())),
                          visibility=visibility, fringe_spacing=measured,
                          predicted_fringe_spacing=cfg.predicted_fringe_spacing,
-                         envelope_width=w_env, which_path_slit=slit)
+                         envelope_width=cfg.detector_envelope_width, which_path_slit=slit)
 
 
 def default_detected_point(cfg: SlitConfig) -> float:
-    """Detector-intensity argmax, the default collapse target on the screen axis."""
+    """Which-path-free detector-intensity argmax, the default collapse target."""
     if cfg.detected_point is not None:
         return float(cfg.detected_point)
-    probe = replace(cfg, which_path=False)
-    lo, hi, count = probe.detector_grid
-    xs = np.linspace(lo, hi, int(count))
-    curve = detector_intensity(probe)
-    intensity = np.array([p[1] for p in curve.points])
+    xs, intensity = _intensity(cfg, zip(cfg.coefficients, cfg.slit_positions))
     return float(xs[int(np.argmax(intensity))])
+
+
+def _nearest_slit(cfg: SlitConfig, target: float) -> float:
+    """Slit nearest to `target`, ties toward the smaller position."""
+    return min(sorted(cfg.slit_positions), key=lambda x: abs(x - target))
 
 
 def which_path_slit(cfg: SlitConfig) -> float:
     """Slit selected by a which-path measurement: nearest to the detected
     point, ties toward the smaller position."""
-    target = default_detected_point(cfg)
-    x1, x2 = sorted(cfg.slit_positions)
-    return x1 if abs(x1 - target) <= abs(x2 - target) else x2
+    return _nearest_slit(cfg, default_detected_point(cfg))
 
 
 class SegmentKind(Enum):
@@ -225,29 +231,9 @@ def _polyline_arc(states) -> float:
     return sum(sphere_angle(a, b) for a, b in zip(states, states[1:]))
 
 
-def _segment(kind, offset, states, residual_box, units, residuals, path=None):
-    """One trajectory segment; `residuals` maps each state already projected
-    onto the position manifold to its residual angle, or is None to skip
-    the projection."""
-    n = len(states)
-    samples = tuple((offset + j / (n - 1), s) for j, s in enumerate(states))
-    residual = 0.0
-    if residuals is not None:
-        for s in states:
-            if s not in residuals:
-                residuals[s] = nearest_classical_point(
-                    s, ManifoldId.POSITION, residual_box, coarse=41).residual_angle
-        residual = max(residuals[s] for s in states)
-    time = collapse_time(path, units) if path is not None else None
-    return TrajectorySegment(kind=kind, samples=samples,
-                             arc_length=_polyline_arc(states),
-                             max_residual_angle=residual, collapse_time_s=time)
-
-
 def build_double_slit_trajectory(cfg: SlitConfig,
                                  kernel: KernelSpec = TranslationKernel(1.0),
-                                 units: UnitSystem = UnitSystem(),
-                                 compute_residuals: bool = True) -> Trajectory:
+                                 units: UnitSystem = UnitSystem()) -> Trajectory:
     """Full state-space trajectory through the double-slit scenario.
 
     Segments: (1) propagation of the source packet to the screen, (2) the
@@ -270,30 +256,35 @@ def build_double_slit_trajectory(cfg: SlitConfig,
     def packet_state(center, width=w):
         return normalize(StateExpr.single(Packet((center,), width)), kernel)
 
-    def widths_along(fraction):
-        if not cfg.spread_widths:
-            return w
-        flight = fraction * cfg.screen_to_detector / cfg.wavenumber
-        return w * math.sqrt(1.0 + (flight / (2.0 * w * w)) ** 2)
+    def superposition(width):
+        return normalize(blend(c1, StateExpr.single(Packet((x1,), width)),
+                               c2, StateExpr.single(Packet((x2,), width))), kernel)
 
     # (1) source -> screen
     seg1_states = [packet_state(src + t * (mid - src)) for t in np.linspace(0.0, 1.0, n)]
 
     # (2) refraction: packet -> normalized two-slit superposition
     arrived = seg1_states[-1]
-    split_expr = blend(c1, StateExpr.single(Packet((x1,), w)),
-                       c2, StateExpr.single(Packet((x2,), w)))
-    split = normalize(split_expr, kernel)
+    split = superposition(w)
     seg2_states = [arrived]
     for t in np.linspace(0.0, 1.0, n)[1:-1]:
         seg2_states.append(normalize(blend(1.0 - t, arrived.expr, t, split.expr), kernel))
     seg2_states.append(split)
 
     # residual angle per distinct sample state, shared by all segments
-    residuals = {} if compute_residuals else None
+    residuals = {}
 
     def segment(kind, offset, states, path=None):
-        return _segment(kind, offset, states, box, units, residuals, path)
+        samples = tuple((offset + j / (len(states) - 1), s) for j, s in enumerate(states))
+        for s in states:
+            if s not in residuals:
+                residuals[s] = nearest_classical_point(
+                    s, ManifoldId.POSITION, box, coarse=41).residual_angle
+        time = collapse_time(path, units) if path is not None else None
+        return TrajectorySegment(kind=kind, samples=samples,
+                                 arc_length=_polyline_arc(states),
+                                 max_residual_angle=max(residuals[s] for s in states),
+                                 collapse_time_s=time)
 
     segments = [
         segment(SegmentKind.PROPAGATION, 0.0, seg1_states),
@@ -307,11 +298,11 @@ def build_double_slit_trajectory(cfg: SlitConfig,
         return segment(SegmentKind.COLLAPSE, offset, states, path)
 
     if cfg.which_path:
-        slit = which_path_slit(cfg)
+        slit = _nearest_slit(cfg, detected)
         seg3 = collapse_segment(2.0, split, packet_state(slit))
         last = seg3.samples[-1][1]
         if cfg.spread_widths:
-            seg4_states = [last] + [packet_state(slit, widths_along(t))
+            seg4_states = [last] + [packet_state(slit, cfg.spread_width(t))
                                     for t in np.linspace(0.0, 1.0, n)[1:]]
         else:
             seg4_states = [last] * n
@@ -319,19 +310,13 @@ def build_double_slit_trajectory(cfg: SlitConfig,
         segments.append(segment(SegmentKind.PROPAGATION, 3.0, seg4_states))
     else:
         if cfg.spread_widths:
-            def spread_superposition(t):
-                width = widths_along(t)
-                expr = blend(c1, StateExpr.single(Packet((x1,), width)),
-                             c2, StateExpr.single(Packet((x2,), width)))
-                return normalize(expr, kernel)
-
-            seg3_states = [split] + [spread_superposition(t)
+            seg3_states = [split] + [superposition(cfg.spread_width(t))
                                      for t in np.linspace(0.0, 1.0, n)[1:]]
         else:
             seg3_states = [split] * n
         segments.append(segment(SegmentKind.PROPAGATION, 2.0, seg3_states))
         arriving = seg3_states[-1]
-        target = packet_state(detected, widths_along(1.0) if cfg.spread_widths else w)
+        target = packet_state(detected, cfg.detector_envelope_width if cfg.spread_widths else w)
         segments.append(collapse_segment(3.0, arriving, target))
 
     return Trajectory(segments=tuple(segments), detected_point=detected, kernel=kernel)

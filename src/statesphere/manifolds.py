@@ -17,9 +17,9 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (CONDITION_CAP, Delta, PlaneWave, StateExpr, _profile, as_vec,
-                      overlap_matrix)
-from .errors import DivergenceError, DomainError, NumericalFailureError
+from .algebra import (Delta, PlaneWave, StateExpr, _check_form_matrix, _free_pair_margin,
+                      _profile, as_vec, overlap_matrix)
+from .errors import DomainError
 from .geometry import SphereState, normalize
 from .kernels import KernelSpec, _finite, _positive, kernel_coefficients
 
@@ -115,21 +115,6 @@ def _normalize_box(box, axes: int):
     return out
 
 
-def _check_axis_matrix(m: np.ndarray):
-    """The positivity and conditioning checks `gaussian_integral` makes on
-    M (x) I_d, made on the per-axis matrix M."""
-    if np.linalg.eigvalsh(m).min() <= 0.0:
-        raise DomainError("real part of the quadratic form is not positive definite")
-    if np.linalg.cond(m) > CONDITION_CAP:
-        raise NumericalFailureError(
-            f"quadratic form is near singular (condition number above {CONDITION_CAP:g})")
-
-
-def _diverges(name: str, kernel: KernelSpec) -> DivergenceError:
-    return DivergenceError(f"inner product of {name} and PlaneWave "
-                           f"diverges under {type(kernel).__name__}")
-
-
 def _log_factor(prim, momentum: bool, kernel: KernelSpec):
     """(alpha, beta, gamma) with log(<prim, m(t)> / ||m(t)||) = alpha + beta.t
     + gamma |t|^2 for the delta (position) or plane-wave (momentum) target m(t).
@@ -139,7 +124,7 @@ def _log_factor(prim, momentum: bool, kernel: KernelSpec):
     vector b and the constant c move with t.  For position targets the norm
     ||delta_t|| = exp(-conf |t|^2) is already folded in.  A 1x1 M equals
     2 (conf + pair + s) > 0 with condition number 1, so only the 2x2 M of a
-    free primitive against a plane wave is checked.
+    free primitive against a plane wave is checked, with the algebra's checks.
     """
     conf, pair = kernel_coefficients(kernel)
     d = prim.dimension
@@ -158,10 +143,8 @@ def _log_factor(prim, momentum: bool, kernel: KernelSpec):
         return (0.5 * d * math.log(2.0 * math.pi / m) + lin_sq / (2.0 * m) + const,
                 2.0 * pair / m * lin, -pair * (conf + s) / (conf + pair + s))
     a_f, a_t = conf + pair + s, conf + pair
-    margin = (conf + s) * a_t + conf * pair  # a_f a_t - pair^2 without cancellation
-    if margin <= 0.0:
-        raise _diverges(type(prim).__name__, kernel)
-    _check_axis_matrix(2.0 * np.array([[a_f, -pair], [-pair, a_t]]))
+    margin = _free_pair_margin(type(prim).__name__, s, "PlaneWave", 0.0, kernel)
+    _check_form_matrix(2.0 * np.array([[a_f, -pair], [-pair, a_t]]))
     return (d * math.log(2.0 * math.pi) - 0.5 * d * math.log(4.0 * margin)
             + a_t * lin_sq / (4.0 * margin) + const,
             -0.5j * pair / margin * lin, -a_f / (4.0 * margin))
@@ -170,10 +153,8 @@ def _log_factor(prim, momentum: bool, kernel: KernelSpec):
 def _log_wave_norm(kernel: KernelSpec, d: int):
     """(alpha, gamma) with log ||w_q|| = alpha + gamma |q|^2 for plane waves."""
     conf, pair = kernel_coefficients(kernel)
-    margin = conf * (conf + 2.0 * pair)
-    if margin <= 0.0:
-        raise _diverges("PlaneWave", kernel)
-    _check_axis_matrix(2.0 * np.array([[conf + pair, -pair], [-pair, conf + pair]]))
+    margin = _free_pair_margin("PlaneWave", 0.0, "PlaneWave", 0.0, kernel)
+    _check_form_matrix(2.0 * np.array([[conf + pair, -pair], [-pair, conf + pair]]))
     return (0.5 * d * math.log(2.0 * math.pi) - 0.25 * d * math.log(4.0 * margin),
             -1.0 / (4.0 * (conf + 2.0 * pair)))
 
@@ -197,8 +178,6 @@ class ManifoldOverlap:
         d = expr.dimension
         alpha, beta, gamma = [], [], []
         for coeff, *prims in expr.terms:
-            if coeff == 0:
-                continue
             factors = [_log_factor(prim, momentum, kernel) for prim in prims]
             alpha.append(cmath.log(coeff) + sum(f[0] for f in factors))
             beta.append(np.concatenate([f[1] for f in factors]))

@@ -21,7 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import Delta, Packet, PlaneWave, Primitive, StateExpr
+from .algebra import (Delta, Packet, PlaneWave, Primitive, StateExpr, _pairwise,
+                      _slot_matrices)
 from .errors import BoxTooSmallError, DomainError, NumericalFailureError
 from .kernels import KernelSpec, kernel_coefficients, kernel_value
 
@@ -217,30 +218,20 @@ def quad_pair_overlap(f: Primitive, g: Primitive, kernel: KernelSpec,
 
 def quad_inner_product(phi: StateExpr, psi: StateExpr, kernel: KernelSpec,
                        spec: QuadratureSpec = QuadratureSpec()) -> tuple[complex, float]:
-    """Inner product of two states by quadrature; error estimates add per term.
+    """Inner product of two states by quadrature, with an error estimate.
 
-    On pair states the per-particle factors of a term pair multiply; values
-    v_k with errors e_k contribute sum_k e_k prod_{j != k} |v_j| to the estimate.
+    The terms are summed as in `inner_product`, unclamped, over per-slot
+    matrices of `quad_pair_overlap` values V_k and estimates E_k; the
+    estimate is sum(|outer(c, conj(d))| * sum_k E_k prod_{j != k} |V_j|).
     """
-    if not isinstance(phi, StateExpr) or not isinstance(psi, StateExpr):
-        raise DomainError(f"not state expressions: {phi!r}, {psi!r}")
-    if phi.arity != psi.arity:
-        raise DomainError("states must have matching arity")
-    total = 0j
-    err = 0.0
-    for ci, *fi in phi.terms:
-        for dj, *gj in psi.terms:
-            if ci == 0 or dj == 0:
-                continue
-            parts = [quad_pair_overlap(f, g, kernel, spec) for f, g in zip(fi, gj)]
-            value = ci * dj.conjugate()
-            for v, _ in parts:
-                value *= v
-            total += value
-            err += abs(ci * dj) * sum(
-                e * math.prod(abs(v) for j, (v, _) in enumerate(parts) if j != k)
-                for k, (_, e) in enumerate(parts))
-    return total, err
+    weights, slots = _slot_matrices(phi, psi, lambda fs, gs: _pairwise(
+        fs, gs, lambda f, g: quad_pair_overlap(f, g, kernel, spec)))
+    values = [slot[..., 0] for slot in slots]
+    sizes = [np.abs(v) for v in values]
+    spread = sum(slot[..., 1].real * math.prod(sizes[:k] + sizes[k + 1:])
+                 for k, slot in enumerate(slots))
+    return (complex(math.prod(values, start=weights).sum()),
+            float((np.abs(weights) * spread).sum()))
 
 
 def finite_difference(f, at, directions: tuple[int, int], h: float) -> float:

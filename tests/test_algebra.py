@@ -13,8 +13,9 @@ from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
                          TranslationKernel, blend, build_epr_state,
                          gaussian_integral, inner_product, l2_inner_product,
                          overlap_matrix, primitive_overlap, compile_pair)
-from statesphere import algebra
-from statesphere.oracle import QuadratureSpec, quad_pair_overlap
+from statesphere import ManifoldId, algebra
+from statesphere.manifolds import ManifoldOverlap
+from statesphere.oracle import QuadratureSpec, quad_inner_product, quad_pair_overlap
 
 from helpers import (kernels, primitives, random_primitive, random_state,
                      tensor_grid_quadrature)
@@ -43,6 +44,30 @@ class TestTypes:
             StateExpr(())
         with pytest.raises(DomainError):
             StateExpr(((0j, Delta((0.0,))),))
+
+    def test_zero_coefficient_terms_are_dropped(self):
+        a = StateExpr.single(Delta((0.0,)))
+        b = StateExpr.single(Packet((1.0,), 0.5))
+        mixed = StateExpr(((0j, Packet((2.0,), 1.0)), (1.0, Delta((0.0,))), (0.0, Delta((3.0,)))))
+        assert mixed.terms == a.terms
+        assert blend(1.0, a, 0.0, b).terms == a.terms
+        assert blend(0.0, a, 2.0, b).terms == ((2.0 + 0j, Packet((1.0,), 0.5)),)
+        assert a.scaled(2.0).terms == ((2.0 + 0j, Delta((0.0,))),)
+        # a dropped term is still validated
+        with pytest.raises(DomainError):
+            StateExpr(((1.0, Delta((0.0,))), (0.0, Delta((0.0, 1.0)))))
+
+    def test_zero_coefficient_wave_is_harmless_under_translation_kernel(self):
+        # <wave, wave> diverges under a translation kernel, but a wave with a
+        # zero coefficient is no part of the state
+        expr = StateExpr(((1.0, Delta((0.0,))), (0.0, PlaneWave((0.5,))),
+                          (0.5, Packet((1.0,), 0.8))))
+        plain = StateExpr(((1.0, Delta((0.0,))), (0.5, Packet((1.0,), 0.8))))
+        assert inner_product(expr, expr, K1) == inner_product(plain, plain, K1)
+        assert quad_inner_product(expr, expr, K1) == quad_inner_product(plain, plain, K1)
+        theta = np.array([[-0.5], [0.0], [1.5]])
+        got = ManifoldOverlap(expr, K1, ManifoldId.POSITION)(theta)
+        assert got.tobytes() == ManifoldOverlap(plain, K1, ManifoldId.POSITION)(theta).tobytes()
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(DomainError):

@@ -49,6 +49,14 @@ class TestSlitConfig:
         np.testing.assert_allclose(cfg.predicted_fringe_spacing,
                                    2 * math.pi * 80.0 / (40.0 * 2.33), rtol=1e-12)
 
+    def test_envelope_width_is_full_flight_spread(self):
+        cfg = SlitConfig(packet_width=0.13, wavenumber=37.0, screen_to_detector=71.0)
+        w, flight = 0.13, 71.0 / 37.0
+        assert cfg.detector_envelope_width == w * math.sqrt(1.0 + (flight / (2.0 * w * w)) ** 2)
+        assert cfg.spread_width(1.0) == cfg.detector_envelope_width
+        assert cfg.spread_width(0.0) == w
+        assert w < cfg.spread_width(0.5) < cfg.detector_envelope_width
+
     def test_arrival_center_weights_open_slits(self):
         assert SlitConfig().arrival_center == 0.0
         assert SlitConfig(coefficients=(1.0 + 0j, 0j)).arrival_center == -1.165
@@ -136,7 +144,7 @@ class TestDoubleSlitTrajectory:
 
     def test_single_slit_degenerate_split(self):
         cfg = SlitConfig(coefficients=(1.0 + 0j, 0j), samples_per_segment=5)
-        trajectory = build_double_slit_trajectory(cfg, compute_residuals=False)
+        trajectory = build_double_slit_trajectory(cfg)
         split = trajectory.segments[1]
         # no second path: the packet arrives at the open slit and the
         # refraction segment has zero angle
@@ -146,7 +154,7 @@ class TestDoubleSlitTrajectory:
 
     def test_which_path_reorders_segments(self):
         cfg = SlitConfig(which_path=True, samples_per_segment=5)
-        trajectory = build_double_slit_trajectory(cfg, compute_residuals=False)
+        trajectory = build_double_slit_trajectory(cfg)
         kinds = [seg.kind for seg in trajectory.segments]
         assert kinds == [SegmentKind.PROPAGATION, SegmentKind.REFRACTION_SPLIT,
                          SegmentKind.COLLAPSE, SegmentKind.PROPAGATION]
@@ -173,6 +181,26 @@ class TestDoubleSlitTrajectory:
                            for _, state in seg.samples)
             assert seg.max_residual_angle == expected
 
+    def test_which_path_evaluates_the_intensity_once(self, monkeypatch):
+        import statesphere.experiments as experiments
+        intensity = experiments._intensity
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return intensity(*args)
+
+        monkeypatch.setattr(experiments, "_intensity", counting)
+        cfg = SlitConfig(coefficients=(1.0 + 0j, 0.6 + 0j), which_path=True,
+                         samples_per_segment=3)
+        trajectory = build_double_slit_trajectory(cfg)
+        assert len(calls) == 1
+        xs, values = intensity(cfg, zip(cfg.coefficients, cfg.slit_positions))
+        assert trajectory.detected_point == float(xs[int(np.argmax(values))])
+        collapse = trajectory.segments[2]
+        target = collapse.samples[-1][1].expr.terms[0][1]
+        assert target.center == (detector_intensity(cfg).which_path_slit,)
+
     def test_collapse_times_bounded_by_pi(self, trajectory):
         for seg in trajectory.segments:
             if seg.collapse_time_s is not None:
@@ -180,13 +208,13 @@ class TestDoubleSlitTrajectory:
 
     def test_offset_source_translates(self):
         cfg = SlitConfig(source_center=3.0, samples_per_segment=5)
-        trajectory = build_double_slit_trajectory(cfg, compute_residuals=False)
+        trajectory = build_double_slit_trajectory(cfg)
         assert trajectory.segments[0].arc_length > 0.5
 
     def test_spread_width_variant_runs(self):
         from helpers import diff_norm
         cfg = SlitConfig(spread_widths=True, samples_per_segment=5)
-        trajectory = build_double_slit_trajectory(cfg, compute_residuals=False)
+        trajectory = build_double_slit_trajectory(cfg)
         for first, second in zip(trajectory.segments, trajectory.segments[1:]):
             left, right = first.samples[-1][1], second.samples[0][1]
             assert diff_norm(left.expr, right.expr, trajectory.kernel) <= 1e-9

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
-                         ManifoldId, NumericalFailureError, Packet,
+                         ManifoldId, NumericalFailureError, Packet, PlaneWave,
                          StateExpr, StateSphereError, TranslationKernel,
                          blend, embed_momentum, embed_pair_momentum,
                          embed_pair_position, embed_position,
@@ -310,13 +310,19 @@ class TestManifoldOverlap:
         (ConfinedKernel(1e-13, 1.0), NumericalFailureError),
     ])
     def test_momentum_errors_match(self, kernel, error):
-        expr = StateExpr.single(Delta((0.5,)))
+        # a delta reaches the error through the target norm, a plane wave
+        # through its own factor; the batched overlap raises the same error,
+        # with the same message, as the term-by-term inner product
+        for prim in (Delta((0.5,)), PlaneWave((0.5,))):
+            expr = StateExpr.single(prim)
+            with pytest.raises(error) as term_by_term:
+                scalar_overlap(expr, kernel, ManifoldId.MOMENTUM, (0.0,))
+            with pytest.raises(error) as batched:
+                ManifoldOverlap(expr, kernel, ManifoldId.MOMENTUM)
+            assert str(batched.value) == str(term_by_term.value)
+        delta = normalize(StateExpr.single(Delta((0.5,))), kernel)
         with pytest.raises(error):
-            scalar_overlap(expr, kernel, ManifoldId.MOMENTUM, (0.0,))
-        with pytest.raises(error):
-            ManifoldOverlap(expr, kernel, ManifoldId.MOMENTUM)
-        with pytest.raises(error):
-            nearest_classical_point(normalize(expr, kernel), ManifoldId.MOMENTUM, (-1.0, 1.0))
+            nearest_classical_point(delta, ManifoldId.MOMENTUM, (-1.0, 1.0))
 
     def test_rejects_wrong_point_size(self):
         overlap = ManifoldOverlap(embed_pair_position((0.0,), (1.0,)), K1,

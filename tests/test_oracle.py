@@ -153,6 +153,23 @@ class TestQuadInnerProduct:
         value, _ = quad_inner_product(phi, psi, K1)
         np.testing.assert_allclose(value, closed, rtol=1e-8)
 
+    def test_pair_state_estimate_adds_per_term(self):
+        phi = StateExpr(((0.8 - 0.3j, Packet((0.0,), 0.7), Delta((1.0,))),
+                         (0.4j, Delta((0.5,)), Packet((1.5,), 0.9, (0.4,)))))
+        psi = StateExpr(((1.1, Packet((0.2,), 0.9), Packet((1.2,), 0.6)),
+                         (-0.6 + 0.2j, Delta((-0.3,)), Packet((0.8,), 1.2))))
+        spec = QuadratureSpec(nodes_per_axis=65)
+        want = 0.0
+        for ci, *fs in phi.terms:
+            for dj, *gs in psi.terms:
+                parts = [quad_pair_overlap(f, g, K1, spec) for f, g in zip(fs, gs)]
+                want += abs(ci * dj) * sum(
+                    e * math.prod(abs(v) for j, (v, _) in enumerate(parts) if j != k)
+                    for k, (_, e) in enumerate(parts))
+        _, estimate = quad_inner_product(phi, psi, K1, spec)
+        assert want > 0.0
+        assert estimate == pytest.approx(want, rel=1e-12)
+
     def test_arity_mismatch_rejected(self):
         phi = StateExpr.single(Delta((0.0,)))
         psi = StateExpr.single(Delta((0.0,)), Delta((0.0,)))
