@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 from .algebra import (Delta, Packet, PlaneWave, StateExpr, inner_product)
 from .errors import DomainError, StateSphereError
-from .experiments import (EPRConfig, SlitConfig, build_double_slit_trajectory,
-                          build_epr_state, detector_intensity,
+from .experiments import (MAX_DISCRETIZATION, EPRConfig, SlitConfig,
+                          build_double_slit_trajectory, build_epr_state,
                           momentum_collapse, momentum_correlation_profile,
                           position_collapse, position_correlation_profile)
 from .geometry import (UnitSystem, arc_length, collapse_time, fs_angle,
@@ -35,6 +35,9 @@ from .oracle import QuadratureSpec, quad_inner_product
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1234
+# Bound on the grid points, samples, scanned pairs or random cases one
+# command evaluates, so an oversized count fails as bad input.
+MAX_POINTS = 100_000
 
 
 # --------------------------------------------------------------------------
@@ -69,11 +72,20 @@ def _floats(text: str, count: int | None = None) -> tuple[float, ...]:
 
 
 def _grid(text: str) -> list:
-    """'LO,HI,COUNT' with finite LO < HI and an integer COUNT >= 2."""
+    """'LO,HI,COUNT' with finite LO < HI and an integer COUNT from 2 to MAX_POINTS."""
     lo, hi, count = _floats(text, 3)
-    if not (-math.inf < lo < hi < math.inf and count.is_integer() and count >= 2):
-        raise DomainError(f"bad grid {text!r}; need finite LO < HI and an integer COUNT >= 2")
+    if not (-math.inf < lo < hi < math.inf and count.is_integer()
+            and 2 <= count <= MAX_POINTS):
+        raise DomainError(f"bad --grid {text!r}; need finite LO < HI and an integer "
+                          f"COUNT from 2 to {MAX_POINTS}")
     return [lo, hi, int(count)]
+
+
+def _count(config: dict, key: str, lo: int, hi: int) -> int:
+    """config[key] if it lies in [lo, hi]; the error names the flag."""
+    if not lo <= config[key] <= hi:
+        raise DomainError(f"--{key} must be from {lo} to {hi}, got {config[key]!r}")
+    return config[key]
 
 
 def _complex(text: str) -> complex:
@@ -81,6 +93,13 @@ def _complex(text: str) -> complex:
         return complex(text)
     except ValueError as exc:
         raise DomainError(f"bad coefficient {text!r}") from exc
+
+
+def _slit_coefficients(text: str) -> list[str]:
+    coeffs = [str(_complex(c)) for c in text.split(",")]
+    if len(coeffs) != 2:
+        raise DomainError(f"expected 2 slit coefficients, got {text!r}")
+    return coeffs
 
 
 def parse_primitive(text: str):
@@ -108,14 +127,6 @@ def parse_state(text: str) -> StateExpr:
             coeff, prim = "1", chunk
         terms.append((_complex(coeff), parse_primitive(prim)))
     return StateExpr(tuple(terms))
-
-
-def _collect_states(args) -> list[str]:
-    specs = list(args.state or [])
-    specs += [f"delta:{v}" for v in args.delta or []]
-    specs += [f"wave:{v}" for v in args.wave or []]
-    specs += [f"packet:{v}" for v in args.packet or []]
-    return specs
 
 
 # --------------------------------------------------------------------------
@@ -148,15 +159,14 @@ def run_distance(config: dict):
 
 
 def run_geodesic(config: dict):
-    if config["samples"] < 0:
-        raise DomainError("geodesic samples must be nonnegative")
+    samples = _count(config, "samples", 0, MAX_POINTS)
     kernel = parse_kernel(config["kernel"])
     start = normalize(parse_state(config["states"][0]), kernel)
     end = normalize(parse_state(config["states"][1]), kernel)
     path = geodesic_between(start, end)
     units = UnitSystem()
     rows = [("t", "angle_from_start")]
-    for t in np.linspace(0.0, 1.0, int(config["samples"])):
+    for t in np.linspace(0.0, 1.0, int(samples)):
         rows.append((float(t), sphere_angle(start, geodesic_at(path, float(t)))))
     results = {
         "theta": path.theta,
@@ -188,11 +198,11 @@ def run_gram(config: dict):
     if config["points"] is not None:
         points = [_floats(p) for p in config["points"].split(";")]
     else:
-        if config["random"] < 1 or not 1 <= config["dim"] <= 3:
-            raise DomainError("gram needs at least one random point and 1 <= dim <= 3")
+        # an n x n Gram matrix: the bound of an n-term EPR state's matrices
+        count = _count(config, "random", 1, MAX_DISCRETIZATION)
+        dim = _count(config, "dim", 1, 3)
         rng = np.random.default_rng(config["seed"])
-        points = [tuple(rng.uniform(lo, hi, config["dim"]))
-                  for _ in range(config["random"])]
+        points = [tuple(rng.uniform(lo, hi, dim)) for _ in range(count)]
     value = gram_min_eigenvalue(points, kernel)
     return {"count": len(points), "min_eigenvalue": value, "positive": value > 0}, None
 
@@ -208,8 +218,8 @@ def run_double_slit(config: dict):
         which_path=config["which_path"],
         detected_point=config["detected_point"],
     )
-    curve = detector_intensity(cfg)
     trajectory = build_double_slit_trajectory(cfg)
+    curve = trajectory.detector
     segments = [{
         "kind": seg.kind.value,
         "arc_length": seg.arc_length,
@@ -222,7 +232,7 @@ def run_double_slit(config: dict):
         "predicted_fringe_spacing": curve.predicted_fringe_spacing,
         "envelope_width": curve.envelope_width,
         "which_path_slit": curve.which_path_slit,
-        "detected_point": trajectory.detected_point,
+        "detected_point": curve.detected_point,
         "total_arc_length": trajectory.total_arc_length,
         "segments": segments,
     }
@@ -260,8 +270,11 @@ def run_epr(config: dict):
                            "grid_step": float(grid[1] - grid[0])})
         results["position_ridge"] = ridges
     elif config["profile"] == "momentum":
-        state = state_under(cfg.momentum_kernel)
         lo, hi, count = config["grid"]
+        if count**2 > MAX_POINTS:  # the profile scans every (q1, q2) pair
+            raise DomainError(f"--grid COUNT must be at most {math.isqrt(MAX_POINTS)} "
+                              f"for a momentum profile, got {count}")
+        state = state_under(cfg.momentum_kernel)
         qs = np.linspace(lo, hi, int(count))
         profile = momentum_correlation_profile(state, cfg, qs)
         rows = [("q1", "q2", "overlap")] + [(q1, q2, v) for (q1, q2), v in profile]
@@ -315,8 +328,7 @@ def _random_convergent_pair(rng, kernel):
 
 
 def run_oracle_verify(config: dict):
-    if config["count"] < 1:
-        raise DomainError("oracle-verify needs a count of at least 1")
+    _count(config, "count", 1, MAX_POINTS)
     if not (math.isfinite(config["tolerance"]) and config["tolerance"] >= 0.0):
         raise DomainError(f"tolerance must be a finite nonnegative number, "
                           f"got {config['tolerance']!r}")
@@ -441,51 +453,31 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)  # parsing does not change a parser
 
 
+# Flags whose text a config holds converted; the rest are kept as parsed.
+_CONVERTERS = {
+    "slits": lambda text: list(_floats(text, 2)),
+    "coeffs": _slit_coefficients,
+    "grid": _grid,
+    "a_values": lambda text: list(_floats(text)),
+    "box": lambda text: _floats(text, 2),
+    "at": _floats,
+}
+
+
 def _config_from_args(args) -> tuple[str, dict, str | None]:
-    command = args.command
-    csv_path = getattr(args, "csv", None)
-    if command == "constants":
-        return command, {}, None
-    if command in ("distance", "geodesic"):
-        states = _collect_states(args)
-        if len(states) != 2:
-            raise DomainError(f"{command} needs exactly two states, got {len(states)}")
-        config = {"kernel": args.kernel, "states": states}
-        if command == "geodesic":
-            config |= {"samples": args.samples, "speed": args.speed}
-        return command, config, csv_path
-    if command == "metric":
-        return command, {"kernel": args.kernel, "at": _floats(args.at),
-                         "step": args.step}, None
-    if command == "gram":
-        return command, {"kernel": args.kernel, "points": args.points,
-                         "random": args.random, "dim": args.dim,
-                         "box": _floats(args.box, 2), "seed": args.seed}, None
-    if command == "double-slit":
-        coeffs = [str(_complex(c)) for c in args.coeffs.split(",")]
-        if len(coeffs) != 2:
-            raise DomainError(f"expected 2 slit coefficients, got {args.coeffs!r}")
-        return command, {
-            "slits": list(_floats(args.slits, 2)),
-            "coeffs": coeffs,
-            "width": args.width, "wavenumber": args.wavenumber,
-            "distance": args.distance, "grid": _grid(args.grid),
-            "which_path": bool(args.which_path),
-            "detected_point": args.detected_point,
-        }, csv_path
-    if command == "epr":
-        return command, {
-            "x0": args.x0, "envelope_width": args.envelope_width, "n": args.n,
-            "alpha": args.alpha, "profile": args.profile,
-            "a_values": list(_floats(args.a_values)),
-            "grid": _grid(args.grid),
-            "measure_position": args.measure_position,
-            "measure_momentum": args.measure_momentum,
-        }, csv_path
-    if command == "oracle-verify":
-        return command, {"count": args.count, "seed": args.seed,
-                         "tolerance": args.tolerance}, None
-    raise DomainError(f"unknown command {command!r}")
+    """Config keyed by argparse dest, in the order the parser declares the
+    flags; the state flags fold into one "states" list of state specs."""
+    config = {}
+    for key, value in vars(args).items():
+        if key in ("state", "delta", "wave", "packet"):
+            prefix = "" if key == "state" else f"{key}:"
+            config.setdefault("states", []).extend(prefix + spec for spec in value or [])
+        elif key not in ("command", "csv"):
+            config[key] = _CONVERTERS[key](value) if key in _CONVERTERS else value
+    if "states" in config and len(config["states"]) != 2:
+        raise DomainError(f"{args.command} needs exactly two states, "
+                          f"got {len(config['states'])}")
+    return args.command, config, getattr(args, "csv", None)
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import Delta, Packet, StateExpr, _finite_complex, blend
-from .errors import DivergenceError, DomainError
+from .errors import DomainError
 from .geometry import (GeodesicPath, SphereState, UnitSystem, collapse_time,
                        geodesic_at, geodesic_between, normalize, sphere_angle)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
@@ -106,11 +106,13 @@ class SlitConfig:
 
 @dataclass(frozen=True)
 class DetectorCurve:
-    """Detector intensity curve and its fringe summary.
+    """Detector intensity curve, its fringe summary and the collapse point.
 
     `visibility` is (Imax - Imin) / (Imax + Imin) over the central window of
     about one fringe period; Imin ranges over interior local minima, and a
     fringeless (monotone-envelope) curve reports visibility 0 and no spacing.
+    `detected_point` is where the trajectory collapses; a which-path run also
+    names the slit it keeps.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -118,6 +120,7 @@ class DetectorCurve:
     fringe_spacing: float | None
     predicted_fringe_spacing: float
     envelope_width: float
+    detected_point: float
     which_path_slit: float | None = None
 
 
@@ -161,40 +164,28 @@ def detector_intensity(cfg: SlitConfig) -> DetectorCurve:
 
     Each open slit contributes c_j * exp(i k r_j(x)) * g(x - x_j), with
     r_j(x) the slit-to-point distance and g the freely spread packet
-    envelope; intensity is the squared modulus of the sum.  A which-path
-    collapse leaves a single envelope and destroys the fringes.
+    envelope; intensity is the squared modulus of the sum.  The detected
+    point is `cfg.detected_point`, or else the argmax of this two-path
+    intensity.  A which-path collapse keeps the slit nearest the detected
+    point (ties toward the smaller position), leaves a single envelope and
+    destroys the fringes.
     """
     sources = list(zip(cfg.coefficients, cfg.slit_positions))
+    xs, intensity = _intensity(cfg, sources)
+    detected = cfg.detected_point
+    if detected is None:
+        detected = float(xs[int(np.argmax(intensity))])
     slit = None
     if cfg.which_path:
-        slit = which_path_slit(cfg)
-        sources = [sources[cfg.slit_positions.index(slit)]]
-    xs, intensity = _intensity(cfg, sources)
+        slit = min(sorted(cfg.slit_positions), key=lambda x: abs(x - detected))
+        xs, intensity = _intensity(cfg, [sources[cfg.slit_positions.index(slit)]])
     visibility, measured = _fringe_summary(xs, intensity, cfg.slit_midpoint,
                                            cfg.predicted_fringe_spacing)
     return DetectorCurve(points=tuple(zip(xs.tolist(), intensity.tolist())),
                          visibility=visibility, fringe_spacing=measured,
                          predicted_fringe_spacing=cfg.predicted_fringe_spacing,
-                         envelope_width=cfg.detector_envelope_width, which_path_slit=slit)
-
-
-def default_detected_point(cfg: SlitConfig) -> float:
-    """Which-path-free detector-intensity argmax, the default collapse target."""
-    if cfg.detected_point is not None:
-        return float(cfg.detected_point)
-    xs, intensity = _intensity(cfg, zip(cfg.coefficients, cfg.slit_positions))
-    return float(xs[int(np.argmax(intensity))])
-
-
-def _nearest_slit(cfg: SlitConfig, target: float) -> float:
-    """Slit nearest to `target`, ties toward the smaller position."""
-    return min(sorted(cfg.slit_positions), key=lambda x: abs(x - target))
-
-
-def which_path_slit(cfg: SlitConfig) -> float:
-    """Slit selected by a which-path measurement: nearest to the detected
-    point, ties toward the smaller position."""
-    return _nearest_slit(cfg, default_detected_point(cfg))
+                         envelope_width=cfg.detector_envelope_width,
+                         detected_point=detected, which_path_slit=slit)
 
 
 class SegmentKind(Enum):
@@ -216,11 +207,16 @@ class TrajectorySegment:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered trajectory segments plus the collapse target on the screen."""
+    """Ordered trajectory segments plus the detector curve that fixed the
+    collapse target on the screen."""
 
     segments: tuple[TrajectorySegment, ...]
-    detected_point: float
+    detector: DetectorCurve
     kernel: KernelSpec
+
+    @property
+    def detected_point(self) -> float:
+        return self.detector.detected_point
 
     @property
     def total_arc_length(self) -> float:
@@ -241,7 +237,7 @@ def build_double_slit_trajectory(cfg: SlitConfig,
     renormalization, (3) propagation of the superposition toward the
     detector, (4) geodesic collapse onto the packet at the detected point.
     A which-path measurement moves the collapse directly behind the split,
-    targeting the slit nearest the detected point, after which the single
+    targeting the slit the detector curve keeps, after which the single
     surviving packet propagates to the detector.
     """
     n = cfg.samples_per_segment
@@ -250,7 +246,8 @@ def build_double_slit_trajectory(cfg: SlitConfig,
     c1, c2 = cfg.coefficients
     mid = cfg.arrival_center
     src = mid if cfg.source_center is None else float(cfg.source_center)
-    detected = default_detected_point(cfg)
+    curve = detector_intensity(cfg)
+    detected = curve.detected_point
     box = (min(x1, x2, detected) - 6.0 * w - 2.0, max(x1, x2, detected) + 6.0 * w + 2.0)
 
     def packet_state(center, width=w):
@@ -298,7 +295,7 @@ def build_double_slit_trajectory(cfg: SlitConfig,
         return segment(SegmentKind.COLLAPSE, offset, states, path)
 
     if cfg.which_path:
-        slit = _nearest_slit(cfg, detected)
+        slit = curve.which_path_slit
         seg3 = collapse_segment(2.0, split, packet_state(slit))
         last = seg3.samples[-1][1]
         if cfg.spread_widths:
@@ -319,7 +316,7 @@ def build_double_slit_trajectory(cfg: SlitConfig,
         target = packet_state(detected, cfg.detector_envelope_width if cfg.spread_widths else w)
         segments.append(collapse_segment(3.0, arriving, target))
 
-    return Trajectory(segments=tuple(segments), detected_point=detected, kernel=kernel)
+    return Trajectory(segments=tuple(segments), detector=curve, kernel=kernel)
 
 
 # --------------------------------------------------------------------------
@@ -405,8 +402,6 @@ def position_correlation_profile(state: StateExpr, cfg: EPRConfig, a: float,
 
 def position_collapse(state: SphereState, a: float, cfg: EPRConfig) -> GeodesicPath:
     """Geodesic collapse onto the point pair (a, x0 + a)."""
-    if not state.is_pair:
-        raise DomainError("position_collapse expects a pair state")
     target = normalize(embed_pair_position((float(a),), (cfg.x0 + float(a),)), state.kernel)
     return geodesic_between(state, target)
 
@@ -417,11 +412,6 @@ def momentum_collapse(state: SphereState, q: float, cfg: EPRConfig) -> GeodesicP
     Requires a confined kernel; plane-wave targets have no finite norm under
     translation-invariant kernels.
     """
-    if not state.is_pair:
-        raise DomainError("momentum_collapse expects a pair state")
-    if not isinstance(state.kernel, ConfinedKernel):
-        raise DivergenceError("momentum targets diverge under translation kernels; "
-                              "use a confined kernel")
     target = normalize(embed_pair_momentum((float(q),), (-float(q),)), state.kernel)
     return geodesic_between(state, target)
 
@@ -431,10 +421,9 @@ def momentum_correlation_profile(state: SphereState, cfg: EPRConfig,
     """Normalized overlap modulus with plane-wave pairs on a momentum grid.
 
     The ridge of maxima runs along q2 = -q1; using the modulus makes the
-    profile invariant under a global phase of the state.
+    profile invariant under a global phase of the state.  Requires a
+    confined kernel, as `momentum_collapse` does.
     """
-    if not isinstance(state.kernel, ConfinedKernel):
-        raise DivergenceError("momentum profiles require a confined kernel")
     qs = np.asarray(q_grid, dtype=float)
     pairs = np.stack(np.meshgrid(qs, qs, indexing="ij"), axis=-1).reshape(-1, 2)
     overlap = ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)

@@ -29,15 +29,14 @@ class UnitSystem:
 
     planck_length_m: float = PLANCK_LENGTH_M
     light_speed_m_per_s: float = LIGHT_SPEED_M_PER_S
-    planck_time_s: float = None
 
     def __post_init__(self):
-        length = _positive(self.planck_length_m, "planck_length_m")
-        derived = length / _positive(self.light_speed_m_per_s, "light_speed_m_per_s")
-        if self.planck_time_s is None:
-            object.__setattr__(self, "planck_time_s", derived)
-        elif not abs(self.planck_time_s - derived) <= 1e-12 * derived:
-            raise DomainError("planck_time_s is inconsistent with length / speed")
+        _positive(self.planck_length_m, "planck_length_m")
+        _positive(self.light_speed_m_per_s, "light_speed_m_per_s")
+
+    @property
+    def planck_time_s(self) -> float:
+        return self.planck_length_m / self.light_speed_m_per_s
 
 
 @dataclass(frozen=True)

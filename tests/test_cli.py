@@ -158,6 +158,23 @@ MALFORMED = [
     "epr --n 1025",
 ]
 
+# (argv, flag the error message must name): counts beyond the CLI's bounds
+OUT_OF_RANGE = [
+    ("gram --random 100000000000000000000", "--random"),
+    ("gram --random 30000 --dim 1", "--random"),
+    ("gram --random 1025", "--random"),
+    ("gram --random 5 --dim 4", "--dim"),
+    ("geodesic --delta 0 --delta 1 --samples 100000000000000000000", "--samples"),
+    ("geodesic --delta 0 --delta 1 --samples 100001", "--samples"),
+    ("double-slit --grid=-30,30,100000000000000000000", "--grid"),
+    ("double-slit --grid=-30,30,100001", "--grid"),
+    ("epr --grid=-2,2,100000000000000000000", "--grid"),
+    ("epr --grid=-2,2,100001", "--grid"),
+    ("epr --profile momentum --grid=-2,2,317", "--grid"),
+    ("oracle-verify --count 100001", "--count"),
+]
+MALFORMED += [argv for argv, _ in OUT_OF_RANGE]
+
 # (argv, config field the error message must name)
 NON_FINITE = [
     ("epr --alpha nan", "confined_alpha"),
@@ -190,6 +207,19 @@ def test_non_finite_input_names_field(capsys):
         assert main(argv.split()) == 2, argv
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert field in message, (argv, message)
+
+
+def test_out_of_range_count_names_flag(capsys):
+    for argv, flag in OUT_OF_RANGE:
+        assert main(argv.split()) == 2, argv
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert flag in message, (argv, message)
+
+
+def test_counts_at_their_bounds_run(capsys):
+    for argv in ("gram --random 1024 --dim 1", "epr --profile momentum --grid=-2,2,316 --n 8"):
+        assert main(argv.split()) == 0, argv
+    capsys.readouterr()
 
 
 def test_parser_built_once(capsys, monkeypatch):

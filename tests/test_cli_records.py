@@ -2,8 +2,9 @@
 
 Each case runs `statesphere.cli.main(argv)` in-process and compares the
 printed record with `tests/golden/<case>.json`: numbers must agree within
-|got - want| <= 1e-9 |want| + 1e-12, everything else exactly.  Rewrite the
-golden files (only when a change of the records is intended) with
+|got - want| <= 1e-9 |want| + 1e-12, everything else exactly, dict key order
+included.  Rewrite the golden files (only when a change of the records is
+intended) with
 
     PYTHONPATH=src python tests/test_cli_records.py
 """
@@ -46,7 +47,7 @@ def run_record(argv: list[str]) -> dict:
 
 def assert_close(got, want, where: str = "record"):
     if isinstance(want, dict):
-        assert isinstance(got, dict) and set(got) == set(want), where
+        assert isinstance(got, dict) and list(got) == list(want), where
         for key in want:
             assert_close(got[key], want[key], f"{where}.{key}")
     elif isinstance(want, list):

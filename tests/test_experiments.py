@@ -181,8 +181,9 @@ class TestDoubleSlitTrajectory:
                            for _, state in seg.samples)
             assert seg.max_residual_angle == expected
 
-    def test_which_path_evaluates_the_intensity_once(self, monkeypatch):
+    def test_op_evaluates_the_intensity_once_per_curve(self, monkeypatch, capsys):
         import statesphere.experiments as experiments
+        from statesphere.cli import main
         intensity = experiments._intensity
         calls = []
 
@@ -191,15 +192,34 @@ class TestDoubleSlitTrajectory:
             return intensity(*args)
 
         monkeypatch.setattr(experiments, "_intensity", counting)
+        # the two-path curve, plus the single-slit curve of a which-path run
+        for argv, evaluations in ((["double-slit"], 1), (["double-slit", "--which-path"], 2)):
+            calls.clear()
+            assert main(argv) == 0
+            assert len(calls) == evaluations, argv
+        capsys.readouterr()
+
+    def test_trajectory_keeps_the_detector_curve(self):
+        import statesphere.experiments as experiments
         cfg = SlitConfig(coefficients=(1.0 + 0j, 0.6 + 0j), which_path=True,
                          samples_per_segment=3)
         trajectory = build_double_slit_trajectory(cfg)
-        assert len(calls) == 1
-        xs, values = intensity(cfg, zip(cfg.coefficients, cfg.slit_positions))
-        assert trajectory.detected_point == float(xs[int(np.argmax(values))])
-        collapse = trajectory.segments[2]
-        target = collapse.samples[-1][1].expr.terms[0][1]
-        assert target.center == (detector_intensity(cfg).which_path_slit,)
+        curve = detector_intensity(cfg)
+        assert trajectory.detector == curve
+        xs, values = experiments._intensity(cfg, zip(cfg.coefficients, cfg.slit_positions))
+        assert trajectory.detected_point == curve.detected_point
+        assert curve.detected_point == float(xs[int(np.argmax(values))])
+        target = trajectory.segments[2].samples[-1][1].expr.terms[0][1]
+        assert target.center == (curve.which_path_slit,)
+
+    @pytest.mark.parametrize("point, slit", [(0.7, 1.165), (-0.2, -1.165), (0.0, -1.165)])
+    def test_which_path_keeps_slit_nearest_given_point(self, point, slit):
+        cfg = SlitConfig(which_path=True, detected_point=point, samples_per_segment=3)
+        curve = detector_intensity(cfg)
+        assert (curve.detected_point, curve.which_path_slit) == (point, slit)
+        trajectory = build_double_slit_trajectory(cfg)
+        target = trajectory.segments[2].samples[-1][1].expr.terms[0][1]
+        assert target.center == (slit,)
 
     def test_collapse_times_bounded_by_pi(self, trajectory):
         for seg in trajectory.segments:
@@ -314,6 +334,15 @@ class TestEPRCollapse:
         state = build_epr_state(cfg)
         with pytest.raises(DivergenceError):
             momentum_collapse(state, 1.0, cfg)
+
+    def test_collapses_reject_single_particle_state(self):
+        from statesphere import Delta, StateExpr, normalize
+        cfg = EPRConfig()
+        single = normalize(StateExpr.single(Delta((0.0,))), cfg.momentum_kernel)
+        with pytest.raises(DomainError):
+            position_collapse(single, 1.0, cfg)
+        with pytest.raises(DomainError):
+            momentum_collapse(single, 1.0, cfg)
 
     def test_zero_momentum_target_is_constant_state(self):
         cfg = EPRConfig()

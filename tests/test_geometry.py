@@ -27,15 +27,14 @@ class TestUnitSystem:
         assert units.light_speed_m_per_s == 2.99792458e8
         np.testing.assert_allclose(units.planck_time_s, 1.6e-35 / 2.99792458e8, rtol=1e-15)
 
-    def test_rejects_inconsistent_time(self):
-        with pytest.raises(DomainError):
-            UnitSystem(planck_time_s=1e-44)
+    def test_time_is_length_over_speed(self):
+        assert UnitSystem(2.0, 4.0).planck_time_s == 0.5
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             UnitSystem(planck_length_m=0.0)
         for value in (math.nan, math.inf):
-            for field in ("planck_length_m", "light_speed_m_per_s", "planck_time_s"):
+            for field in ("planck_length_m", "light_speed_m_per_s"):
                 with pytest.raises(DomainError):
                     UnitSystem(**{field: value})
 
