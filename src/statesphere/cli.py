@@ -30,7 +30,7 @@ from .geometry import (UnitSystem, arc_length, collapse_time, fs_angle,
                        state_overlap)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
                       induced_metric)
-from .manifolds import gram_min_eigenvalue
+from .manifolds import ManifoldId, ManifoldOverlap, gram_min_eigenvalue
 from .oracle import QuadratureSpec, quad_inner_product
 
 SCHEMA_VERSION = 1
@@ -251,6 +251,10 @@ def run_epr(config: dict):
     )
     for a in config["a_values"]:
         _finite(a, "a_values")
+    lo, hi, count = config["grid"]
+    if config["profile"] != "none" and len(config["a_values"]) * count > MAX_POINTS:
+        raise DomainError(f"--a-values times the --grid COUNT must be at most {MAX_POINTS} "
+                          f"(one ridge scan per value), got {len(config['a_values'])} x {count}")
     units = UnitSystem()
     results: dict = {}
     rows = None
@@ -261,8 +265,7 @@ def run_epr(config: dict):
         rows = [("a", "b", "overlap")]
         ridges = []
         for a in config["a_values"]:
-            lo, hi, count = config["grid"]
-            grid = np.linspace(cfg.x0 + a + lo, cfg.x0 + a + hi, int(count))
+            grid = np.linspace(cfg.x0 + a + lo, cfg.x0 + a + hi, count)
             profile = position_correlation_profile(state, cfg, a, grid)
             rows += [(a, b, v) for b, v in profile]
             best = max(profile, key=lambda bv: bv[1])
@@ -270,21 +273,19 @@ def run_epr(config: dict):
                            "grid_step": float(grid[1] - grid[0])})
         results["position_ridge"] = ridges
     elif config["profile"] == "momentum":
-        lo, hi, count = config["grid"]
         if count**2 > MAX_POINTS:  # the profile scans every (q1, q2) pair
             raise DomainError(f"--grid COUNT must be at most {math.isqrt(MAX_POINTS)} "
                               f"for a momentum profile, got {count}")
         state = state_under(cfg.momentum_kernel)
-        qs = np.linspace(lo, hi, int(count))
+        qs = np.linspace(lo, hi, count)
         profile = momentum_correlation_profile(state, cfg, qs)
         rows = [("q1", "q2", "overlap")] + [(q1, q2, v) for (q1, q2), v in profile]
-        ridges = []
+        overlap = ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)
+        ridges = []  # one row (q1, qs) each, so q1 need not be a grid point
         for q1 in config["a_values"]:
-            row = [(q2, v) for (p1, q2), v in profile if p1 == q1]
-            if row:
-                best = max(row, key=lambda qv: qv[1])
-                ridges.append({"q1": q1, "argmax_q2": best[0], "expected_q2": -q1,
-                               "grid_step": float(qs[1] - qs[0])})
+            row = np.abs(overlap(np.column_stack([np.full(count, q1), qs])))
+            ridges.append({"q1": q1, "argmax_q2": float(qs[row.argmax()]), "expected_q2": -q1,
+                           "grid_step": float(qs[1] - qs[0])})
         results["momentum_ridge"] = ridges
     if cfg.measured_position is not None:
         path = position_collapse(state_under(cfg.position_kernel), cfg.measured_position, cfg)

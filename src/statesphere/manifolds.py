@@ -9,7 +9,6 @@ raise instead of regularizing silently.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -38,6 +37,10 @@ class ManifoldId(Enum):
     @property
     def is_pair(self) -> bool:
         return self in (ManifoldId.POSITION_PAIR, ManifoldId.MOMENTUM_PAIR)
+
+    @property
+    def primitive(self) -> type:
+        return PlaneWave if self in (ManifoldId.MOMENTUM, ManifoldId.MOMENTUM_PAIR) else Delta
 
 
 def embed_position(u) -> StateExpr:
@@ -90,16 +93,6 @@ class ProjectionResult:
     tie: bool = False
 
 
-def _manifold_expr(manifold: ManifoldId, params: np.ndarray, d: int):
-    if manifold is ManifoldId.POSITION:
-        return embed_position(tuple(params))
-    if manifold is ManifoldId.MOMENTUM:
-        return embed_momentum(tuple(params))
-    if manifold is ManifoldId.POSITION_PAIR:
-        return embed_pair_position(tuple(params[:d]), tuple(params[d:]))
-    return embed_pair_momentum(tuple(params[:d]), tuple(params[d:]))
-
-
 def _normalize_box(box, axes: int):
     pairs = list(box) if not (len(box) == 2 and np.isscalar(box[0])) else [box] * axes
     if len(pairs) == 1 and axes > 1:
@@ -115,48 +108,47 @@ def _normalize_box(box, axes: int):
     return out
 
 
-def _log_factor(prim, momentum: bool, kernel: KernelSpec):
-    """(alpha, beta, gamma) with log(<prim, m(t)> / ||m(t)||) = alpha + beta.t
-    + gamma |t|^2 for the delta (position) or plane-wave (momentum) target m(t).
-
-    These are the closed forms of `compile_pair` and `gaussian_integral`: the
-    per-axis matrix M depends on the primitive alone, and only the linear
-    vector b and the constant c move with t.  For position targets the norm
-    ||delta_t|| = exp(-conf |t|^2) is already folded in.  A 1x1 M equals
-    2 (conf + pair + s) > 0 with condition number 1, so only the 2x2 M of a
-    free primitive against a plane wave is checked, with the algebra's checks.
-    """
+def _slot_exponents(prims, target: type, kernel: KernelSpec, margins: dict):
+    """Per primitive of one particle slot, (alpha, beta, gamma) with
+    log(<prim, m(t)> / ||m(t)||) = alpha + beta.t + gamma |t|^2 for a delta or
+    plane-wave target m(t): the closed forms of `compile_pair` and
+    `gaussian_integral`, the deltas and the free primitives each in one
+    broadcast, since the per-axis matrix M depends on the kind and s alone.
+    `margins` maps each free (kind, s) to its checked det(M) / 4 against a
+    plane wave, the target norm's to ("PlaneWave", 0.0)."""
     conf, pair = kernel_coefficients(kernel)
-    d = prim.dimension
-    if isinstance(prim, Delta):
-        u = np.array(prim.center)
-        if not momentum:
-            return -(conf + pair) * float(u @ u), 2.0 * pair * u, -pair
-        m = 2.0 * (conf + pair)
-        return (0.5 * d * math.log(2.0 * math.pi / m)
-                - conf * (conf + 2.0 * pair) / (conf + pair) * float(u @ u),
-                -1j * pair / (conf + pair) * u, -1.0 / (2.0 * m))
-    s, lin, const = _profile(prim, conjugate=False)
-    lin_sq = complex(lin @ lin)
-    if not momentum:
-        m = 2.0 * (conf + pair + s)
-        return (0.5 * d * math.log(2.0 * math.pi / m) + lin_sq / (2.0 * m) + const,
-                2.0 * pair / m * lin, -pair * (conf + s) / (conf + pair + s))
-    a_f, a_t = conf + pair + s, conf + pair
-    margin = _free_pair_margin(type(prim).__name__, s, "PlaneWave", 0.0, kernel)
-    _check_form_matrix(2.0 * np.array([[a_f, -pair], [-pair, a_t]]))
-    return (d * math.log(2.0 * math.pi) - 0.5 * d * math.log(4.0 * margin)
-            + a_t * lin_sq / (4.0 * margin) + const,
-            -0.5j * pair / margin * lin, -a_f / (4.0 * margin))
-
-
-def _log_wave_norm(kernel: KernelSpec, d: int):
-    """(alpha, gamma) with log ||w_q|| = alpha + gamma |q|^2 for plane waves."""
-    conf, pair = kernel_coefficients(kernel)
-    margin = _free_pair_margin("PlaneWave", 0.0, "PlaneWave", 0.0, kernel)
-    _check_form_matrix(2.0 * np.array([[conf + pair, -pair], [-pair, conf + pair]]))
-    return (0.5 * d * math.log(2.0 * math.pi) - 0.25 * d * math.log(4.0 * margin),
-            -1.0 / (4.0 * (conf + 2.0 * pair)))
+    n, d = len(prims), prims[0].dimension
+    deltas = [i for i, p in enumerate(prims) if isinstance(p, Delta)]
+    free = [i for i, p in enumerate(prims) if not isinstance(p, Delta)]
+    alpha, beta, gamma = np.empty(n, dtype=complex), np.empty((n, d), dtype=complex), np.empty(n)
+    if target is PlaneWave:  # log ||w_t|| = norm_alpha + norm_gamma |t|^2
+        norm_alpha = 0.25 * d * math.log(math.pi**2 / margins["PlaneWave", 0.0])
+        norm_gamma = -1.0 / (4.0 * (conf + 2.0 * pair))
+    if deltas:
+        u = np.array([prims[i].center for i in deltas])
+        uu = (u * u).sum(axis=1)
+        if target is Delta:
+            alpha[deltas], beta[deltas], gamma[deltas] = -(conf + pair) * uu, 2.0 * pair * u, -pair
+        else:
+            alpha[deltas] = (0.5 * d * math.log(math.pi / (conf + pair))
+                             - conf * (conf + 2.0 * pair) / (conf + pair) * uu - norm_alpha)
+            beta[deltas] = -1j * pair / (conf + pair) * u
+            gamma[deltas] = -1.0 / (4.0 * (conf + pair)) - norm_gamma
+    if free:
+        s, lin, const = map(np.array, zip(*(_profile(prims[i], conjugate=False) for i in free)))
+        lin_sq = (lin * lin).sum(axis=1)
+        if target is Delta:
+            m = 2.0 * (conf + pair + s)
+            alpha[free] = 0.5 * d * np.log(2.0 * math.pi / m) + lin_sq / (2.0 * m) + const
+            beta[free] = (2.0 * pair / m)[:, None] * lin
+            gamma[free] = -pair * (conf + s) / (conf + pair + s)
+        else:
+            margin = np.array([margins[type(prims[i]).__name__, s_i] for i, s_i in zip(free, s)])
+            alpha[free] = (0.5 * d * np.log(math.pi**2 / margin)
+                           + (conf + pair) * lin_sq / (4.0 * margin) + const - norm_alpha)
+            beta[free] = (-0.5j * pair / margin)[:, None] * lin
+            gamma[free] = -(conf + pair + s) / (4.0 * margin) - norm_gamma
+    return alpha, beta, gamma
 
 
 class ManifoldOverlap:
@@ -164,32 +156,34 @@ class ManifoldOverlap:
     parameters: one row of theta per point, u or p for one particle, (u, v)
     or (p, q) for a pair, whose targets are products of one-particle factors.
 
-    Each term compiles once to a quadratic exponent in theta, so a batch is
-    one complex exp over (points, terms).  The target norm is part of the
-    exponent, so far-out targets whose norm underflows give a finite ratio.
-    Compiling raises the errors the term-by-term `inner_product` and
-    `hilbert_norm` of the target would raise.
+    Each particle slot compiles once (`_slot_exponents`) to a quadratic
+    exponent in theta per term, the target norm folded in, so a batch is one
+    complex exp over (points, terms), taken _CHUNK points at a time.
+    Compiling raises the errors of the term-by-term `inner_product` and
+    `hilbert_norm` in the same order.  Only a 2x2 M against a plane wave can
+    fail (a 1x1 M = 2 (conf + pair + s) has condition number 1); each is
+    checked once per distinct free (kind, s), the target norm's last.
     """
 
     def __init__(self, expr: StateExpr, kernel: KernelSpec, manifold: ManifoldId):
         if manifold.is_pair != (expr.arity == 2):
             raise DomainError(f"{manifold.value} manifold does not match the state arity")
-        momentum = manifold in (ManifoldId.MOMENTUM, ManifoldId.MOMENTUM_PAIR)
-        d = expr.dimension
-        alpha, beta, gamma = [], [], []
-        for coeff, *prims in expr.terms:
-            factors = [_log_factor(prim, momentum, kernel) for prim in prims]
-            alpha.append(cmath.log(coeff) + sum(f[0] for f in factors))
-            beta.append(np.concatenate([f[1] for f in factors]))
-            gamma.append(np.repeat([f[2] for f in factors], d))
-        self.axes = expr.arity * d
-        self._alpha = np.array(alpha)
-        self._beta = np.array(beta).T
-        self._gamma = np.array(gamma).T
-        if momentum:
-            norm_alpha, norm_gamma = _log_wave_norm(kernel, d)
-            self._alpha -= expr.arity * norm_alpha
-            self._gamma -= norm_gamma
+        coeffs, *slots = zip(*expr.terms)
+        margins = {}
+        if manifold.primitive is PlaneWave:
+            conf, pair = kernel_coefficients(kernel)
+            keys = [(type(p).__name__, _profile(p, conjugate=False)[0])
+                    for slot in slots for p in slot if not isinstance(p, Delta)]
+            for kind, s in dict.fromkeys(keys + [("PlaneWave", 0.0)]):
+                margins[kind, s] = _free_pair_margin(kind, s, "PlaneWave", 0.0, kernel)
+                _check_form_matrix(2.0 * np.array([[conf + pair + s, -pair],
+                                                   [-pair, conf + pair]]))
+        alphas, betas, gammas = zip(*(_slot_exponents(slot, manifold.primitive, kernel, margins)
+                                      for slot in slots))
+        self.axes = expr.arity * expr.dimension
+        self._alpha = np.log(np.array(coeffs)) + sum(alphas)
+        self._beta = np.concatenate(betas, axis=1).T
+        self._gamma = np.repeat(gammas, expr.dimension, axis=0)
 
     def _terms(self, theta: np.ndarray) -> np.ndarray:
         return np.exp(self._alpha + theta @ self._beta + (theta * theta) @ self._gamma)
@@ -198,7 +192,10 @@ class ManifoldOverlap:
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 2 or theta.shape[1] != self.axes:
             raise DomainError(f"manifold points need {self.axes} coordinates each")
-        return self._terms(theta).sum(axis=1)
+        values = np.empty(len(theta), dtype=complex)
+        for start in range(0, len(theta), _CHUNK):
+            values[start:start + _CHUNK] = self._terms(theta[start:start + _CHUNK]).sum(axis=1)
+        return values
 
     def derivatives(self, point: np.ndarray):
         """Real part of the overlap at one point, with its gradient and
@@ -211,8 +208,7 @@ class ManifoldOverlap:
 
     def grid(self, grids):
         """Values over the product of per-axis grids in `itertools.product`
-        order, as (points, values) chunks of at most _CHUNK points, so memory
-        does not grow with the grid."""
+        order, as (points, values) chunks of _CHUNK points: bounded memory."""
         shape = tuple(len(g) for g in grids)
         total = math.prod(shape)
         for start in range(0, total, _CHUNK):
@@ -271,11 +267,13 @@ def nearest_classical_point(state: SphereState, manifold: ManifoldId, box,
     for _ in range(100):
         free = ~(((point <= lows) & (gradient < 0.0)) | ((point >= highs) & (gradient > 0.0)))
         g = gradient[free]
-        if not g.any():
-            break
         eigenvalues, vectors = np.linalg.eigh(hessian[np.ix_(free, free)])
+        if not (g.any() or (eigenvalues[-1:] > 0.0).any()):
+            break
         along = vectors.T @ g
         scale = max(np.abs(eigenvalues).max(), np.abs(g).max())
+        if eigenvalues[-1] > 0.0:  # no slope along upward curvature: a saddle, climb it
+            along[-1] = math.copysign(max(abs(along[-1]), 1e-12 * scale), along[-1])
         shift = max(0.0, eigenvalues[-1]) + 1e-12 * scale
         for _ in range(64):  # after k tries a step is at most axes * 1e12 / 4**k
             trial = point.copy()
@@ -304,8 +302,8 @@ def nearest_classical_point(state: SphereState, manifold: ManifoldId, box,
 def manifold_member(manifold: ManifoldId, params, kernel: KernelSpec) -> SphereState:
     """Normalized state of a manifold at the given parameter value."""
     params = np.atleast_1d(np.asarray(params, dtype=float))
-    d = len(params) // 2 if manifold.is_pair else len(params)
-    return normalize(_manifold_expr(manifold, params, d), kernel)
+    slots = np.array_split(params, 2) if manifold.is_pair else (params,)
+    return normalize(StateExpr.single(*(manifold.primitive(tuple(p)) for p in slots)), kernel)
 
 
 def manifold_separation(params, manifold_a: ManifoldId, manifold_b: ManifoldId,

@@ -106,6 +106,15 @@ def test_epr_momentum_profile_and_collapse():
     assert collapse["collapse_time_s"] < 1e-43
 
 
+def test_epr_momentum_ridge_off_grid(capsys):
+    # 0.3 is not a point of the 9-point grid; its ridge is scanned all the same
+    assert main("epr --profile momentum --a-values=0.3,1 --grid=-2,2,9".split()) == 0
+    ridges = json.loads(capsys.readouterr().out)["results"]["momentum_ridge"]
+    assert [ridge["q1"] for ridge in ridges] == [0.3, 1.0]
+    for ridge in ridges:
+        assert abs(ridge["argmax_q2"] - ridge["expected_q2"]) <= ridge["grid_step"] + 1e-12
+
+
 def test_oracle_verify():
     record = record_of(run_cli("oracle-verify", "--count", "6", "--seed", "3"))
     assert record["results"]["passed"] is True
@@ -172,6 +181,10 @@ OUT_OF_RANGE = [
     ("epr --grid=-2,2,100001", "--grid"),
     ("epr --profile momentum --grid=-2,2,317", "--grid"),
     ("oracle-verify --count 100001", "--count"),
+    # one ridge scan of COUNT points per a-value
+    ("epr --n 8 --a-values=" + ",".join(["0"] * 300) + " --grid=-2,2,100000", "--a-values"),
+    ("epr --n 8 --profile momentum --a-values=" + ",".join(["0"] * 317) + " --grid=-2,2,316",
+     "--a-values"),
 ]
 MALFORMED += [argv for argv, _ in OUT_OF_RANGE]
 
@@ -217,7 +230,8 @@ def test_out_of_range_count_names_flag(capsys):
 
 
 def test_counts_at_their_bounds_run(capsys):
-    for argv in ("gram --random 1024 --dim 1", "epr --profile momentum --grid=-2,2,316 --n 8"):
+    for argv in ("gram --random 1024 --dim 1", "epr --profile momentum --grid=-2,2,316 --n 8",
+                 "epr --n 8 --a-values=" + ",".join(["0"] * 10) + " --grid=-2,2,10000"):
         assert main(argv.split()) == 0, argv
     capsys.readouterr()
 

@@ -1,6 +1,7 @@
 """Tests for classical-space embeddings, Gram checks, and projections."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from helpers import coords, kernels, primitives
 
 K1 = TranslationKernel(1.0)
 KC = ConfinedKernel(0.1, 1.0)
+NARROW = Packet((0.2,), 1e-7)  # per-axis form against a plane wave: cond ~ 5e13 under K1
 
 EMBED = {
     ManifoldId.POSITION: lambda t, d: embed_position(t),
@@ -311,24 +313,65 @@ class TestManifoldOverlap:
     ])
     def test_momentum_errors_match(self, kernel, error):
         # a delta reaches the error through the target norm, a plane wave
-        # through its own factor; the batched overlap raises the same error,
-        # with the same message, as the term-by-term inner product
-        for prim in (Delta((0.5,)), PlaneWave((0.5,))):
-            expr = StateExpr.single(prim)
-            with pytest.raises(error) as term_by_term:
-                scalar_overlap(expr, kernel, ManifoldId.MOMENTUM, (0.0,))
-            with pytest.raises(error) as batched:
-                ManifoldOverlap(expr, kernel, ManifoldId.MOMENTUM)
-            assert str(batched.value) == str(term_by_term.value)
+        # through its own factor, also in slots that mix deltas, packets and
+        # waves with the wave not first; the batched overlap raises the same
+        # error, with the same message, as the term-by-term inner product
+        delta, packet, wave = Delta((0.5,)), Packet((0.3,), 0.8, (0.2,)), PlaneWave((0.5,))
+        exprs = [StateExpr.single(delta), StateExpr.single(wave),
+                 StateExpr(((1.0, delta), (0.5j, packet), (2.0, wave), (1.0, Delta((1.0,))))),
+                 StateExpr(((1.0, packet, delta), (0.5, delta, wave), (1j, wave, packet)))]
+        for expr in exprs:
+            assert_momentum_error_matches(expr, kernel, error)
         delta = normalize(StateExpr.single(Delta((0.5,))), kernel)
         with pytest.raises(error):
             nearest_classical_point(delta, ManifoldId.MOMENTUM, (-1.0, 1.0))
+
+    @pytest.mark.parametrize("terms, error", [
+        (((1.0, Delta((0.5,))), (1.0, NARROW), (1.0, PlaneWave((0.5,)))), NumericalFailureError),
+        (((1.0, Delta((0.5,))), (1.0, PlaneWave((0.5,))), (1.0, NARROW)), DivergenceError),
+        # the first slot in full, then the second, then the target norm
+        (((1.0, Delta((0.5,)), NARROW), (1.0, PlaneWave((0.5,)), Delta((1.0,)))),
+         DivergenceError),
+        (((1.0, Delta((0.5,)), Packet((0.0,), 1.0)), (1.0, Delta((1.0,)), NARROW)),
+         NumericalFailureError),
+    ])
+    def test_momentum_errors_in_term_by_term_order(self, terms, error):
+        # under K1 a plane wave's form diverges and NARROW's is near singular:
+        # the first form the term-by-term path meets decides the error
+        assert_momentum_error_matches(StateExpr(terms), K1, error)
+
+    def test_batch_memory_is_bounded(self):
+        # 256 terms over 20000 points: one unchunked (points, terms) complex
+        # array alone takes 78 MiB; a chunk of 4096 points takes 16 MiB
+        u = np.linspace(-3.0, 3.0, 256)
+        expr = StateExpr(tuple((1.0, Delta((a,)), Delta((a + 1.0,))) for a in u))
+        overlap = ManifoldOverlap(expr, K1, ManifoldId.POSITION_PAIR)
+        theta = np.random.default_rng(5).uniform(-4.0, 4.0, (20000, 2))
+        tracemalloc.start()
+        try:
+            values = overlap(theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # points on either side of a chunk boundary keep their values
+        assert values[4090:4100].tobytes() == overlap(theta[4090:4100]).tobytes()
 
     def test_rejects_wrong_point_size(self):
         overlap = ManifoldOverlap(embed_pair_position((0.0,), (1.0,)), K1,
                                   ManifoldId.POSITION_PAIR)
         with pytest.raises(DomainError):
             overlap(np.zeros((3, 1)))
+
+    def test_projection_climbs_off_a_saddle(self):
+        # the state is even in p, so the best coarse cell, p = 0, has no slope
+        # along p, where the overlap curves up
+        state = normalize(StateExpr(((-0.25, PlaneWave((0.0,)), Delta((6.75,))),
+                                     (2.0, Packet((0.0,), 2.0), Delta((7.75,))))),
+                          ConfinedKernel(0.0625, 1.0))
+        manifold = ManifoldId.MOMENTUM_PAIR
+        result = nearest_classical_point(state, manifold, (-6.0, 6.0), coarse=5)
+        assert_local_maximum(result, state, manifold, -6.0, 6.0, 5)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -340,6 +383,15 @@ class TestManifoldOverlap:
     @given(st.data())
     def test_projection_is_a_local_maximum_stress(self, data):
         check_projection_is_local_maximum(data)
+
+
+def assert_momentum_error_matches(expr, kernel, error):
+    manifold = ManifoldId.MOMENTUM_PAIR if expr.arity == 2 else ManifoldId.MOMENTUM
+    with pytest.raises(error) as term_by_term:
+        scalar_overlap(expr, kernel, manifold, (0.0,) * expr.arity)
+    with pytest.raises(error) as batched:
+        ManifoldOverlap(expr, kernel, manifold)
+    assert str(batched.value) == str(term_by_term.value)
 
 
 def assert_local_maximum(result, state, manifold, lo, hi, coarse):
