@@ -25,8 +25,8 @@ from .experiments import (MAX_DISCRETIZATION, EPRConfig, SlitConfig,
                           build_double_slit_trajectory, build_epr_state,
                           momentum_collapse, momentum_correlation_profile,
                           position_collapse, position_correlation_profile)
-from .geometry import (UnitSystem, arc_length, collapse_time, fs_angle,
-                       geodesic_at, geodesic_between, normalize, sphere_angle,
+from .geometry import (UnitSystem, angles_from_start, arc_length, collapse_time,
+                       fs_angle, geodesic_between, normalize, sphere_angle,
                        state_overlap)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
                       induced_metric)
@@ -165,9 +165,8 @@ def run_geodesic(config: dict):
     end = normalize(parse_state(config["states"][1]), kernel)
     path = geodesic_between(start, end)
     units = UnitSystem()
-    rows = [("t", "angle_from_start")]
-    for t in np.linspace(0.0, 1.0, int(samples)):
-        rows.append((float(t), sphere_angle(start, geodesic_at(path, float(t)))))
+    ts = np.linspace(0.0, 1.0, int(samples))
+    rows = [("t", "angle_from_start"), *zip(ts.tolist(), angles_from_start(path, ts).tolist())]
     results = {
         "theta": path.theta,
         "alignment_phase": path.alignment_phase,
@@ -276,6 +275,10 @@ def run_epr(config: dict):
         if count**2 > MAX_POINTS:  # the profile scans every (q1, q2) pair
             raise DomainError(f"--grid COUNT must be at most {math.isqrt(MAX_POINTS)} "
                               f"for a momentum profile, got {count}")
+        for q1 in config["a_values"]:
+            if not lo <= -q1 <= hi:
+                raise DomainError(f"--a-values momentum {q1!r} has its ridge at q2 = {-q1!r}, "
+                                  f"outside the --grid range [{lo!r}, {hi!r}]")
         state = state_under(cfg.momentum_kernel)
         qs = np.linspace(lo, hi, count)
         profile = momentum_correlation_profile(state, cfg, qs)
@@ -435,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--profile", choices=["position", "momentum", "none"], default="position")
-    p.add_argument("--a-values", default="-5,0,5",
-                   help="first-particle positions (or momenta) for the ridge scan")
+    p.add_argument("--a-values", default=None,
+                   help="first-particle positions (default -5,0,5) or momenta "
+                        "(default -1,0,1) for the ridge scan")
     p.add_argument("--grid", default="-2,2,17",
                    help="profile grid LO,HI,COUNT (relative to the expected ridge for positions)")
     p.add_argument("--measure-position", type=float, default=None)
@@ -474,6 +478,8 @@ def _config_from_args(args) -> tuple[str, dict, str | None]:
             prefix = "" if key == "state" else f"{key}:"
             config.setdefault("states", []).extend(prefix + spec for spec in value or [])
         elif key not in ("command", "csv"):
+            if key == "a_values" and value is None:  # momenta must keep -q1 on the grid
+                value = "-1,0,1" if args.profile == "momentum" else "-5,0,5"
             config[key] = _CONVERTERS[key](value) if key in _CONVERTERS else value
     if "states" in config and len(config["states"]) != 2:
         raise DomainError(f"{args.command} needs exactly two states, "

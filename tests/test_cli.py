@@ -3,6 +3,7 @@
 import json
 import math
 import subprocess
+import time
 from pathlib import Path
 
 from helpers import run_python
@@ -113,6 +114,35 @@ def test_epr_momentum_ridge_off_grid(capsys):
     assert [ridge["q1"] for ridge in ridges] == [0.3, 1.0]
     for ridge in ridges:
         assert abs(ridge["argmax_q2"] - ridge["expected_q2"]) <= ridge["grid_step"] + 1e-12
+
+
+def test_epr_momentum_defaults_keep_ridges_on_grid(capsys):
+    assert main("epr --profile momentum --n 16".split()) == 0
+    record = json.loads(capsys.readouterr().out)
+    lo, hi, _ = record["config"]["grid"]
+    ridges = record["results"]["momentum_ridge"]
+    assert [ridge["q1"] for ridge in ridges] == [-1.0, 0.0, 1.0]
+    for ridge in ridges:
+        assert lo <= ridge["expected_q2"] <= hi
+        assert abs(ridge["argmax_q2"] - ridge["expected_q2"]) <= ridge["grid_step"] + 1e-12
+
+
+def test_epr_momentum_ridge_outside_grid_rejected(capsys):
+    assert main("epr --profile momentum --n 16 --a-values=0,5".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "DomainError"
+    assert "--a-values" in error["message"]
+
+
+def test_geodesic_samples_in_one_pass(capsys):
+    start = time.perf_counter()
+    assert main("geodesic --delta 0 --delta 1 --samples 100000".split()) == 0
+    elapsed = time.perf_counter() - start
+    record = json.loads(capsys.readouterr().out)
+    assert record["config"]["samples"] == 100000
+    assert elapsed < 0.5  # one sphere_angle per sample took about 5 s
 
 
 def test_oracle_verify():

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from statesphere import (Delta, DomainError, GeodesicUndeterminedError,
+from statesphere import (ConfinedKernel, Delta, DomainError, GeodesicUndeterminedError,
                          StateExpr, TranslationKernel, UnitSystem, blend,
                          classical_path_length, collapse_time, fs_angle,
                          geodesic_at, geodesic_between, induced_metric,
                          normalize, sphere_angle, state_overlap)
+from statesphere.geometry import angles_from_start
 
-from helpers import diff_norm, random_state
+from helpers import diff_norm, random_pair_state, random_state
 
 K1 = TranslationKernel(1.0)
 
@@ -174,6 +175,26 @@ class TestGeodesic:
         path = geodesic_between(delta_state(0.0), delta_state(1.0))
         with pytest.raises(DomainError):
             geodesic_at(path, 1.5)
+        with pytest.raises(DomainError):
+            angles_from_start(path, np.array([0.0, 1.5]))
+
+    def test_sampled_angles_match_per_sample_path(self):
+        # below 1e-6 both sides read acos noise of an overlap within ulps of 1
+        rng = np.random.default_rng(11)
+        kc = ConfinedKernel(0.1, 1.0)
+        pairs = [(delta_state(0.0), delta_state(1e-3)), (delta_state(1.0), delta_state(1.0))]
+        for kernel in (K1, kc):
+            for make in (random_state, random_pair_state):
+                for _ in range(4):
+                    pairs.append((normalize(make(rng), kernel), normalize(make(rng), kernel)))
+        ts = np.linspace(0.0, 1.0, 41)
+        for a, b in pairs:
+            path = geodesic_between(a, b)
+            want = np.array([sphere_angle(a, geodesic_at(path, float(t))) for t in ts])
+            got = angles_from_start(path, ts)
+            resolved = want > 1e-6
+            np.testing.assert_allclose(got[resolved], want[resolved], rtol=0.0, atol=1e-9)
+            assert np.all(got[~resolved] <= 1e-6)
 
 
 class TestCollapseTime:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
@@ -425,7 +425,12 @@ def check_projection_is_local_maximum(data):
     kinds = ("delta", "packet", "wave") if isinstance(kernel, ConfinedKernel) \
         else ("delta", "packet")
     arity = 2 if manifold.is_pair else 1
-    state = normalize(data.draw(states(arity, 1, kinds)), kernel)
+    try:
+        state = normalize(data.draw(states(arity, 1, kinds)), kernel)
+    except DomainError:
+        # terms that cancel exactly, as in delta(0) delta(0) - delta(0) delta(0),
+        # leave no norm; normalize rightly refuses them
+        assume(False)
     coarse = data.draw(st.integers(5, 17))
     lo, hi = -6.0, 6.0
     result = nearest_classical_point(state, manifold, (lo, hi), coarse=coarse)

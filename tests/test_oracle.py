@@ -1,6 +1,7 @@
 """Tests for the quadrature oracle and finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError,
                          Packet, PlaneWave, StateExpr, TranslationKernel,
                          inner_product, primitive_overlap)
 from statesphere.oracle import (QuadratureRule, QuadratureSpec, _gauss_legendre,
-                                _nodes, finite_difference, quad_inner_product,
-                                quad_pair_overlap)
+                                _nodes, _quad_pair_level, _refine, finite_difference,
+                                quad_inner_product, quad_pair_overlap)
 
 K1 = TranslationKernel(1.0)
 KC = ConfinedKernel(0.1, 1.0)
@@ -73,8 +74,9 @@ class TestQuadPairOverlap:
 
     def test_undersized_box_raises(self):
         spec = QuadratureSpec(box_halfwidth=1.0)
-        with pytest.raises(BoxTooSmallError):
-            quad_pair_overlap(Packet((0.0,), 1.0), Packet((0.0,), 1.0), K1, spec)
+        for f in (Packet((0.0,), 1.0), Delta((0.0,))):  # a 2-d block, then a 1-d block
+            with pytest.raises(BoxTooSmallError):
+                quad_pair_overlap(f, Packet((0.0,), 1.0), K1, spec)
 
     def test_refinement_estimates_decrease(self):
         # a deliberately wide box keeps the early levels under-resolved, so
@@ -82,11 +84,67 @@ class TestQuadPairOverlap:
         f = Packet((0.4,), 0.5)
         g = Packet((-0.6,), 0.5)
         spec = QuadratureSpec(nodes_per_axis=33, refinement_levels=5, box_halfwidth=40.0)
-        from statesphere.oracle import _quad_pair_level, _refine
         _, _, history = _refine(lambda n: _quad_pair_level(f, g, K1, spec, n), spec)
         estimates = [abs(b - a) for a, b in zip(history, history[1:])]
         assert all(later < earlier for earlier, later in zip(estimates, estimates[1:]))
         assert estimates[-1] < 1e-10
+
+
+# Refinement histories (levels 257, 513, 1025) recorded from the complex-grid
+# implementation that evaluated the whole integrand on each 2-d block.
+_HISTORIES = {
+    "packet_packet_translation": (
+        (Packet((0.5,), 0.6, (1.2,)), Packet((-0.8,), 1.1, (-0.5,)), K1),
+        (1.4136930303442943+0.4507372168999706j), (1.4136930303442239+0.4507372168999469j),
+        (1.4136930303441557+0.4507372168999249j)),
+    "packet_packet_confined": (
+        (Packet((0.5,), 0.6, (1.2,)), Packet((-0.8,), 1.1, (-0.5,)), KC),
+        (1.0662014430377795+0.30220406667004757j), (1.066201443037726+0.3022040666700321j),
+        (1.0662014430376745+0.3022040666700173j)),
+    "wave_wave_confined": (
+        (PlaneWave((1.0,)), PlaneWave((-0.7,)), KC),
+        (0.1840029695075493+3.81725900925476e-15j), (0.1840029695075454+9.70861220052556e-16j),
+        (0.1840029695075332-1.5545613162018108e-15j)),
+    "wave_packet_confined": (
+        (PlaneWave((0.8,)), Packet((0.3,), 0.7, (-0.4,)), KC),
+        (1.8831593951690597+0.4730278092514589j), (1.8831593951689665+0.47302780925143445j),
+        (1.883159395168875+0.4730278092514114j)),
+    "delta_packet": (
+        (Delta((1.0,)), Packet((0.0,), 0.9, (0.3,)), K1),
+        (1.5567437981993582-0.29212834263051557j), (1.5567437981993186-0.29212834263050813j),
+        (1.5567437981992809-0.2921283426305011j)),
+    "packet_delta": (
+        (Packet((0.0,), 0.9, (0.3,)), Delta((1.0,)), KC),
+        (0.9725155402456596+0.21030694744211942j), (0.9725155402456345+0.210306947442114j),
+        (0.9725155402456113+0.21030694744210893j)),
+    "three_dimensional": (
+        (Packet((1.0, 0.0, -1.0), 0.8), Packet((0.0, 0.5, 0.0), 1.2, (0.4, 0.0, -0.4)), K1),
+        (88.62225856973524-42.428786249518495j), (88.6222585697217-42.428786249512j),
+        (88.62225856970895-42.42878624950589j)),
+}
+
+
+class TestQuadratureBlocks:
+    @pytest.mark.parametrize("name", sorted(_HISTORIES))
+    def test_refinement_history_matches_recorded(self, name):
+        (f, g, kernel), *want = _HISTORIES[name]
+        spec = QuadratureSpec()
+        _, _, history = _refine(lambda n: _quad_pair_level(f, g, kernel, spec, n), spec)
+        np.testing.assert_allclose(history, want, rtol=1e-13, atol=0.0)
+
+    def test_2d_block_holds_one_real_grid(self):
+        # tracemalloc sees numpy buffers
+        f = Packet((0.5,), 0.6, (1.2,))
+        g = Packet((-0.8,), 1.1, (-0.5,))
+        spec, n = QuadratureSpec(), 1025
+        _quad_pair_level(f, g, K1, spec, n)  # warm the node cache
+        tracemalloc.start()
+        try:
+            _quad_pair_level(f, g, K1, spec, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
 
 
 class TestGaussLegendreCache:
