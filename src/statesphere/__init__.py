@@ -30,5 +30,5 @@ from .manifolds import (ManifoldId, ProjectionResult, embed_momentum,
                         embed_position, gram_matrix, gram_min_eigenvalue,
                         manifold_member, manifold_separation,
                         nearest_classical_point)
-from .oracle import (QuadratureRule, QuadratureSpec, finite_difference,
-                     quad_inner_product, quad_pair_overlap)
+from .oracle import (QuadratureSpec, finite_difference, quad_inner_product,
+                     quad_pair_overlap)

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -111,10 +112,9 @@ def parse_primitive(text: str):
         return PlaneWave(_floats(rest))
     if kind == "packet":
         parts = rest.split(":")
-        if len(parts) == 2:
-            return Packet(_floats(parts[0]), float(parts[1]))
-        if len(parts) == 3:
-            return Packet(_floats(parts[0]), float(parts[1]), _floats(parts[2]))
+        if len(parts) in (2, 3):
+            (width,) = _floats(parts[1], 1)
+            return Packet(_floats(parts[0]), width, *map(_floats, parts[2:]))
     raise DomainError(f"bad primitive spec {text!r}")
 
 
@@ -130,7 +130,7 @@ def parse_state(text: str) -> StateExpr:
 
 
 # --------------------------------------------------------------------------
-# command implementations (config dict -> results dict [+ csv rows])
+# command implementations (config dict -> results dict, csv rows callable or None)
 # --------------------------------------------------------------------------
 
 def run_constants(config: dict):
@@ -166,7 +166,6 @@ def run_geodesic(config: dict):
     path = geodesic_between(start, end)
     units = UnitSystem()
     ts = np.linspace(0.0, 1.0, int(samples))
-    rows = [("t", "angle_from_start"), *zip(ts.tolist(), angles_from_start(path, ts).tolist())]
     results = {
         "theta": path.theta,
         "alignment_phase": path.alignment_phase,
@@ -174,7 +173,8 @@ def run_geodesic(config: dict):
         "collapse_time_s": collapse_time(path, units, config["speed"]),
         "speed_m_per_s": config["speed"] or units.light_speed_m_per_s,
     }
-    return results, rows
+    return results, lambda: [("t", "angle_from_start"),
+                             *zip(ts.tolist(), angles_from_start(path, ts).tolist())]
 
 
 def run_metric(config: dict):
@@ -196,6 +196,9 @@ def run_gram(config: dict):
         raise DomainError(f"box needs LO <= HI, got {config['box']!r}")
     if config["points"] is not None:
         points = [_floats(p) for p in config["points"].split(";")]
+        if len(points) > MAX_DISCRETIZATION:  # an n x n Gram matrix, as for --random
+            raise DomainError(f"--points must list at most {MAX_DISCRETIZATION} points, "
+                              f"got {len(points)}")
     else:
         # an n x n Gram matrix: the bound of an n-term EPR state's matrices
         count = _count(config, "random", 1, MAX_DISCRETIZATION)
@@ -235,8 +238,7 @@ def run_double_slit(config: dict):
         "total_arc_length": trajectory.total_arc_length,
         "segments": segments,
     }
-    rows = [("x", "intensity")] + [(x, i) for x, i in curve.points]
-    return results, rows
+    return results, lambda: [("x", "intensity"), *curve.points]
 
 
 def run_epr(config: dict):
@@ -254,23 +256,25 @@ def run_epr(config: dict):
     if config["profile"] != "none" and len(config["a_values"]) * count > MAX_POINTS:
         raise DomainError(f"--a-values times the --grid COUNT must be at most {MAX_POINTS} "
                           f"(one ridge scan per value), got {len(config['a_values'])} x {count}")
-    units = UnitSystem()
     results: dict = {}
     rows = None
     # one normalized pair state per kernel, shared by profile and collapse
     state_under = functools.cache(lambda kernel: build_epr_state(cfg, kernel))
     if config["profile"] == "position":
         state = state_under(cfg.position_kernel).expr
-        rows = [("a", "b", "overlap")]
+        profiles = []  # (a, profile) per a-value, repeats included
         ridges = []
         for a in config["a_values"]:
             grid = np.linspace(cfg.x0 + a + lo, cfg.x0 + a + hi, count)
             profile = position_correlation_profile(state, cfg, a, grid)
-            rows += [(a, b, v) for b, v in profile]
+            profiles.append((a, profile))
             best = max(profile, key=lambda bv: bv[1])
             ridges.append({"a": a, "argmax_b": best[0], "expected_b": cfg.x0 + a,
                            "grid_step": float(grid[1] - grid[0])})
         results["position_ridge"] = ridges
+
+        def rows():
+            return [("a", "b", "overlap"), *((a, b, v) for a, p in profiles for b, v in p)]
     elif config["profile"] == "momentum":
         if count**2 > MAX_POINTS:  # the profile scans every (q1, q2) pair
             raise DomainError(f"--grid COUNT must be at most {math.isqrt(MAX_POINTS)} "
@@ -282,7 +286,6 @@ def run_epr(config: dict):
         state = state_under(cfg.momentum_kernel)
         qs = np.linspace(lo, hi, count)
         profile = momentum_correlation_profile(state, cfg, qs)
-        rows = [("q1", "q2", "overlap")] + [(q1, q2, v) for (q1, q2), v in profile]
         overlap = ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)
         ridges = []  # one row (q1, qs) each, so q1 need not be a grid point
         for q1 in config["a_values"]:
@@ -290,13 +293,16 @@ def run_epr(config: dict):
             ridges.append({"q1": q1, "argmax_q2": float(qs[row.argmax()]), "expected_q2": -q1,
                            "grid_step": float(qs[1] - qs[0])})
         results["momentum_ridge"] = ridges
+
+        def rows():
+            return [("q1", "q2", "overlap"), *((q1, q2, v) for (q1, q2), v in profile)]
     if cfg.measured_position is not None:
         path = position_collapse(state_under(cfg.position_kernel), cfg.measured_position, cfg)
         results["position_collapse"] = {
             "a": cfg.measured_position,
             "partner_point": cfg.x0 + cfg.measured_position,
             "arc_length": arc_length(path),
-            "collapse_time_s": collapse_time(path, units),
+            "collapse_time_s": collapse_time(path),
         }
     if cfg.measured_momentum is not None:
         path = momentum_collapse(state_under(cfg.momentum_kernel), cfg.measured_momentum, cfg)
@@ -304,7 +310,7 @@ def run_epr(config: dict):
             "q": cfg.measured_momentum,
             "partner_momentum": -cfg.measured_momentum,
             "arc_length": arc_length(path),
-            "collapse_time_s": collapse_time(path, units),
+            "collapse_time_s": collapse_time(path),
         }
     return results, rows
 
@@ -367,8 +373,9 @@ _RUNNERS = {
 }
 
 
-def run_record(command: str, config: dict) -> tuple[dict, list | None]:
-    """Execute a command from its resolved config; returns (record, csv rows)."""
+def run_record(command: str, config: dict) -> tuple[dict, Callable[[], list] | None]:
+    """Execute a command from its resolved config; returns the record and a
+    callable that builds its csv rows (None for commands without a curve)."""
     if command not in _RUNNERS:
         raise DomainError(f"unknown command {command!r}")
     results, rows = _RUNNERS[command](config)
@@ -499,7 +506,7 @@ def main(argv=None) -> int:
         return code
     if csv_path and rows:
         with open(csv_path, "w", newline="") as handle:
-            csv.writer(handle).writerows(rows)
+            csv.writer(handle).writerows(rows())
         record["csv_path"] = csv_path
     print(json.dumps(record))
     return 0

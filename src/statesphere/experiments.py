@@ -1,11 +1,10 @@
 """End-to-end scenario builders: the double-slit trajectory with detector
 intensity, and the entangled pair with position/momentum collapse.
 
-Both scenarios are kinematic.  Propagation segments translate packet centers
-uniformly at fixed width (an optional flag applies the free-Gaussian width
-spreading law), the slit screen interpolates linearly in state space between
-the incoming packet and the two-slit superposition, and every measurement is
-a geodesic collapse onto a classical-manifold state.
+Both scenarios are kinematic.  A propagation segment holds one state, the
+slit screen interpolates linearly in state space between the incoming packet
+and the two-slit superposition, and every measurement is a geodesic collapse
+onto a classical-manifold state.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ import numpy as np
 
 from .algebra import Delta, Packet, StateExpr, _finite_complex, blend
 from .errors import DomainError
-from .geometry import (GeodesicPath, SphereState, UnitSystem, collapse_time,
-                       geodesic_at, geodesic_between, normalize, sphere_angle)
+from .geometry import (GeodesicPath, SphereState, collapse_time, geodesic_at,
+                       geodesic_between, normalize, sphere_angle)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
                       _positive)
 from .manifolds import (ManifoldId, ManifoldOverlap, embed_pair_momentum,
@@ -29,6 +28,10 @@ from .manifolds import (ManifoldId, ManifoldOverlap, embed_pair_momentum,
 # --------------------------------------------------------------------------
 # double slit
 # --------------------------------------------------------------------------
+
+SEGMENT_SAMPLES = 9  # states sampled along each trajectory segment
+_SLIT_KERNEL = TranslationKernel(1.0)
+
 
 @dataclass(frozen=True)
 class SlitConfig:
@@ -47,9 +50,6 @@ class SlitConfig:
     detector_grid: tuple[float, float, int] = (-30.0, 30.0, 1201)
     which_path: bool = False
     detected_point: float | None = None
-    source_center: float | None = None
-    samples_per_segment: int = 9
-    spread_widths: bool = False
 
     def __post_init__(self):
         x1, x2 = (_finite(x, "slit_positions") for x in self.slit_positions)
@@ -62,14 +62,12 @@ class SlitConfig:
         object.__setattr__(self, "coefficients", (c1, c2))
         for name in ("packet_width", "wavenumber", "screen_to_detector"):
             object.__setattr__(self, name, _positive(getattr(self, name), name))
-        for name in ("detected_point", "source_center"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _finite(getattr(self, name), name))
+        if self.detected_point is not None:
+            object.__setattr__(self, "detected_point", _finite(self.detected_point, "detected_point"))
         lo, hi, count = self.detector_grid
-        if not (-math.inf < lo < hi < math.inf and int(count) >= 2):
-            raise DomainError("detector grid needs finite lo < hi and at least 2 points")
-        if self.samples_per_segment < 2:
-            raise DomainError("need at least 2 samples per segment")
+        if not (-math.inf < lo < hi < math.inf and type(count) is int and count >= 2):
+            raise DomainError(f"detector_grid needs finite lo < hi and an integer count >= 2, "
+                              f"got {self.detector_grid!r}")
 
     @property
     def slit_midpoint(self) -> float:
@@ -91,17 +89,12 @@ class SlitConfig:
     def predicted_fringe_spacing(self) -> float:
         return 2.0 * math.pi * self.screen_to_detector / (self.wavenumber * self.slit_separation)
 
-    def spread_width(self, fraction: float) -> float:
-        """Packet width after free spreading over `fraction` of the flight
-        from the screen to the detector."""
-        w = self.packet_width
-        flight = fraction * self.screen_to_detector / self.wavenumber
-        return w * math.sqrt(1.0 + (flight / (2.0 * w * w)) ** 2)
-
     @property
     def detector_envelope_width(self) -> float:
         """Packet width after free spreading over the flight to the detector."""
-        return self.spread_width(1.0)
+        w = self.packet_width
+        flight = self.screen_to_detector / self.wavenumber
+        return w * math.sqrt(1.0 + (flight / (2.0 * w * w)) ** 2)
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,7 @@ def _fringe_summary(xs: np.ndarray, intensity: np.ndarray, mid: float, spacing: 
 def _intensity(cfg: SlitConfig, sources) -> tuple[np.ndarray, np.ndarray]:
     """Detector grid and intensity of the (coefficient, slit position) sources."""
     lo, hi, count = cfg.detector_grid
-    xs = np.linspace(lo, hi, int(count))
+    xs = np.linspace(lo, hi, count)
     length = cfg.screen_to_detector
     w_env = cfg.detector_envelope_width
     amplitude = np.zeros(len(xs), dtype=complex)
@@ -227,12 +220,11 @@ def _polyline_arc(states) -> float:
     return sum(sphere_angle(a, b) for a, b in zip(states, states[1:]))
 
 
-def build_double_slit_trajectory(cfg: SlitConfig,
-                                 kernel: KernelSpec = TranslationKernel(1.0),
-                                 units: UnitSystem = UnitSystem()) -> Trajectory:
-    """Full state-space trajectory through the double-slit scenario.
+def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
+    """Full state-space trajectory through the double-slit scenario, under
+    the unit translation kernel.
 
-    Segments: (1) propagation of the source packet to the screen, (2) the
+    Segments: (1) propagation of the packet arriving at the screen, (2) the
     slit split, interpolated linearly in state space with per-sample
     renormalization, (3) propagation of the superposition toward the
     detector, (4) geodesic collapse onto the packet at the detected point.
@@ -240,32 +232,24 @@ def build_double_slit_trajectory(cfg: SlitConfig,
     targeting the slit the detector curve keeps, after which the single
     surviving packet propagates to the detector.
     """
-    n = cfg.samples_per_segment
+    n = SEGMENT_SAMPLES
     w = cfg.packet_width
     x1, x2 = cfg.slit_positions
     c1, c2 = cfg.coefficients
-    mid = cfg.arrival_center
-    src = mid if cfg.source_center is None else float(cfg.source_center)
     curve = detector_intensity(cfg)
     detected = curve.detected_point
     box = (min(x1, x2, detected) - 6.0 * w - 2.0, max(x1, x2, detected) + 6.0 * w + 2.0)
 
-    def packet_state(center, width=w):
-        return normalize(StateExpr.single(Packet((center,), width)), kernel)
+    def packet_state(center):
+        return normalize(StateExpr.single(Packet((center,), w)), _SLIT_KERNEL)
 
-    def superposition(width):
-        return normalize(blend(c1, StateExpr.single(Packet((x1,), width)),
-                               c2, StateExpr.single(Packet((x2,), width))), kernel)
-
-    # (1) source -> screen
-    seg1_states = [packet_state(src + t * (mid - src)) for t in np.linspace(0.0, 1.0, n)]
-
-    # (2) refraction: packet -> normalized two-slit superposition
-    arrived = seg1_states[-1]
-    split = superposition(w)
+    arrived = packet_state(cfg.arrival_center)
+    split = normalize(blend(c1, StateExpr.single(Packet((x1,), w)),
+                            c2, StateExpr.single(Packet((x2,), w))), _SLIT_KERNEL)
+    # refraction: packet -> normalized two-slit superposition
     seg2_states = [arrived]
     for t in np.linspace(0.0, 1.0, n)[1:-1]:
-        seg2_states.append(normalize(blend(1.0 - t, arrived.expr, t, split.expr), kernel))
+        seg2_states.append(normalize(blend(1.0 - t, arrived.expr, t, split.expr), _SLIT_KERNEL))
     seg2_states.append(split)
 
     # residual angle per distinct sample state, shared by all segments
@@ -277,14 +261,14 @@ def build_double_slit_trajectory(cfg: SlitConfig,
             if s not in residuals:
                 residuals[s] = nearest_classical_point(
                     s, ManifoldId.POSITION, box, coarse=41).residual_angle
-        time = collapse_time(path, units) if path is not None else None
+        time = collapse_time(path) if path is not None else None
         return TrajectorySegment(kind=kind, samples=samples,
                                  arc_length=_polyline_arc(states),
                                  max_residual_angle=max(residuals[s] for s in states),
                                  collapse_time_s=time)
 
     segments = [
-        segment(SegmentKind.PROPAGATION, 0.0, seg1_states),
+        segment(SegmentKind.PROPAGATION, 0.0, [arrived] * n),
         segment(SegmentKind.REFRACTION_SPLIT, 1.0, seg2_states),
     ]
 
@@ -295,28 +279,13 @@ def build_double_slit_trajectory(cfg: SlitConfig,
         return segment(SegmentKind.COLLAPSE, offset, states, path)
 
     if cfg.which_path:
-        slit = curve.which_path_slit
-        seg3 = collapse_segment(2.0, split, packet_state(slit))
-        last = seg3.samples[-1][1]
-        if cfg.spread_widths:
-            seg4_states = [last] + [packet_state(slit, cfg.spread_width(t))
-                                    for t in np.linspace(0.0, 1.0, n)[1:]]
-        else:
-            seg4_states = [last] * n
-        segments.append(seg3)
-        segments.append(segment(SegmentKind.PROPAGATION, 3.0, seg4_states))
+        seg3 = collapse_segment(2.0, split, packet_state(curve.which_path_slit))
+        segments += [seg3, segment(SegmentKind.PROPAGATION, 3.0, [seg3.samples[-1][1]] * n)]
     else:
-        if cfg.spread_widths:
-            seg3_states = [split] + [superposition(cfg.spread_width(t))
-                                     for t in np.linspace(0.0, 1.0, n)[1:]]
-        else:
-            seg3_states = [split] * n
-        segments.append(segment(SegmentKind.PROPAGATION, 2.0, seg3_states))
-        arriving = seg3_states[-1]
-        target = packet_state(detected, cfg.detector_envelope_width if cfg.spread_widths else w)
-        segments.append(collapse_segment(3.0, arriving, target))
+        segments += [segment(SegmentKind.PROPAGATION, 2.0, [split] * n),
+                     collapse_segment(3.0, split, packet_state(detected))]
 
-    return Trajectory(segments=tuple(segments), detector=curve, kernel=kernel)
+    return Trajectory(segments=tuple(segments), detector=curve, kernel=_SLIT_KERNEL)
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -114,7 +114,6 @@ class MetricReport:
     deviation: float
     reference: MetricReference
     reference_factor: float = 1.0
-    step: float = field(default=1e-3, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -133,14 +132,12 @@ def _metric_reference(kernel: KernelSpec) -> tuple[MetricReference, float]:
     return MetricReference.SCALED_EUCLIDEAN, 2.0 * kernel.beta
 
 
-def induced_metric(kernel: KernelSpec, at, h: float = 1e-3,
-                   richardson: bool = True) -> MetricReport:
+def induced_metric(kernel: KernelSpec, at, h: float = 1e-3) -> MetricReport:
     """Metric induced on the manifold of position states, by finite differences.
 
     Each component is the central mixed second difference of the kernel,
-    d^2 k(x, y) / dx_i dy_k evaluated at x = y = `at`, with O(h^2) error.  By
-    default one Richardson step over {h, h/2} cancels the leading error term;
-    pass richardson=False for the bare stencil.
+    d^2 k(x, y) / dx_i dy_k evaluated at x = y = `at`, with O(h^2) error; one
+    Richardson step over {h, h/2} cancels the leading error term.
     """
     from .oracle import finite_difference
 
@@ -161,12 +158,12 @@ def induced_metric(kernel: KernelSpec, at, h: float = 1e-3,
                 g[i, k] = finite_difference(f, (pt, pt), (i, k), step)
         return g
 
-    g = (4.0 * stencil(h / 2.0) - stencil(h)) / 3.0 if richardson else stencil(h)
+    g = (4.0 * stencil(h / 2.0) - stencil(h)) / 3.0
     g = 0.5 * (g + g.T)  # stencil is symmetric up to rounding
     reference, factor = _metric_reference(kernel)
     deviation = float(np.max(np.abs(g - factor * np.eye(d))))
     return MetricReport(point=point, matrix=g, deviation=deviation,
-                        reference=reference, reference_factor=factor, step=h)
+                        reference=reference, reference_factor=factor)
 
 
 def norm_ratio(phi, kernel: TranslationKernel) -> float:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -31,11 +30,6 @@ from .kernels import KernelSpec, kernel_coefficients, kernel_value
 
 BOUNDARY_DECAY = 1e-16
 _PAD = 10.0  # box half-extent in units of 1/sqrt(marginal curvature)
-
-
-class QuadratureRule(Enum):
-    TRAPEZOID = "trapezoid"
-    GAUSS_LEGENDRE = "gauss-legendre"
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,6 @@ class QuadratureSpec:
 
     box_halfwidth: float | None = None
     nodes_per_axis: int = 257
-    rule: QuadratureRule = QuadratureRule.GAUSS_LEGENDRE
     refinement_levels: int = 3
 
     def __post_init__(self):
@@ -69,16 +62,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _nodes(rule: QuadratureRule, lo: float, hi: float, n: int):
-    if rule is QuadratureRule.GAUSS_LEGENDRE:
-        x, w = _gauss_legendre(n)
-        half = 0.5 * (hi - lo)
-        return lo + half * (x + 1.0), half * w
-    x = np.linspace(lo, hi, n)
-    w = np.full(n, x[1] - x[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return x, w
+def _nodes(lo: float, hi: float, n: int):
+    x, w = _gauss_legendre(n)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
 
 
 def _quad_weight(prim: Primitive) -> float:
@@ -132,11 +119,11 @@ def _boxes_2d(f, g, kernel, axis, halfwidth):
     return (x_star - pad_x, x_star + pad_x), (y_star - pad_y, y_star + pad_y)
 
 
-def _quad_block_2d(f, g, kernel, axis, rule, n, halfwidth):
+def _quad_block_2d(f, g, kernel, axis, n, halfwidth):
     conf, pair = kernel_coefficients(kernel)
     box_x, box_y = _boxes_2d(f, g, kernel, axis, halfwidth)
-    x, wx = _nodes(rule, *box_x, n)
-    y, wy = _nodes(rule, *box_y, n)
+    x, wx = _nodes(*box_x, n)
+    y, wy = _nodes(*box_y, n)
     # |integrand| in place in one real n x n array; x^2 + y^2 - 2xy would cancel
     magnitude = np.subtract.outer(x, y)
     np.square(magnitude, out=magnitude)
@@ -150,14 +137,14 @@ def _quad_block_2d(f, g, kernel, axis, rule, n, halfwidth):
     return complex(_phased(f, axis, x, wx, conjugate=False) @ (mv[:, 0] + 1j * mv[:, 1]))
 
 
-def _quad_block_1d(free, conjugate, kernel, axis, anchor, rule, n, halfwidth):
+def _quad_block_1d(free, conjugate, kernel, axis, anchor, n, halfwidth):
     conf, pair = kernel_coefficients(kernel)
     s = _quad_weight(free)
     curv = 2.0 * (conf + pair + s)
     lin = 2.0 * pair * anchor + 2.0 * s * _real_anchor(free, axis)
     t_star = lin / curv
     pad = halfwidth if halfwidth is not None else _PAD / math.sqrt(curv)
-    t, w = _nodes(rule, t_star - pad, t_star + pad, n)
+    t, w = _nodes(t_star - pad, t_star + pad, n)
     magnitude = np.exp(-conf * (anchor**2 + t**2) - pair * (anchor - t) ** 2
                        + _envelope(free, axis, t))
     _check_boundary(magnitude)
@@ -174,10 +161,10 @@ def _quad_pair_level(f: Primitive, g: Primitive, kernel, spec, n: int) -> comple
             anchors, free, conjugate = g.center, f, False
         for axis in range(d):
             value *= _quad_block_1d(free, conjugate, kernel, axis, anchors[axis],
-                                    spec.rule, n, spec.box_halfwidth)
+                                    n, spec.box_halfwidth)
         return value
     for axis in range(d):
-        value *= _quad_block_2d(f, g, kernel, axis, spec.rule, n, spec.box_halfwidth)
+        value *= _quad_block_2d(f, g, kernel, axis, n, spec.box_halfwidth)
     return value
 
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import time
 from pathlib import Path
@@ -9,6 +11,9 @@ from pathlib import Path
 from helpers import run_python
 from statesphere import cli
 from statesphere.cli import main
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -145,6 +150,35 @@ def test_geodesic_samples_in_one_pass(capsys):
     assert elapsed < 0.5  # one sphere_angle per sample took about 5 s
 
 
+def test_csv_rows_built_only_for_csv(tmp_path: Path, monkeypatch, capsys):
+    angles = cli.angles_from_start
+    calls = []
+    monkeypatch.setattr(cli, "angles_from_start", lambda *args: calls.append(args) or angles(*args))
+    argv = ["geodesic", "--delta", "0", "--delta", "1", "--samples", "5"]
+    assert main(argv) == 0
+    assert calls == []
+    out = tmp_path / "path.csv"
+    assert main(argv + ["--csv", str(out)]) == 0
+    assert len(calls) == 1
+    assert len(out.read_text().splitlines()) == 6
+    capsys.readouterr()
+
+
+def test_readme_commands_run(tmp_path: Path, capsys):
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    commands = [line for line in block.splitlines() if line.startswith("statesphere ")]
+    assert commands
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        if "--csv" in argv:
+            at = argv.index("--csv") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0, line
+        capsys.readouterr()
+        if "--csv" in argv:
+            assert Path(argv[argv.index("--csv") + 1]).exists(), line
+
+
 def test_oracle_verify():
     record = record_of(run_cli("oracle-verify", "--count", "6", "--seed", "3"))
     assert record["results"]["passed"] is True
@@ -195,6 +229,9 @@ MALFORMED = [
     "double-slit --coeffs infj,1",
     "epr --n 100000000000000000000",
     "epr --n 1025",
+    "distance --packet 0:abc --delta 1",
+    "distance --state 1@packet:0:abc --delta 1",
+    "distance --packet 0:1,2 --delta 1",
 ]
 
 # (argv, flag the error message must name): counts beyond the CLI's bounds
@@ -211,6 +248,8 @@ OUT_OF_RANGE = [
     ("epr --grid=-2,2,100001", "--grid"),
     ("epr --profile momentum --grid=-2,2,317", "--grid"),
     ("oracle-verify --count 100001", "--count"),
+    # a list of n points builds an n x n Gram matrix, as --random does
+    ("gram --points " + ";".join(str(i) for i in range(1025)), "--points"),
     # one ridge scan of COUNT points per a-value
     ("epr --n 8 --a-values=" + ",".join(["0"] * 300) + " --grid=-2,2,100000", "--a-values"),
     ("epr --n 8 --profile momentum --a-values=" + ",".join(["0"] * 317) + " --grid=-2,2,316",
@@ -260,7 +299,8 @@ def test_out_of_range_count_names_flag(capsys):
 
 
 def test_counts_at_their_bounds_run(capsys):
-    for argv in ("gram --random 1024 --dim 1", "epr --profile momentum --grid=-2,2,316 --n 8",
+    for argv in ("gram --random 1024 --dim 1", "gram --points " + ";".join(map(str, range(1024))),
+                 "epr --profile momentum --grid=-2,2,316 --n 8",
                  "epr --n 8 --a-values=" + ",".join(["0"] * 10) + " --grid=-2,2,10000"):
         assert main(argv.split()) == 0, argv
     capsys.readouterr()

@@ -92,17 +92,6 @@ class TestInducedMetric:
         report = induced_metric(ConfinedKernel(alpha, beta), point)
         np.testing.assert_allclose(report.matrix, expected, atol=1e-8)
 
-    def test_bare_stencil_converges_at_second_order(self):
-        kernel = TranslationKernel(1.3)
-        point = (0.4, -0.9)
-        exact = np.eye(2) / 1.3**2
-        errors = []
-        for h in (0.2, 0.1, 0.05, 0.025):
-            report = induced_metric(kernel, point, h=h, richardson=False)
-            errors.append(np.max(np.abs(report.matrix - exact)))
-        for coarse, fine in zip(errors, errors[1:]):
-            assert 2.8 <= coarse / fine <= 5.5
-
 
 class TestNormRatio:
     def test_wide_packet_ratio_near_one(self):

@@ -10,8 +10,8 @@ from helpers import run_python
 from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError,
                          Packet, PlaneWave, StateExpr, TranslationKernel,
                          inner_product, primitive_overlap)
-from statesphere.oracle import (QuadratureRule, QuadratureSpec, _gauss_legendre,
-                                _nodes, _quad_pair_level, _refine, finite_difference,
+from statesphere.oracle import (QuadratureSpec, _gauss_legendre, _nodes,
+                                _quad_pair_level, _refine, finite_difference,
                                 quad_inner_product, quad_pair_overlap)
 
 K1 = TranslationKernel(1.0)
@@ -63,14 +63,6 @@ class TestQuadPairOverlap:
         closed = primitive_overlap(f, g, K1)
         value, _ = quad_pair_overlap(f, g, K1, QuadratureSpec(nodes_per_axis=129))
         np.testing.assert_allclose(value, closed, rtol=1e-7)
-
-    def test_trapezoid_rule_also_converges(self):
-        f = Packet((0.0,), 1.0)
-        g = Packet((1.0,), 1.0)
-        closed = primitive_overlap(f, g, K1)
-        spec = QuadratureSpec(rule=QuadratureRule.TRAPEZOID, nodes_per_axis=513)
-        value, _ = quad_pair_overlap(f, g, K1, spec)
-        np.testing.assert_allclose(value, closed, rtol=1e-8)
 
     def test_undersized_box_raises(self):
         spec = QuadratureSpec(box_halfwidth=1.0)
@@ -154,7 +146,7 @@ class TestGaussLegendreCache:
         for n in (33, 257, 513):
             x, w = np.polynomial.legendre.leggauss(n)
             for _ in range(2):  # cold, then warm
-                got_x, got_w = _nodes(QuadratureRule.GAUSS_LEGENDRE, lo, hi, n)
+                got_x, got_w = _nodes(lo, hi, n)
                 assert got_x.tobytes() == (lo + half * (x + 1.0)).tobytes()
                 assert got_w.tobytes() == (half * w).tobytes()
 
@@ -183,16 +175,6 @@ class TestGaussLegendreCache:
                               "print(o._gauss_legendre.cache_info().currsize)")
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "0"
-
-    def test_trapezoid_rule_bypasses_cache(self):
-        f = Packet((0.0,), 1.0)
-        g = Packet((1.0,), 1.0)
-        spec = QuadratureSpec(rule=QuadratureRule.TRAPEZOID, nodes_per_axis=129)
-        _gauss_legendre.cache_clear()
-        cold = quad_pair_overlap(f, g, K1, spec)
-        assert _gauss_legendre.cache_info().currsize == 0
-        quad_pair_overlap(f, g, K1)
-        assert quad_pair_overlap(f, g, K1, spec) == cold
 
 
 class TestQuadInnerProduct:
