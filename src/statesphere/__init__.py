@@ -29,6 +29,6 @@ from .manifolds import (ManifoldId, ProjectionResult, embed_momentum,
                         embed_pair_momentum, embed_pair_position,
                         embed_position, gram_matrix, gram_min_eigenvalue,
                         manifold_member, manifold_separation,
-                        nearest_classical_point)
+                        nearest_classical_point, nearest_classical_points)
 from .oracle import (QuadratureSpec, finite_difference, quad_inner_product,
                      quad_pair_overlap)

@@ -30,7 +30,7 @@ from .geometry import (UnitSystem, angles_from_start, arc_length, collapse_time,
                        fs_angle, geodesic_between, normalize, sphere_angle,
                        state_overlap)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
-                      induced_metric)
+                      _metric_step, induced_metric)
 from .manifolds import ManifoldId, ManifoldOverlap, gram_min_eigenvalue
 from .oracle import QuadratureSpec, quad_inner_product
 
@@ -179,7 +179,7 @@ def run_geodesic(config: dict):
 
 def run_metric(config: dict):
     kernel = parse_kernel(config["kernel"])
-    report = induced_metric(kernel, config["at"], config["step"])
+    report = induced_metric(kernel, config["at"], _metric_step(kernel, config["step"], "--step"))
     return {
         "point": list(report.point),
         "matrix": report.matrix.tolist(),
@@ -261,12 +261,13 @@ def run_epr(config: dict):
     # one normalized pair state per kernel, shared by profile and collapse
     state_under = functools.cache(lambda kernel: build_epr_state(cfg, kernel))
     if config["profile"] == "position":
-        state = state_under(cfg.position_kernel).expr
+        overlap = ManifoldOverlap(state_under(cfg.position_kernel).expr, cfg.position_kernel,
+                                  ManifoldId.POSITION_PAIR)
         profiles = []  # (a, profile) per a-value, repeats included
         ridges = []
         for a in config["a_values"]:
             grid = np.linspace(cfg.x0 + a + lo, cfg.x0 + a + hi, count)
-            profile = position_correlation_profile(state, cfg, a, grid)
+            profile = position_correlation_profile(overlap, cfg, a, grid)
             profiles.append((a, profile))
             best = max(profile, key=lambda bv: bv[1])
             ridges.append({"a": a, "argmax_b": best[0], "expected_b": cfg.x0 + a,
@@ -285,8 +286,8 @@ def run_epr(config: dict):
                                   f"outside the --grid range [{lo!r}, {hi!r}]")
         state = state_under(cfg.momentum_kernel)
         qs = np.linspace(lo, hi, count)
-        profile = momentum_correlation_profile(state, cfg, qs)
         overlap = ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)
+        profile = momentum_correlation_profile(overlap, cfg, qs)
         ridges = []  # one row (q1, qs) each, so q1 need not be a grid point
         for q1 in config["a_values"]:
             row = np.abs(overlap(np.column_stack([np.full(count, q1), qs])))

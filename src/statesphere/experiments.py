@@ -22,7 +22,7 @@ from .geometry import (GeodesicPath, SphereState, collapse_time, geodesic_at,
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
                       _positive)
 from .manifolds import (ManifoldId, ManifoldOverlap, embed_pair_momentum,
-                        embed_pair_position, nearest_classical_point)
+                        embed_pair_position, nearest_classical_points)
 
 
 # --------------------------------------------------------------------------
@@ -217,7 +217,10 @@ class Trajectory:
 
 
 def _polyline_arc(states) -> float:
-    return sum(sphere_angle(a, b) for a, b in zip(states, states[1:]))
+    """Summed angles between consecutive states, each pair of objects measured once."""
+    pairs = {(id(a), id(b)): (a, b) for a, b in zip(states, states[1:])}
+    angles = {key: sphere_angle(a, b) for key, (a, b) in pairs.items()}
+    return sum(angles[id(a), id(b)] for a, b in zip(states, states[1:]))
 
 
 def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
@@ -230,8 +233,8 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     detector, (4) geodesic collapse onto the packet at the detected point.
     A which-path measurement moves the collapse directly behind the split,
     targeting the slit the detector curve keeps, after which the single
-    surviving packet propagates to the detector.
-    """
+    surviving packet propagates to the detector.  One batch projects all
+    distinct sample states."""
     n = SEGMENT_SAMPLES
     w = cfg.packet_width
     x1, x2 = cfg.slit_positions
@@ -243,49 +246,38 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     def packet_state(center):
         return normalize(StateExpr.single(Packet((center,), w)), _SLIT_KERNEL)
 
+    def collapse_leg(start_state, target_state):
+        path = geodesic_between(start_state, target_state)
+        states = [geodesic_at(path, t) for t in np.linspace(0.0, 1.0, n)]
+        states[0], states[-1] = path.start, path.end_aligned
+        return SegmentKind.COLLAPSE, states, path
+
     arrived = packet_state(cfg.arrival_center)
     split = normalize(blend(c1, StateExpr.single(Packet((x1,), w)),
                             c2, StateExpr.single(Packet((x2,), w))), _SLIT_KERNEL)
     # refraction: packet -> normalized two-slit superposition
-    seg2_states = [arrived]
-    for t in np.linspace(0.0, 1.0, n)[1:-1]:
-        seg2_states.append(normalize(blend(1.0 - t, arrived.expr, t, split.expr), _SLIT_KERNEL))
-    seg2_states.append(split)
-
-    # residual angle per distinct sample state, shared by all segments
-    residuals = {}
-
-    def segment(kind, offset, states, path=None):
-        samples = tuple((offset + j / (len(states) - 1), s) for j, s in enumerate(states))
-        for s in states:
-            if s not in residuals:
-                residuals[s] = nearest_classical_point(
-                    s, ManifoldId.POSITION, box, coarse=41).residual_angle
-        time = collapse_time(path) if path is not None else None
-        return TrajectorySegment(kind=kind, samples=samples,
-                                 arc_length=_polyline_arc(states),
-                                 max_residual_angle=max(residuals[s] for s in states),
-                                 collapse_time_s=time)
-
-    segments = [
-        segment(SegmentKind.PROPAGATION, 0.0, [arrived] * n),
-        segment(SegmentKind.REFRACTION_SPLIT, 1.0, seg2_states),
-    ]
-
-    def collapse_segment(offset, start_state, target_state):
-        path = geodesic_between(start_state, target_state)
-        states = [geodesic_at(path, t) for t in np.linspace(0.0, 1.0, n)]
-        states[0], states[-1] = path.start, path.end_aligned
-        return segment(SegmentKind.COLLAPSE, offset, states, path)
-
+    refraction = [arrived, *(normalize(blend(1.0 - t, arrived.expr, t, split.expr), _SLIT_KERNEL)
+                             for t in np.linspace(0.0, 1.0, n)[1:-1]), split]
+    legs = [(SegmentKind.PROPAGATION, [arrived] * n, None),
+            (SegmentKind.REFRACTION_SPLIT, refraction, None)]
     if cfg.which_path:
-        seg3 = collapse_segment(2.0, split, packet_state(curve.which_path_slit))
-        segments += [seg3, segment(SegmentKind.PROPAGATION, 3.0, [seg3.samples[-1][1]] * n)]
+        collapse = collapse_leg(split, packet_state(curve.which_path_slit))
+        legs += [collapse, (SegmentKind.PROPAGATION, [collapse[1][-1]] * n, None)]
     else:
-        segments += [segment(SegmentKind.PROPAGATION, 2.0, [split] * n),
-                     collapse_segment(3.0, split, packet_state(detected))]
+        legs += [(SegmentKind.PROPAGATION, [split] * n, None),
+                 collapse_leg(split, packet_state(detected))]
 
-    return Trajectory(segments=tuple(segments), detector=curve, kernel=_SLIT_KERNEL)
+    distinct = list(dict.fromkeys(s for _, states, _ in legs for s in states))
+    projections = nearest_classical_points(distinct, ManifoldId.POSITION, box, coarse=41)
+    residual = {s: p.residual_angle for s, p in zip(distinct, projections)}
+    segments = tuple(
+        TrajectorySegment(kind=kind,
+                          samples=tuple((offset + j / (n - 1), s) for j, s in enumerate(states)),
+                          arc_length=_polyline_arc(states),
+                          max_residual_angle=max(residual[s] for s in states),
+                          collapse_time_s=None if path is None else collapse_time(path))
+        for offset, (kind, states, path) in enumerate(legs))
+    return Trajectory(segments=segments, detector=curve, kernel=_SLIT_KERNEL)
 
 
 # --------------------------------------------------------------------------
@@ -355,16 +347,18 @@ def build_epr_state(cfg: EPRConfig,
     return normalize(StateExpr(terms), kernel)
 
 
-def position_correlation_profile(state: StateExpr, cfg: EPRConfig, a: float,
+def position_correlation_profile(state: StateExpr | ManifoldOverlap, cfg: EPRConfig, a: float,
                                  b_grid) -> list[tuple[float, float]]:
     """Real overlap of the pair state with normalized point pairs (a, b).
 
     The profile over b peaks at b = x0 + a up to the envelope regularization
     bias a / (envelope_width^2 + 1), which stays within one grid step for
-    grids at least that coarse.
+    grids at least that coarse.  `state` may also be its compiled
+    position-pair `ManifoldOverlap`.
     """
     bs = np.asarray(b_grid, dtype=float)
-    overlap = ManifoldOverlap(state, cfg.position_kernel, ManifoldId.POSITION_PAIR)
+    overlap = state if isinstance(state, ManifoldOverlap) else \
+        ManifoldOverlap(state, cfg.position_kernel, ManifoldId.POSITION_PAIR)
     values = overlap(np.column_stack([np.full(len(bs), float(a)), bs]))
     return list(zip(bs.tolist(), values.real.tolist()))
 
@@ -385,16 +379,18 @@ def momentum_collapse(state: SphereState, q: float, cfg: EPRConfig) -> GeodesicP
     return geodesic_between(state, target)
 
 
-def momentum_correlation_profile(state: SphereState, cfg: EPRConfig,
+def momentum_correlation_profile(state: SphereState | ManifoldOverlap, cfg: EPRConfig,
                                  q_grid) -> list[tuple[tuple[float, float], float]]:
     """Normalized overlap modulus with plane-wave pairs on a momentum grid.
 
     The ridge of maxima runs along q2 = -q1; using the modulus makes the
     profile invariant under a global phase of the state.  Requires a
-    confined kernel, as `momentum_collapse` does.
+    confined kernel, as `momentum_collapse` does.  `state` may also be its
+    compiled momentum-pair `ManifoldOverlap`.
     """
     qs = np.asarray(q_grid, dtype=float)
     pairs = np.stack(np.meshgrid(qs, qs, indexing="ij"), axis=-1).reshape(-1, 2)
-    overlap = ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)
+    overlap = state if isinstance(state, ManifoldOverlap) else \
+        ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)
     values = np.abs(overlap(pairs))
     return [((q1, q2), v) for (q1, q2), v in zip(pairs.tolist(), values.tolist())]

@@ -132,16 +132,25 @@ def _metric_reference(kernel: KernelSpec) -> tuple[MetricReference, float]:
     return MetricReference.SCALED_EUCLIDEAN, 2.0 * kernel.beta
 
 
+def _metric_step(kernel: KernelSpec, h: float, name: str) -> float:
+    """h, if it lies 1e-5 to 0.1 length scales 1/sqrt(reference_factor)."""
+    h, scale = _positive(h, name), _metric_reference(kernel)[1] ** -0.5
+    if not 1e-5 * scale <= h <= 0.1 * scale:
+        raise DomainError(f"{name} must lie in [{1e-5 * scale!r}, {0.1 * scale!r}], got {h!r}")
+    return h
+
+
 def induced_metric(kernel: KernelSpec, at, h: float = 1e-3) -> MetricReport:
     """Metric induced on the manifold of position states, by finite differences.
 
     Each component is the central mixed second difference of the kernel,
     d^2 k(x, y) / dx_i dy_k evaluated at x = y = `at`, with O(h^2) error; one
-    Richardson step over {h, h/2} cancels the leading error term.
+    Richardson step over {h, h/2} cancels the leading error term.  `h` must
+    lie 1e-5 to 0.1 kernel length scales.
     """
     from .oracle import finite_difference
 
-    h = _positive(h, "h")
+    h = _metric_step(kernel, h, "h")
     point = tuple(float(c) for c in np.atleast_1d(np.asarray(at, dtype=float)))
     if not all(math.isfinite(c) for c in point):
         raise DomainError(f"metric point must be finite, got {point!r}")

@@ -94,9 +94,8 @@ class ProjectionResult:
 
 
 def _normalize_box(box, axes: int):
-    pairs = list(box) if not (len(box) == 2 and np.isscalar(box[0])) else [box] * axes
-    if len(pairs) == 1 and axes > 1:
-        pairs = pairs * axes
+    pairs = [box] * axes if len(box) == 2 and np.isscalar(box[0]) else list(box)
+    pairs = pairs * axes if len(pairs) == 1 else pairs
     if len(pairs) != axes:
         raise DomainError(f"box must give {axes} (lo, hi) intervals")
     out = []
@@ -156,63 +155,88 @@ class ManifoldOverlap:
     parameters: one row of theta per point, u or p for one particle, (u, v)
     or (p, q) for a pair, whose targets are products of one-particle factors.
 
-    Each particle slot compiles once (`_slot_exponents`) to a quadratic
-    exponent in theta per term, the target norm folded in, so a batch is one
-    complex exp over (points, terms), taken _CHUNK points at a time.
+    `exprs` is one state expression, or a sequence of them of one arity and
+    dimension (values then per state and point); their distinct primitive
+    objects compile once per slot (`_slot_exponents`) to quadratic exponents
+    in theta, the target norm folded in.  A batch is one complex exp over
+    (states, points, own terms), per _CHUNK (state, point) pairs and per term
+    count in one stacked product, so no state's numbers depend on the batch.
     Compiling raises the errors of the term-by-term `inner_product` and
-    `hilbert_norm` in the same order.  Only a 2x2 M against a plane wave can
-    fail (a 1x1 M = 2 (conf + pair + s) has condition number 1); each is
-    checked once per distinct free (kind, s), the target norm's last.
+    `hilbert_norm` in the same order: only a 2x2 M against a plane wave can
+    fail, checked once per distinct free (kind, s), the target norm's last.
     """
 
-    def __init__(self, expr: StateExpr, kernel: KernelSpec, manifold: ManifoldId):
-        if manifold.is_pair != (expr.arity == 2):
-            raise DomainError(f"{manifold.value} manifold does not match the state arity")
-        coeffs, *slots = zip(*expr.terms)
+    def __init__(self, exprs, kernel: KernelSpec, manifold: ManifoldId):
+        self._single = isinstance(exprs, StateExpr)
+        exprs = [exprs] if self._single else list(exprs)
+        arity, dimension = exprs[0].arity, exprs[0].dimension
+        if manifold.is_pair != (arity == 2) or len({(e.arity, e.dimension) for e in exprs}) > 1:
+            raise DomainError(f"the states must share one dimension and the {manifold.value} "
+                              "manifold's arity")
+        coeffs, keys = zip(*((t[0], t[1:]) for e in exprs for t in e.terms))
+        column = {}  # distinct primitive tuples, by identity (cheap to hash), in first use order
+        own = [column.setdefault(tuple(map(id, key)), (len(column), key))[0] for key in keys]
+        slots = list(zip(*(key for _, key in column.values())))
         margins = {}
         if manifold.primitive is PlaneWave:
             conf, pair = kernel_coefficients(kernel)
-            keys = [(type(p).__name__, _profile(p, conjugate=False)[0])
+            free = [(type(p).__name__, _profile(p, conjugate=False)[0])
                     for slot in slots for p in slot if not isinstance(p, Delta)]
-            for kind, s in dict.fromkeys(keys + [("PlaneWave", 0.0)]):
+            for kind, s in dict.fromkeys(free + [("PlaneWave", 0.0)]):
                 margins[kind, s] = _free_pair_margin(kind, s, "PlaneWave", 0.0, kernel)
                 _check_form_matrix(2.0 * np.array([[conf + pair + s, -pair],
                                                    [-pair, conf + pair]]))
         alphas, betas, gammas = zip(*(_slot_exponents(slot, manifold.primitive, kernel, margins)
                                       for slot in slots))
-        self.axes = expr.arity * expr.dimension
-        self._alpha = np.log(np.array(coeffs)) + sum(alphas)
-        self._beta = np.concatenate(betas, axis=1).T
-        self._gamma = np.repeat(gammas, expr.dimension, axis=0)
+        self.axes = arity * dimension
+        self._alpha = np.log(np.array(coeffs)) + sum(alphas)[own]
+        self._beta = np.concatenate(betas, axis=1).T[:, own]  # (axes, every state's terms)
+        self._gamma = np.repeat(gammas, dimension, axis=0)[:, own]
+        self._count = np.array([len(e.terms) for e in exprs])  # state i: terms start[i] + range
+        self._start = np.cumsum(self._count) - self._count
+        self._chunk = max(1, _CHUNK // len(exprs))  # points per evaluation
+        self._groups = [np.flatnonzero(self._count == n) for n in set(self._count.tolist())]
 
-    def _terms(self, theta: np.ndarray) -> np.ndarray:
-        return np.exp(self._alpha + theta @ self._beta + (theta * theta) @ self._gamma)
+    def _terms(self, states: np.ndarray, theta: np.ndarray):
+        """Own-term weights of `states` (equally many each) at theta, with beta, gamma."""
+        terms = self._start[states][:, None] + np.arange(self._count[states[0]])
+        beta = self._beta[:, terms].transpose(1, 0, 2)
+        gamma = self._gamma[:, terms].transpose(1, 0, 2)
+        return np.exp(self._alpha[terms][:, None] + theta @ beta + (theta * theta) @ gamma), \
+            beta, gamma
 
     def __call__(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 2 or theta.shape[1] != self.axes:
             raise DomainError(f"manifold points need {self.axes} coordinates each")
-        values = np.empty(len(theta), dtype=complex)
-        for start in range(0, len(theta), _CHUNK):
-            values[start:start + _CHUNK] = self._terms(theta[start:start + _CHUNK]).sum(axis=1)
-        return values
+        values = np.empty((len(self._count), len(theta)), dtype=complex)
+        for states in self._groups:  # states with equally many terms
+            for start in range(0, len(theta), self._chunk):
+                chunk = slice(start, start + self._chunk)
+                values[states, chunk] = self._terms(states, theta[chunk])[0].sum(axis=2)
+        return values[0] if self._single else values
 
-    def derivatives(self, point: np.ndarray):
-        """Real part of the overlap at one point, with its gradient and
-        Hessian, from one evaluation of the terms."""
-        weights = self._terms(point)
-        slopes = self._beta + 2.0 * point[:, None] * self._gamma  # d exponent / d theta
-        gradient = (slopes @ weights).real
-        hessian = ((slopes * weights) @ slopes.T + np.diag(2.0 * self._gamma @ weights)).real
-        return float(weights.sum().real), gradient, hessian
+    def _derivatives(self, rows: np.ndarray, theta: np.ndarray):
+        """Real part of the overlap of state rows[i] at theta[i], its gradient and Hessian."""
+        value, gradient, hessian = (np.empty((len(rows),) + (self.axes,) * k) for k in range(3))
+        diagonal, counts = np.arange(self.axes), self._count[rows]
+        for pick in (np.flatnonzero(counts == n) for n in set(counts.tolist())):
+            weights, beta, gamma = self._terms(rows[pick], theta[pick, None])
+            weights = weights[:, 0]
+            slopes = beta + 2.0 * theta[pick, :, None] * gamma  # d exponent / d theta
+            curvature = (slopes * weights[:, None]) @ slopes.transpose(0, 2, 1)
+            curvature[:, diagonal, diagonal] += ((2.0 * gamma) @ weights[:, :, None])[:, :, 0]
+            value[pick], hessian[pick] = weights.sum(axis=1).real, curvature.real
+            gradient[pick] = (slopes @ weights[:, :, None])[:, :, 0].real
+        return value, gradient, hessian
 
     def grid(self, grids):
         """Values over the product of per-axis grids in `itertools.product`
-        order, as (points, values) chunks of _CHUNK points: bounded memory."""
+        order, as (points, values) chunks: bounded memory."""
         shape = tuple(len(g) for g in grids)
         total = math.prod(shape)
-        for start in range(0, total, _CHUNK):
-            index = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
+        for start in range(0, total, self._chunk):
+            index = np.unravel_index(np.arange(start, min(start + self._chunk, total)), shape)
             theta = np.stack([g[i] for g, i in zip(grids, index)], axis=1)
             yield theta, self(theta)
 
@@ -223,80 +247,91 @@ def _grid_count(value, name: str) -> int:
     return int(value)
 
 
-def nearest_classical_point(state: SphereState, manifold: ManifoldId, box,
-                            coarse: int = 33, tol: float = 1e-8) -> ProjectionResult:
-    """Best-overlap point of a classical manifold for the given state.
+def nearest_classical_points(states, manifold: ManifoldId, box, coarse: int = 33,
+                             tol: float = 1e-8) -> list[ProjectionResult]:
+    """Best-overlap point of a classical manifold for each state (one kernel).
 
-    Evaluates a coarse grid of `coarse` points per axis over `box` (one
-    (lo, hi) interval per manifold parameter axis); ties go to the
-    lexicographically smallest parameter and set the `tie` flag.  From the
-    best cell a shifted Newton ascent climbs the real overlap on its
-    closed-form derivatives: coordinates on a bound whose gradient points
-    out of the box are held (active set), the others take the clipped step
-    (lam I - H)^-1 g, with lam just above max(0, top eigenvalue of H) and
-    raised 4x until the overlap rises.  The ascent stops after a step of at
-    most `tol` (taken unless the overlap falls), when no shift rises, or
-    after 100 iterations.  `iterations` counts the manifold points
-    evaluated: the grid and every point of the ascent.
+    A coarse grid of `coarse` points per axis over `box` (one (lo, hi) per
+    manifold axis) picks a start, the lexicographically smallest of tied
+    cells, which sets `tie`; a shifted Newton ascent on the closed-form
+    derivatives then climbs the real overlap, holding coordinates on a bound
+    whose gradient points out (the active set) and stepping (lam I - H)^-1 g
+    with lam just above max(0, top eigenvalue of H), raised 4x until the
+    overlap rises.  It stops after a step of at most `tol` (taken unless the
+    overlap falls), when no shift rises, or after 100 steps.  `iterations`
+    counts the points evaluated, grid included.  The ascents run in lockstep.
     """
-    coarse = _grid_count(coarse, "coarse")
-    tol = _positive(tol, "tol")
-    overlap = ManifoldOverlap(state.expr, state.kernel, manifold)
+    coarse, tol, states = _grid_count(coarse, "coarse"), _positive(tol, "tol"), list(states)
+    if not states:
+        return []
+    if any(s.kernel != states[0].kernel for s in states):
+        raise DomainError("the states of one projection must share a kernel")
+    overlap = ManifoldOverlap([s.expr for s in states], states[0].kernel, manifold)
     intervals = _normalize_box(box, overlap.axes)
-
-    grids = [np.linspace(lo, hi, coarse) for lo, hi in intervals]
-    best_value = -math.inf
-    best_point = None
-    tie = False
-    evals = 0
-    for theta, values in overlap.grid(grids):
-        evals += len(theta)
-        for i, value in enumerate(values.real.tolist()):
-            margin = _TIE_TOL * min(abs(value), abs(best_value))
-            if value > best_value + margin:
-                best_value, best_point, tie = value, theta[i], False
-            elif value >= best_value - margin:
-                tie = True
-                if value > best_value:
-                    best_value = value  # keep the earlier (lexicographically smaller) cell
+    # the sequential scan, vectorised: a value above the maximum so far by more than
+    # _TIE_TOL (relative to the smaller) leads and clears `tie`, one within it sets it
+    count, axes = len(states), overlap.axes
+    best, points, tie = np.full(count, -math.inf), np.zeros((count, axes)), np.zeros(count, bool)
+    for theta, values in overlap.grid([np.linspace(lo, hi, coarse) for lo, hi in intervals]):
+        running = np.fmax.accumulate(np.column_stack([best, values.real]), axis=1)
+        prior, best = running[:, :-1], running[:, -1]  # NaN never leads
+        margin = _TIE_TOL * np.minimum(np.abs(values.real), np.abs(prior))
+        lead, near = values.real > prior + margin, values.real >= prior - margin
+        led, last = lead.any(axis=1), len(theta) - 1 - np.argmax(lead[:, ::-1], axis=1)
+        after = np.arange(len(theta)) > last[:, None]  # beyond the last lead
+        tie = np.where(led, (near & after).any(axis=1), tie | near.any(axis=1))
+        points[led] = theta[last[led]]
 
     lows, highs = np.array(intervals).T
-    point = best_point.copy()
-    value, gradient, hessian = overlap.derivatives(point)
-    evals += 1
-    for _ in range(100):
-        free = ~(((point <= lows) & (gradient < 0.0)) | ((point >= highs) & (gradient > 0.0)))
-        g = gradient[free]
-        eigenvalues, vectors = np.linalg.eigh(hessian[np.ix_(free, free)])
-        if not (g.any() or (eigenvalues[-1:] > 0.0).any()):
-            break
-        along = vectors.T @ g
-        scale = max(np.abs(eigenvalues).max(), np.abs(g).max())
-        if eigenvalues[-1] > 0.0:  # no slope along upward curvature: a saddle, climb it
-            along[-1] = math.copysign(max(abs(along[-1]), 1e-12 * scale), along[-1])
-        shift = max(0.0, eigenvalues[-1]) + 1e-12 * scale
-        for _ in range(64):  # after k tries a step is at most axes * 1e12 / 4**k
-            trial = point.copy()
-            trial[free] += vectors @ (along / (shift - eigenvalues))
-            np.clip(trial, lows, highs, out=trial)
-            last = np.abs(trial - point).max() <= tol
-            trial_value, *trial_derivatives = overlap.derivatives(trial)
-            evals += 1
-            rose = trial_value > value or (last and trial_value >= value)
-            if rose:
-                point, value, (gradient, hessian) = trial, trial_value, trial_derivatives
-            if rose or last:
-                break
-            shift *= 4.0
-        if last or not rose:
-            break
+    value, gradient, hessian = overlap._derivatives(np.arange(count), points)
+    evals = np.full(count, coarse**axes + 1)
+    steps, tries = np.zeros((2, count), dtype=int)  # tries since the last step: shift x 4**tries
+    climbing = np.ones(count, dtype=bool)
+    while climbing.any():
+        rows = np.flatnonzero(climbing)
+        free = ~(((points[rows] <= lows) & (gradient[rows] < 0.0))
+                 | ((points[rows] >= highs) & (gradient[rows] > 0.0)))
+        move = np.zeros((len(rows), axes))
+        climbing[rows[~free.any(axis=1)]] = False  # every coordinate held
+        for mask in {m.tobytes(): m for m in free if m.any()}.values():
+            pick = np.flatnonzero((free == mask).all(axis=1))
+            g = gradient[rows[pick]][:, mask]
+            eig, vec = np.linalg.eigh(hessian[rows[pick]][:, mask][:, :, mask])
+            top = np.maximum(0.0, eig[:, -1])
+            go = g.any(axis=1) | (top > 0.0)  # else no slope and no upward curvature
+            climbing[rows[pick[~go]]] = False
+            pick, g, eig, vec, top = (x[go] for x in (pick, g, eig, vec, top))
+            along = (vec.transpose(0, 2, 1) @ g[:, :, None])[:, :, 0]
+            scale = np.maximum(np.abs(eig).max(axis=1), np.abs(g).max(axis=1))
+            up = top > 0.0  # no slope along upward curvature: a saddle, climb it
+            along[up, -1] = np.copysign(np.maximum(np.abs(along[up, -1]), 1e-12 * scale[up]),
+                                        along[up, -1])
+            shift = (top + 1e-12 * scale) * 4.0 ** tries[rows[pick]]
+            along /= shift[:, None] - eig  # after k tries, at most axes * 1e12 / 4**k
+            move[np.ix_(pick, mask)] = (vec @ along[:, :, None])[:, :, 0]
+        rows, move = rows[climbing[rows]], move[climbing[rows]]
+        trial = np.clip(points[rows] + move, lows, highs)
+        last = np.abs(trial - points[rows]).max(axis=1) <= tol
+        trial_value, *derivatives = overlap._derivatives(rows, trial)
+        evals[rows] += 1
+        rose = (trial_value > value[rows]) | (last & (trial_value >= value[rows]))
+        won = rows[rose]
+        points[won], value[won], gradient[won], hessian[won] = (
+            x[rose] for x in (trial, trial_value, *derivatives))
+        steps[won] += 1
+        tries[rows] = np.where(rose, 0, tries[rows] + 1)
+        climbing[rows[last | (tries[rows] == 64) | (steps[rows] == 100)]] = False
 
-    final = min(1.0, max(0.0, value))
-    coords = tuple(float(v) for v in point)
-    d = state.expr.dimension
-    result_point = (coords[:d], coords[d:]) if manifold.is_pair else coords
-    return ProjectionResult(point=result_point, overlap=final,
-                            residual_angle=math.acos(final), iterations=evals, tie=tie)
+    d, final = states[0].expr.dimension, [min(1.0, max(0.0, v)) for v in value.tolist()]
+    return [ProjectionResult(point=(tuple(p[:d]), tuple(p[d:])) if manifold.is_pair else tuple(p),
+                             overlap=f, residual_angle=math.acos(f), iterations=n, tie=t)
+            for p, f, n, t in zip(points.tolist(), final, evals.tolist(), tie.tolist())]
+
+
+def nearest_classical_point(state: SphereState, manifold: ManifoldId, box,
+                            coarse: int = 33, tol: float = 1e-8) -> ProjectionResult:
+    """`nearest_classical_points` for one state."""
+    return nearest_classical_points([state], manifold, box, coarse, tol)[0]
 
 
 def manifold_member(manifold: ManifoldId, params, kernel: KernelSpec) -> SphereState:
@@ -317,7 +352,6 @@ def manifold_separation(params, manifold_a: ManifoldId, manifold_b: ManifoldId,
     resolution = _grid_count(resolution, "resolution")
     state_a = manifold_member(manifold_a, params, kernel)
     overlap = ManifoldOverlap(state_a.expr, kernel, manifold_b)
-    intervals = _normalize_box(box, overlap.axes)
-    grids = [np.linspace(lo, hi, resolution) for lo, hi in intervals]
+    grids = [np.linspace(lo, hi, resolution) for lo, hi in _normalize_box(box, overlap.axes)]
     best = max(float(np.abs(values).max()) for _, values in overlap.grid(grids))
     return math.acos(min(1.0, best))

@@ -8,6 +8,8 @@ import subprocess
 import time
 from pathlib import Path
 
+import pytest
+
 from helpers import run_python
 from statesphere import cli
 from statesphere.cli import main
@@ -68,6 +70,17 @@ def test_metric_command():
     assert len(matrix) == 3 and abs(matrix[0][0] - 1.0) < 1e-6
 
 
+# 1e-10 printed [[0.0]] (the mixed difference cancels), 1e-170 raised a
+# ZeroDivisionError (4 h^2 underflows), 1000 reported 2.5e-6
+@pytest.mark.parametrize("step", ["1e-10", "1e-170", "1000"])
+def test_metric_step_outside_window_rejected(step, capsys):
+    assert main(["metric", "--at", "0", "--step", step]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "DomainError" and "--step" in error["message"]
+
+
 def test_gram_command_random():
     record = record_of(run_cli("gram", "--random", "20", "--seed", "7"))
     assert record["results"]["positive"] is True
@@ -119,6 +132,26 @@ def test_epr_momentum_ridge_off_grid(capsys):
     assert [ridge["q1"] for ridge in ridges] == [0.3, 1.0]
     for ridge in ridges:
         assert abs(ridge["argmax_q2"] - ridge["expected_q2"]) <= ridge["grid_step"] + 1e-12
+
+
+def test_epr_profile_compiles_its_overlap_once(monkeypatch, capsys):
+    # every a-value's profile, and the momentum ridge rows, evaluate one
+    # compiled overlap
+    from statesphere.manifolds import ManifoldOverlap
+    compile_overlap = ManifoldOverlap.__init__
+    compiles = []
+
+    def counting(self, *args):
+        compiles.append(args)
+        compile_overlap(self, *args)
+
+    monkeypatch.setattr(ManifoldOverlap, "__init__", counting)
+    for profile in ("position", "momentum"):
+        compiles.clear()
+        argv = f"epr --profile {profile} --n 16 --a-values=0.3,1 --grid=-2,2,9".split()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(compiles) == 1, profile
 
 
 def test_epr_momentum_defaults_keep_ridges_on_grid(capsys):

@@ -6,7 +6,9 @@ printed record with `tests/golden/<case>.json`: numbers must agree within
 included.  Rewrite the golden files (only when a change of the records is
 intended) with
 
-    PYTHONPATH=src python tests/test_cli_records.py
+    PYTHONPATH=src python tests/test_cli_records.py [CASE ...]
+
+which rewrites only the named cases, or every case when none is named.
 """
 
 import contextlib
@@ -30,6 +32,8 @@ CASES = {
     "metric": ["metric", "--kernel", "confined:0.1,1", "--at=0.5,-1,2"],
     "gram": ["gram", "--random", "8", "--dim", "2", "--seed", "7"],
     "double-slit": ["double-slit", "--grid=-30,30,601", "--coeffs", "1,0.7j"],
+    "double-slit-which-path": ["double-slit", "--grid=-30,30,601", "--which-path"],
+    "double-slit-detected": ["double-slit", "--grid=-30,30,601", "--detected-point=0.7"],
     "epr-position": ["epr", "--profile", "position", "--n", "16", "--a-values=-1,0,1",
                      "--grid=-2,2,9", "--measure-position", "0.5"],
     "epr-momentum": ["epr", "--profile", "momentum", "--n", "16", "--a-values=-1,0,1",
@@ -68,8 +72,12 @@ def test_record_matches_golden(case):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for case, argv in CASES.items():
-        record = run_record(argv)
+    for case in names:
+        record = run_record(CASES[case])
         (GOLDEN / f"{case}.json").write_text(json.dumps(record, indent=1) + "\n")
         print(f"wrote {case}", file=sys.stderr)

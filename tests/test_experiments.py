@@ -168,22 +168,24 @@ class TestDoubleSlitTrajectory:
     @pytest.mark.parametrize("which_path", [False, True])
     def test_projects_each_distinct_state_once(self, which_path, monkeypatch):
         import statesphere.experiments as experiments
-        project = experiments.nearest_classical_point
+        project = experiments.nearest_classical_points
         calls = []
 
-        def counting(state, *args, **kwargs):
-            calls.append((state, args, kwargs))
-            return project(state, *args, **kwargs)
+        def recording(states, *args, **kwargs):
+            results = project(states, *args, **kwargs)
+            calls.append((list(states), results))
+            return results
 
-        monkeypatch.setattr(experiments, "nearest_classical_point", counting)
+        monkeypatch.setattr(experiments, "nearest_classical_points", recording)
         trajectory = build_double_slit_trajectory(SlitConfig(which_path=which_path))
-        distinct = {state for seg in trajectory.segments for _, state in seg.samples}
-        assert len(calls) == len(distinct)
-        _, args, kwargs = calls[0]
+        assert len(calls) == 1  # one batch for all four legs
+        states, results = calls[0]
+        samples = [state for seg in trajectory.segments for _, state in seg.samples]
+        assert states == list(dict.fromkeys(samples))  # the distinct samples, in order
+        residual = dict(zip(states, (r.residual_angle for r in results)))
         for seg in trajectory.segments:
-            expected = max(project(state, *args, **kwargs).residual_angle
-                           for _, state in seg.samples)
-            assert seg.max_residual_angle == expected
+            expected = max(residual[state] for _, state in seg.samples)
+            assert seg.max_residual_angle.hex() == expected.hex()
 
     def test_op_evaluates_the_intensity_once_per_curve(self, monkeypatch, capsys):
         import statesphere.experiments as experiments

@@ -52,6 +52,17 @@ class TestInducedMetric:
         with pytest.raises(DomainError):
             induced_metric(K1, at)
 
+    def test_step_lies_in_a_window_of_the_length_scale(self):
+        # 1e-5 to 0.1 times 1/sqrt(reference_factor): sigma, or 1/sqrt(2 beta)
+        for kernel, scale in ((K1, 1.0), (TranslationKernel(2.0), 2.0),
+                              (ConfinedKernel(0.1, 2.0), 0.5)):
+            for h in (1e-5 * scale, 1e-3, 0.1 * scale):
+                # at the origin the exact metric is the reference, 1 / scale^2
+                assert induced_metric(kernel, (0.0,), h).deviation <= 1e-4 / scale**2
+            for h in (0.9e-5 * scale, 1e-10, 1e-170, 0.11 * scale, 1000.0):
+                with pytest.raises(DomainError, match="^h must lie"):
+                    induced_metric(kernel, (0.3,), h)
+
     def test_translation_unit_sigma_is_euclidean(self):
         rng = np.random.default_rng(4)
         for _ in range(5):

@@ -15,7 +15,8 @@ from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
                          embed_pair_position, embed_position,
                          gram_min_eigenvalue, hilbert_norm, inner_product,
                          manifold_member, manifold_separation,
-                         nearest_classical_point, normalize, sphere_angle)
+                         nearest_classical_point, nearest_classical_points,
+                         normalize, sphere_angle)
 from statesphere.kernels import kernel_coefficients, kernel_value
 from statesphere.manifolds import ManifoldOverlap, gram_matrix
 
@@ -265,6 +266,53 @@ class TestNearestClassicalPoint:
                                          coarse=coarse)
         assert abs(result.point[0] - center) <= 1e-12
         assert result.iterations <= coarse + 50
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_batch_matches_one_state_calls(self, data):
+        # the states draw their terms from one pool, so a batch shares, repeats
+        # and reorders primitive tuples; boxes small against the coordinates
+        # leave many peaks outside, so the active set binds
+        manifold = data.draw(st.sampled_from(list(ManifoldId)))
+        momentum = manifold in (ManifoldId.MOMENTUM, ManifoldId.MOMENTUM_PAIR)
+        kernel = data.draw(kernels.filter(
+            lambda k: isinstance(k, ConfinedKernel) or not momentum))
+        kinds = ("delta", "packet", "wave") if isinstance(kernel, ConfinedKernel) \
+            else ("delta", "packet")
+        arity = 2 if manifold.is_pair else 1
+        pool = data.draw(st.lists(st.tuples(*[primitives(1, kinds)] * arity),
+                                  min_size=1, max_size=4))
+        coeff = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
+            lambda c: abs(c) > 0.1)
+        term = st.tuples(coeff, st.sampled_from(pool))
+        batch = []
+        for terms in data.draw(st.lists(st.lists(term, min_size=1, max_size=3),
+                                        min_size=2, max_size=5)):
+            try:
+                batch.append(normalize(StateExpr(tuple((c, *p) for c, p in terms)), kernel))
+            except DomainError:
+                assume(False)  # terms that cancel exactly leave no norm
+        lo = data.draw(st.floats(-6.0, 5.0))
+        box = (lo, lo + data.draw(st.floats(0.05, 3.0)))
+        coarse = data.draw(st.integers(2, 9))
+        tol = 1e-8
+        results = nearest_classical_points(batch, manifold, box, coarse=coarse, tol=tol)
+        assert len(results) == len(batch)
+        for state, got in zip(batch, results):
+            want = nearest_classical_point(state, manifold, box, coarse=coarse, tol=tol)
+            # each state is evaluated on its own terms with the shapes it has
+            # alone, so these agree to the bit in practice; the check leaves
+            # room for a BLAS that rounds a stacked product differently
+            assert got.tie == want.tie
+            assert got.iterations == want.iterations
+            assert abs(got.residual_angle - want.residual_angle) <= 1e-12
+            assert np.abs(np.subtract(got.point, want.point)).max() <= tol
+
+    def test_batch_rejects_mixed_kernels(self):
+        states = [normalize(embed_position((0.0,)), K1), normalize(embed_position((0.0,)), KC)]
+        with pytest.raises(DomainError, match="kernel"):
+            nearest_classical_points(states, ManifoldId.POSITION, (-1.0, 1.0))
+        assert nearest_classical_points([], ManifoldId.POSITION, (-1.0, 1.0)) == []
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"tol": math.nan}, "tol"),
