@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericalFailureError
-from .kernels import KernelSpec, kernel_coefficients
+from .kernels import KernelSpec, _formed, _integer, _positive, kernel_coefficients
 
 Vec = tuple[float, ...]
 
@@ -38,8 +38,7 @@ def as_vec(value) -> Vec:
     if isinstance(value, (int, float)):
         value = (value,)
     vec = tuple(float(c) for c in value)
-    if not 1 <= len(vec) <= MAX_DIMENSION:
-        raise DomainError(f"dimension must be between 1 and {MAX_DIMENSION}, got {len(vec)}")
+    _integer(len(vec), "dimension", 1, MAX_DIMENSION)
     if not all(math.isfinite(c) for c in vec):
         raise DomainError(f"non-finite component in {vec!r}")
     return vec
@@ -94,9 +93,8 @@ class Packet:
     def __post_init__(self):
         center = as_vec(self.center)
         object.__setattr__(self, "center", center)
-        width = float(self.width)
-        if not math.isfinite(width) or width <= 0.0:
-            raise DomainError(f"packet width must be positive, got {width!r}")
+        width = _positive(self.width, "packet width")
+        _formed(lambda: 1.0 / (4.0 * width**2), "1/(4 width^2) of the packet width")
         object.__setattr__(self, "width", width)
         momentum = as_vec(self.momentum) if self.momentum is not None else (0.0,) * len(center)
         if len(momentum) != len(center):

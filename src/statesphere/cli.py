@@ -30,7 +30,7 @@ from .geometry import (UnitSystem, angles_from_start, arc_length, collapse_time,
                        fs_angle, geodesic_between, normalize, sphere_angle,
                        state_overlap)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
-                      _metric_step, induced_metric)
+                      _integer, _metric_step, _positive, induced_metric)
 from .manifolds import ManifoldId, ManifoldOverlap, gram_min_eigenvalue
 from .oracle import QuadratureSpec, quad_inner_product
 
@@ -75,18 +75,10 @@ def _floats(text: str, count: int | None = None) -> tuple[float, ...]:
 def _grid(text: str) -> list:
     """'LO,HI,COUNT' with finite LO < HI and an integer COUNT from 2 to MAX_POINTS."""
     lo, hi, count = _floats(text, 3)
-    if not (-math.inf < lo < hi < math.inf and count.is_integer()
-            and 2 <= count <= MAX_POINTS):
-        raise DomainError(f"bad --grid {text!r}; need finite LO < HI and an integer "
-                          f"COUNT from 2 to {MAX_POINTS}")
-    return [lo, hi, int(count)]
-
-
-def _count(config: dict, key: str, lo: int, hi: int) -> int:
-    """config[key] if it lies in [lo, hi]; the error names the flag."""
-    if not lo <= config[key] <= hi:
-        raise DomainError(f"--{key} must be from {lo} to {hi}, got {config[key]!r}")
-    return config[key]
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"bad --grid {text!r}; need finite LO < HI")
+    count = int(count) if count.is_integer() else count
+    return [lo, hi, _integer(count, "--grid COUNT", 2, MAX_POINTS)]
 
 
 def _complex(text: str) -> complex:
@@ -159,13 +151,13 @@ def run_distance(config: dict):
 
 
 def run_geodesic(config: dict):
-    samples = _count(config, "samples", 0, MAX_POINTS)
+    samples = _integer(config["samples"], "--samples", 0, MAX_POINTS)
     kernel = parse_kernel(config["kernel"])
     start = normalize(parse_state(config["states"][0]), kernel)
     end = normalize(parse_state(config["states"][1]), kernel)
     path = geodesic_between(start, end)
     units = UnitSystem()
-    ts = np.linspace(0.0, 1.0, int(samples))
+    ts = np.linspace(0.0, 1.0, samples)
     results = {
         "theta": path.theta,
         "alignment_phase": path.alignment_phase,
@@ -194,16 +186,14 @@ def run_gram(config: dict):
     lo, hi = (_finite(v, "box") for v in config["box"])
     if lo > hi:
         raise DomainError(f"box needs LO <= HI, got {config['box']!r}")
+    # n points take an n x n Gram matrix, as an n-term EPR state does
     if config["points"] is not None:
         points = [_floats(p) for p in config["points"].split(";")]
-        if len(points) > MAX_DISCRETIZATION:  # an n x n Gram matrix, as for --random
-            raise DomainError(f"--points must list at most {MAX_DISCRETIZATION} points, "
-                              f"got {len(points)}")
+        _integer(len(points), "the number of --points", 1, MAX_DISCRETIZATION)
     else:
-        # an n x n Gram matrix: the bound of an n-term EPR state's matrices
-        count = _count(config, "random", 1, MAX_DISCRETIZATION)
-        dim = _count(config, "dim", 1, 3)
-        rng = np.random.default_rng(config["seed"])
+        count = _integer(config["random"], "--random", 1, MAX_DISCRETIZATION)
+        dim = _integer(config["dim"], "--dim", 1, 3)
+        rng = np.random.default_rng(_integer(config["seed"], "--seed", 0))
         points = [tuple(rng.uniform(lo, hi, dim)) for _ in range(count)]
     value = gram_min_eigenvalue(points, kernel)
     return {"count": len(points), "min_eigenvalue": value, "positive": value > 0}, None
@@ -253,9 +243,9 @@ def run_epr(config: dict):
     for a in config["a_values"]:
         _finite(a, "a_values")
     lo, hi, count = config["grid"]
-    if config["profile"] != "none" and len(config["a_values"]) * count > MAX_POINTS:
-        raise DomainError(f"--a-values times the --grid COUNT must be at most {MAX_POINTS} "
-                          f"(one ridge scan per value), got {len(config['a_values'])} x {count}")
+    if config["profile"] != "none":  # one ridge scan per value
+        _integer(len(config["a_values"]) * count, "--a-values times the --grid COUNT",
+                 0, MAX_POINTS)
     results: dict = {}
     rows = None
     # one normalized pair state per kernel, shared by profile and collapse
@@ -277,9 +267,8 @@ def run_epr(config: dict):
         def rows():
             return [("a", "b", "overlap"), *((a, b, v) for a, p in profiles for b, v in p)]
     elif config["profile"] == "momentum":
-        if count**2 > MAX_POINTS:  # the profile scans every (q1, q2) pair
-            raise DomainError(f"--grid COUNT must be at most {math.isqrt(MAX_POINTS)} "
-                              f"for a momentum profile, got {count}")
+        # the profile scans every (q1, q2) pair
+        _integer(count, "--grid COUNT of a momentum profile", 2, math.isqrt(MAX_POINTS))
         for q1 in config["a_values"]:
             if not lo <= -q1 <= hi:
                 raise DomainError(f"--a-values momentum {q1!r} has its ridge at q2 = {-q1!r}, "
@@ -287,7 +276,6 @@ def run_epr(config: dict):
         state = state_under(cfg.momentum_kernel)
         qs = np.linspace(lo, hi, count)
         overlap = ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)
-        profile = momentum_correlation_profile(overlap, cfg, qs)
         ridges = []  # one row (q1, qs) each, so q1 need not be a grid point
         for q1 in config["a_values"]:
             row = np.abs(overlap(np.column_stack([np.full(count, q1), qs])))
@@ -295,7 +283,8 @@ def run_epr(config: dict):
                            "grid_step": float(qs[1] - qs[0])})
         results["momentum_ridge"] = ridges
 
-        def rows():
+        def rows():  # the COUNT^2 profile, which only the csv shows
+            profile = momentum_correlation_profile(overlap, cfg, qs)
             return [("q1", "q2", "overlap"), *((q1, q2, v) for (q1, q2), v in profile)]
     if cfg.measured_position is not None:
         path = position_collapse(state_under(cfg.position_kernel), cfg.measured_position, cfg)
@@ -339,15 +328,13 @@ def _random_convergent_pair(rng, kernel):
 
 
 def run_oracle_verify(config: dict):
-    _count(config, "count", 1, MAX_POINTS)
-    if not (math.isfinite(config["tolerance"]) and config["tolerance"] >= 0.0):
-        raise DomainError(f"tolerance must be a finite nonnegative number, "
-                          f"got {config['tolerance']!r}")
-    rng = np.random.default_rng(config["seed"])
+    count = _integer(config["count"], "--count", 1, MAX_POINTS)
+    tolerance = _positive(config["tolerance"], "--tolerance")
+    rng = np.random.default_rng(_integer(config["seed"], "--seed", 0))
     spec = QuadratureSpec()
     worst = 0.0
     cases = []
-    for index in range(config["count"]):
+    for index in range(count):
         kernel = TranslationKernel(1.0) if index % 2 == 0 else ConfinedKernel(0.1, 1.0)
         f, g = _random_convergent_pair(rng, kernel)
         closed = inner_product(StateExpr.single(f), StateExpr.single(g), kernel)
@@ -356,9 +343,8 @@ def run_oracle_verify(config: dict):
         worst = max(worst, rel)
         cases.append({"kinds": [type(f).__name__, type(g).__name__],
                       "kernel": type(kernel).__name__, "rel_error": rel})
-    passed = worst <= config["tolerance"]
-    return {"count": config["count"], "max_rel_error": worst,
-            "tolerance": config["tolerance"], "passed": passed,
+    return {"count": count, "max_rel_error": worst,
+            "tolerance": tolerance, "passed": worst <= tolerance,
             "worst_cases": sorted(cases, key=lambda c: -c["rel_error"])[:3]}, None
 
 

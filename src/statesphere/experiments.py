@@ -20,7 +20,7 @@ from .errors import DomainError
 from .geometry import (GeodesicPath, SphereState, collapse_time, geodesic_at,
                        geodesic_between, normalize, sphere_angle)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
-                      _positive)
+                      _formed, _integer, _positive)
 from .manifolds import (ManifoldId, ManifoldOverlap, embed_pair_momentum,
                         embed_pair_position, nearest_classical_points)
 
@@ -65,9 +65,12 @@ class SlitConfig:
         if self.detected_point is not None:
             object.__setattr__(self, "detected_point", _finite(self.detected_point, "detected_point"))
         lo, hi, count = self.detector_grid
-        if not (-math.inf < lo < hi < math.inf and type(count) is int and count >= 2):
-            raise DomainError(f"detector_grid needs finite lo < hi and an integer count >= 2, "
-                              f"got {self.detector_grid!r}")
+        lo, hi = _finite(lo, "detector_grid"), _finite(hi, "detector_grid")
+        if not lo < hi:
+            raise DomainError(f"detector_grid needs lo < hi, got {self.detector_grid!r}")
+        object.__setattr__(self, "detector_grid", (lo, hi, _integer(count, "detector_grid count", 2)))
+        _formed(lambda: self.detector_envelope_width,
+                "detector_envelope_width of packet_width, wavenumber and screen_to_detector")
 
     @property
     def slit_midpoint(self) -> float:
@@ -313,10 +316,8 @@ class EPRConfig:
         for name in ("measured_position", "measured_momentum"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _finite(getattr(self, name), name))
-        n = self.discretization_n
-        if isinstance(n, bool) or not isinstance(n, int) or not 8 <= n <= MAX_DISCRETIZATION:
-            raise DomainError(f"discretization_n must be an integer from 8 to "
-                              f"{MAX_DISCRETIZATION}, got {n!r}")
+        object.__setattr__(self, "discretization_n", _integer(
+            self.discretization_n, "discretization_n", 8, MAX_DISCRETIZATION))
         if self.measured_position is not None and self.measured_momentum is not None:
             raise DomainError("set at most one of measured_position / measured_momentum")
 

@@ -33,8 +33,8 @@ class UnitSystem:
     light_speed_m_per_s: float = LIGHT_SPEED_M_PER_S
 
     def __post_init__(self):
-        _positive(self.planck_length_m, "planck_length_m")
-        _positive(self.light_speed_m_per_s, "light_speed_m_per_s")
+        for name in ("planck_length_m", "light_speed_m_per_s"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
 
     @property
     def planck_time_s(self) -> float:
@@ -175,8 +175,7 @@ def collapse_time(path: GeodesicPath, units: UnitSystem = UnitSystem(),
                   speed_m_per_s: float | None = None) -> float:
     """Seconds to traverse the path at the given speed (default: light speed)."""
     speed = units.light_speed_m_per_s if speed_m_per_s is None else speed_m_per_s
-    _positive(speed, "speed")
-    return path.theta * units.planck_length_m / speed
+    return path.theta * units.planck_length_m / _positive(speed, "speed")
 
 
 def classical_path_length(a, b) -> float:

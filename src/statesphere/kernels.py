@@ -17,6 +17,7 @@ origin.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -40,6 +41,27 @@ def _positive(value: float, name: str) -> float:
     return value
 
 
+def _formed(formula, name: str) -> float:
+    """formula() if it is a positive finite float; `name` says what it is formed from."""
+    try:
+        value = formula()
+    except ArithmeticError:  # float ** overflows, or / divides by an underflowed 0
+        raise DomainError(f"{name} is out of floating-point range") from None
+    return _positive(value, name)
+
+
+def _integer(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """value as an int if it is an integer (numpy's too; no bool, float or str) from lo to hi."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or not lo <= number <= hi:
+        bound = f"of at least {lo}" if hi == math.inf else f"from {lo} to {hi}"
+        raise DomainError(f"{name} must be an integer {bound}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class TranslationKernel:
     """Translation-invariant Gaussian kernel exp(-|x-y|^2 / (2 sigma^2))."""
@@ -48,6 +70,7 @@ class TranslationKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", _positive(self.sigma, "sigma"))
+        _formed(lambda: self.quad_coeff, "1/(2 sigma^2) of sigma")
 
     @property
     def quad_coeff(self) -> float:
@@ -151,9 +174,7 @@ def induced_metric(kernel: KernelSpec, at, h: float = 1e-3) -> MetricReport:
     from .oracle import finite_difference
 
     h = _metric_step(kernel, h, "h")
-    point = tuple(float(c) for c in np.atleast_1d(np.asarray(at, dtype=float)))
-    if not all(math.isfinite(c) for c in point):
-        raise DomainError(f"metric point must be finite, got {point!r}")
+    point = tuple(_finite(c, "metric point") for c in np.atleast_1d(np.asarray(at, dtype=float)))
     d = len(point)
     pt = np.array(point)
 

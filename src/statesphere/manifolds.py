@@ -10,7 +10,6 @@ raise instead of regularizing silently.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +19,7 @@ from .algebra import (Delta, PlaneWave, StateExpr, _check_form_matrix, _free_pai
                       _profile, as_vec, overlap_matrix)
 from .errors import DomainError
 from .geometry import SphereState, normalize
-from .kernels import KernelSpec, _finite, _positive, kernel_coefficients
+from .kernels import KernelSpec, _finite, _integer, _positive, kernel_coefficients
 
 _TIE_TOL = 1e-9  # relative to the compared overlaps
 _CHUNK = 4096  # manifold points per batched evaluation
@@ -241,12 +240,6 @@ class ManifoldOverlap:
             yield theta, self(theta)
 
 
-def _grid_count(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 2:
-        raise DomainError(f"{name} must be an integer of at least 2, got {value!r}")
-    return int(value)
-
-
 def nearest_classical_points(states, manifold: ManifoldId, box, coarse: int = 33,
                              tol: float = 1e-8) -> list[ProjectionResult]:
     """Best-overlap point of a classical manifold for each state (one kernel).
@@ -261,7 +254,7 @@ def nearest_classical_points(states, manifold: ManifoldId, box, coarse: int = 33
     overlap falls), when no shift rises, or after 100 steps.  `iterations`
     counts the points evaluated, grid included.  The ascents run in lockstep.
     """
-    coarse, tol, states = _grid_count(coarse, "coarse"), _positive(tol, "tol"), list(states)
+    coarse, tol, states = _integer(coarse, "coarse", 2), _positive(tol, "tol"), list(states)
     if not states:
         return []
     if any(s.kernel != states[0].kernel for s in states):
@@ -349,7 +342,7 @@ def manifold_separation(params, manifold_a: ManifoldId, manifold_b: ManifoldId,
     not meet near the scanned region; a member of its own manifold returns 0
     at the matching grid point.
     """
-    resolution = _grid_count(resolution, "resolution")
+    resolution = _integer(resolution, "resolution", 2)
     state_a = manifold_member(manifold_a, params, kernel)
     overlap = ManifoldOverlap(state_a.expr, kernel, manifold_b)
     grids = [np.linspace(lo, hi, resolution) for lo, hi in _normalize_box(box, overlap.axes)]

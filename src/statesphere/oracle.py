@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import Delta, Packet, Primitive, StateExpr, _pairwise, _slot_matrices
 from .errors import BoxTooSmallError, DomainError, NumericalFailureError
-from .kernels import KernelSpec, kernel_coefficients, kernel_value
+from .kernels import KernelSpec, _integer, _positive, kernel_coefficients, kernel_value
 
 BOUNDARY_DECAY = 1e-16
 _PAD = 10.0  # box half-extent in units of 1/sqrt(marginal curvature)
@@ -45,12 +45,13 @@ class QuadratureSpec:
     refinement_levels: int = 3
 
     def __post_init__(self):
-        if self.box_halfwidth is not None and self.box_halfwidth <= 0:
-            raise DomainError("box_halfwidth must be positive")
-        if self.nodes_per_axis < 33 or self.nodes_per_axis % 2 == 0:
-            raise DomainError("nodes_per_axis must be an odd integer >= 33")
-        if self.refinement_levels < 1:
-            raise DomainError("refinement_levels must be >= 1")
+        if self.box_halfwidth is not None:
+            object.__setattr__(self, "box_halfwidth",
+                               _positive(self.box_halfwidth, "box_halfwidth"))
+        for name, lo in (("nodes_per_axis", 33), ("refinement_levels", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, lo))
+        if self.nodes_per_axis % 2 == 0:
+            raise DomainError(f"nodes_per_axis must be odd, got {self.nodes_per_axis!r}")
 
 
 @functools.cache
@@ -225,8 +226,7 @@ def finite_difference(f, at, directions: tuple[int, int], h: float) -> float:
 
     `f` maps two coordinate arrays to a scalar; `at` is the (x, y) base point.
     """
-    if h <= 0:
-        raise DomainError("step must be positive")
+    h = _positive(h, "step")
     x0, y0 = (np.asarray(v, dtype=float) for v in at)
     i, k = directions
     ei = np.zeros_like(x0)

@@ -197,6 +197,22 @@ def test_csv_rows_built_only_for_csv(tmp_path: Path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_momentum_profile_built_only_for_csv(tmp_path: Path, monkeypatch, capsys):
+    # the ridges scan their own rows; only the csv needs the COUNT^2 profile
+    profile = cli.momentum_correlation_profile
+    calls = []
+    monkeypatch.setattr(cli, "momentum_correlation_profile",
+                        lambda *args: calls.append(args) or profile(*args))
+    argv = "epr --profile momentum --n 16 --a-values=-1,0,1 --grid=-2,2,9".split()
+    assert main(argv) == 0
+    assert calls == []
+    out = tmp_path / "profile.csv"
+    assert main(argv + ["--csv", str(out)]) == 0
+    assert len(calls) == 1
+    assert len(out.read_text().splitlines()) == 1 + 9 * 9
+    capsys.readouterr()
+
+
 def test_readme_commands_run(tmp_path: Path, capsys):
     block = re.search(r"## Command line.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
     commands = [line for line in block.splitlines() if line.startswith("statesphere ")]
@@ -243,6 +259,7 @@ MALFORMED = [
     "oracle-verify --tolerance nan",
     "oracle-verify --tolerance inf",
     "oracle-verify --tolerance -1",
+    "oracle-verify --tolerance 0",
     "epr --alpha nan",
     "epr --alpha inf",
     "epr --a-values nan",
@@ -281,6 +298,8 @@ OUT_OF_RANGE = [
     ("epr --grid=-2,2,100001", "--grid"),
     ("epr --profile momentum --grid=-2,2,317", "--grid"),
     ("oracle-verify --count 100001", "--count"),
+    ("gram --seed -1 --random 3", "--seed"),
+    ("oracle-verify --seed -5 --count 1", "--seed"),
     # a list of n points builds an n x n Gram matrix, as --random does
     ("gram --points " + ";".join(str(i) for i in range(1025)), "--points"),
     # one ridge scan of COUNT points per a-value
@@ -304,6 +323,19 @@ NON_FINITE = [
     ("gram --box nan,1 --random 3", "box"),
 ]
 
+# (argv, field the error message must name): finite scales whose derived
+# coefficient overflows or divides by an underflowed zero
+EXTREME_SCALES = [
+    ("distance --delta 0 --delta 1 --kernel translation:1e-200", "sigma"),
+    ("distance --delta 0 --delta 1 --kernel translation:1e200", "sigma"),
+    ("distance --packet 0:1e-300 --packet 1:1", "packet width"),
+    ("distance --packet 0:1e200 --packet 1:1", "packet width"),
+    ("double-slit --width 1e-170 --grid=-30,30,101", "packet_width"),
+    ("double-slit --wavenumber 1e-300 --grid=-30,30,101", "wavenumber"),
+    ("double-slit --distance 1e300 --grid=-30,30,101", "screen_to_detector"),
+]
+MALFORMED += [argv for argv, _ in EXTREME_SCALES]
+
 
 def test_invalid_input_exit_code_two(capsys):
     cp = run_cli("distance", "--kernel", "translation:0", "--delta", "0", "--delta", "1")
@@ -318,7 +350,7 @@ def test_invalid_input_exit_code_two(capsys):
 
 
 def test_non_finite_input_names_field(capsys):
-    for argv, field in NON_FINITE:
+    for argv, field in NON_FINITE + EXTREME_SCALES:
         assert main(argv.split()) == 2, argv
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert field in message, (argv, message)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from statesphere import (ConfinedKernel, Delta, DomainError, MetricReference,
-                         Packet, StateExpr, TranslationKernel, induced_metric,
-                         kernel_value, norm_ratio)
+from statesphere import (ConfinedKernel, Delta, DomainError, EPRConfig, ManifoldId,
+                         MetricReference, Packet, QuadratureSpec, SlitConfig, StateExpr,
+                         TranslationKernel, induced_metric, kernel_value, manifold_separation,
+                         nearest_classical_point, norm_ratio, normalize)
 
 K1 = TranslationKernel(1.0)
 
@@ -44,6 +45,31 @@ class TestKernelValue:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DomainError):
             kernel_value(K1, (0.0,), (0.0, 1.0))
+
+
+# (count argument, a call passing it a value, a valid value, a value below its bound)
+COUNT_SITES = [
+    ("coarse", lambda n: nearest_classical_point(
+        normalize(StateExpr.single(Packet((0.0,), 1.0)), K1), ManifoldId.POSITION,
+        (-1.0, 1.0), coarse=n), 5, 1),
+    ("resolution", lambda n: manifold_separation(
+        (0.0,), ManifoldId.POSITION, ManifoldId.POSITION, K1, (-1.0, 1.0), resolution=n), 5, 1),
+    ("detector_grid count", lambda n: SlitConfig(detector_grid=(-30.0, 30.0, n)), 101, 1),
+    ("discretization_n", lambda n: EPRConfig(discretization_n=n), 16, 7),
+    ("nodes_per_axis", lambda n: QuadratureSpec(nodes_per_axis=n), 65, 31),
+    ("refinement_levels", lambda n: QuadratureSpec(refinement_levels=n), 2, 0),
+]
+
+
+@pytest.mark.parametrize("name, call, valid, below", COUNT_SITES,
+                         ids=[site[0] for site in COUNT_SITES])
+def test_every_count_takes_one_integer_check(name, call, valid, below):
+    # one rule per count: a bool, a float, a str or a value below the bound fails
+    # naming the argument, and a numpy integer is an integer
+    for bad in (True, 2.5, "9", below):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            call(bad)
+    call(np.int64(valid))
 
 
 class TestInducedMetric:

@@ -28,6 +28,9 @@ class TestQuadratureSpec:
             QuadratureSpec(refinement_levels=0)
         with pytest.raises(DomainError):
             QuadratureSpec(box_halfwidth=-1.0)
+        for halfwidth in (math.nan, math.inf):  # quad_pair_overlap gave (nan+nanj, nan)
+            with pytest.raises(DomainError, match="box_halfwidth"):
+                QuadratureSpec(box_halfwidth=halfwidth)
 
 
 class TestQuadPairOverlap:
