@@ -60,6 +60,7 @@ class SlitConfig:
         if c1 == 0 and c2 == 0:
             raise DomainError("at least one slit coefficient must be nonzero")
         object.__setattr__(self, "coefficients", (c1, c2))
+        _formed(lambda: abs(c1)**2 + abs(c2)**2, "|c1|^2 + |c2|^2 of coefficients")
         for name in ("packet_width", "wavenumber", "screen_to_detector"):
             object.__setattr__(self, name, _positive(getattr(self, name), name))
         if self.detected_point is not None:
@@ -320,6 +321,8 @@ class EPRConfig:
             self.discretization_n, "discretization_n", 8, MAX_DISCRETIZATION))
         if self.measured_position is not None and self.measured_momentum is not None:
             raise DomainError("set at most one of measured_position / measured_momentum")
+        _formed(lambda: 1.0 / (2.0 * self.envelope_width**2),
+                "1/(2 envelope_width^2) of envelope_width")
 
     @property
     def position_kernel(self) -> TranslationKernel:

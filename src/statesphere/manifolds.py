@@ -157,9 +157,10 @@ class ManifoldOverlap:
     `exprs` is one state expression, or a sequence of them of one arity and
     dimension (values then per state and point); their distinct primitive
     objects compile once per slot (`_slot_exponents`) to quadratic exponents
-    in theta, the target norm folded in.  A batch is one complex exp over
-    (states, points, own terms), per _CHUNK (state, point) pairs and per term
-    count in one stacked product, so no state's numbers depend on the batch.
+    in theta, the target norm folded in.  A (states, width) table indexes the
+    terms, padding shorter states with a term of exact weight 0, so a batch is
+    one complex exp over (states, points, width) per _CHUNK (state, point)
+    pairs; padding can move the last bit of long or multi-axis rows only.
     Compiling raises the errors of the term-by-term `inner_product` and
     `hilbert_norm` in the same order: only a 2x2 M against a plane wave can
     fail, checked once per distinct free (kind, s), the target norm's last.
@@ -188,17 +189,20 @@ class ManifoldOverlap:
         alphas, betas, gammas = zip(*(_slot_exponents(slot, manifold.primitive, kernel, margins)
                                       for slot in slots))
         self.axes = arity * dimension
-        self._alpha = np.log(np.array(coeffs)) + sum(alphas)[own]
-        self._beta = np.concatenate(betas, axis=1).T[:, own]  # (axes, every state's terms)
-        self._gamma = np.repeat(gammas, dimension, axis=0)[:, own]
-        self._count = np.array([len(e.terms) for e in exprs])  # state i: terms start[i] + range
-        self._start = np.cumsum(self._count) - self._count
+        # a last term, alpha = -inf and beta = gamma = 0, pads each state with exact zeros
+        # to the width, at least 2: numpy rounds a one-column product on another path
+        zero, count = np.zeros((self.axes, 1)), np.array([len(e.terms) for e in exprs])
+        self._alpha = np.append(np.log(np.array(coeffs)) + sum(alphas)[own], -np.inf)
+        self._beta = np.concatenate([np.concatenate(betas, axis=1).T[:, own], zero], axis=1)
+        self._gamma = np.concatenate([np.repeat(gammas, dimension, axis=0)[:, own], zero], axis=1)
+        slot = np.arange(max(2, count.max()))
+        self._table = np.where(slot < count[:, None], (np.cumsum(count) - count)[:, None] + slot,
+                               len(own))  # (states, width): term indices
         self._chunk = max(1, _CHUNK // len(exprs))  # points per evaluation
-        self._groups = [np.flatnonzero(self._count == n) for n in set(self._count.tolist())]
 
-    def _terms(self, states: np.ndarray, theta: np.ndarray):
-        """Own-term weights of `states` (equally many each) at theta, with beta, gamma."""
-        terms = self._start[states][:, None] + np.arange(self._count[states[0]])
+    def _terms(self, states, theta: np.ndarray):
+        """Padded term weights of `states` at theta, with beta and gamma."""
+        terms = self._table[states]
         beta = self._beta[:, terms].transpose(1, 0, 2)
         gamma = self._gamma[:, terms].transpose(1, 0, 2)
         return np.exp(self._alpha[terms][:, None] + theta @ beta + (theta * theta) @ gamma), \
@@ -208,26 +212,21 @@ class ManifoldOverlap:
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 2 or theta.shape[1] != self.axes:
             raise DomainError(f"manifold points need {self.axes} coordinates each")
-        values = np.empty((len(self._count), len(theta)), dtype=complex)
-        for states in self._groups:  # states with equally many terms
-            for start in range(0, len(theta), self._chunk):
-                chunk = slice(start, start + self._chunk)
-                values[states, chunk] = self._terms(states, theta[chunk])[0].sum(axis=2)
+        values = np.empty((len(self._table), len(theta)), dtype=complex)
+        for start in range(0, len(theta), self._chunk):
+            chunk = slice(start, start + self._chunk)
+            values[:, chunk] = self._terms(slice(None), theta[chunk])[0].sum(axis=2)
         return values[0] if self._single else values
 
     def _derivatives(self, rows: np.ndarray, theta: np.ndarray):
         """Real part of the overlap of state rows[i] at theta[i], its gradient and Hessian."""
-        value, gradient, hessian = (np.empty((len(rows),) + (self.axes,) * k) for k in range(3))
-        diagonal, counts = np.arange(self.axes), self._count[rows]
-        for pick in (np.flatnonzero(counts == n) for n in set(counts.tolist())):
-            weights, beta, gamma = self._terms(rows[pick], theta[pick, None])
-            weights = weights[:, 0]
-            slopes = beta + 2.0 * theta[pick, :, None] * gamma  # d exponent / d theta
-            curvature = (slopes * weights[:, None]) @ slopes.transpose(0, 2, 1)
-            curvature[:, diagonal, diagonal] += ((2.0 * gamma) @ weights[:, :, None])[:, :, 0]
-            value[pick], hessian[pick] = weights.sum(axis=1).real, curvature.real
-            gradient[pick] = (slopes @ weights[:, :, None])[:, :, 0].real
-        return value, gradient, hessian
+        weights, beta, gamma = self._terms(rows, theta[:, None])
+        weights = weights[:, 0]
+        slopes = beta + 2.0 * theta[:, :, None] * gamma  # d exponent / d theta
+        hessian = (slopes * weights[:, None]) @ slopes.transpose(0, 2, 1)
+        diagonal = np.arange(self.axes)
+        hessian[:, diagonal, diagonal] += ((2.0 * gamma) @ weights[:, :, None])[:, :, 0]
+        return weights.sum(axis=1).real, (slopes @ weights[:, :, None])[:, :, 0].real, hessian.real
 
     def grid(self, grids):
         """Values over the product of per-axis grids in `itertools.product`
@@ -249,10 +248,11 @@ def nearest_classical_points(states, manifold: ManifoldId, box, coarse: int = 33
     cells, which sets `tie`; a shifted Newton ascent on the closed-form
     derivatives then climbs the real overlap, holding coordinates on a bound
     whose gradient points out (the active set) and stepping (lam I - H)^-1 g
-    with lam just above max(0, top eigenvalue of H), raised 4x until the
-    overlap rises.  It stops after a step of at most `tol` (taken unless the
-    overlap falls), when no shift rises, or after 100 steps.  `iterations`
-    counts the points evaluated, grid included.  The ascents run in lockstep.
+    with lam just above max(0, top eigenvalue e of H), raised 4x until the
+    overlap rises (lam - e where H is negative definite).  It stops after a
+    step of at most `tol` (taken unless the overlap falls), when no shift
+    rises, or after 100 steps.  `iterations` counts the points evaluated, grid
+    included.  The ascents run in lockstep, one `eigh` per round.
     """
     coarse, tol, states = _integer(coarse, "coarse", 2), _positive(tol, "tol"), list(states)
     if not states:
@@ -278,31 +278,30 @@ def nearest_classical_points(states, manifold: ManifoldId, box, coarse: int = 33
     lows, highs = np.array(intervals).T
     value, gradient, hessian = overlap._derivatives(np.arange(count), points)
     evals = np.full(count, coarse**axes + 1)
-    steps, tries = np.zeros((2, count), dtype=int)  # tries since the last step: shift x 4**tries
+    steps, tries = np.zeros((2, count), dtype=int)  # tries since the last step
     climbing = np.ones(count, dtype=bool)
     while climbing.any():
         rows = np.flatnonzero(climbing)
-        free = ~(((points[rows] <= lows) & (gradient[rows] < 0.0))
-                 | ((points[rows] >= highs) & (gradient[rows] > 0.0)))
-        move = np.zeros((len(rows), axes))
-        climbing[rows[~free.any(axis=1)]] = False  # every coordinate held
-        for mask in {m.tobytes(): m for m in free if m.any()}.values():
-            pick = np.flatnonzero((free == mask).all(axis=1))
-            g = gradient[rows[pick]][:, mask]
-            eig, vec = np.linalg.eigh(hessian[rows[pick]][:, mask][:, :, mask])
-            top = np.maximum(0.0, eig[:, -1])
-            go = g.any(axis=1) | (top > 0.0)  # else no slope and no upward curvature
-            climbing[rows[pick[~go]]] = False
-            pick, g, eig, vec, top = (x[go] for x in (pick, g, eig, vec, top))
-            along = (vec.transpose(0, 2, 1) @ g[:, :, None])[:, :, 0]
-            scale = np.maximum(np.abs(eig).max(axis=1), np.abs(g).max(axis=1))
-            up = top > 0.0  # no slope along upward curvature: a saddle, climb it
-            along[up, -1] = np.copysign(np.maximum(np.abs(along[up, -1]), 1e-12 * scale[up]),
-                                        along[up, -1])
-            shift = (top + 1e-12 * scale) * 4.0 ** tries[rows[pick]]
-            along /= shift[:, None] - eig  # after k tries, at most axes * 1e12 / 4**k
-            move[np.ix_(pick, mask)] = (vec @ along[:, :, None])[:, :, 0]
-        rows, move = rows[climbing[rows]], move[climbing[rows]]
+        g = gradient[rows]
+        free = ~(((points[rows] <= lows) & (g < 0.0)) | ((points[rows] >= highs) & (g > 0.0)))
+        g = np.where(free, g, 0.0)  # held: zero slope, zero Hessian row and column
+        eig, vec = np.linalg.eigh(np.where(free[:, None] & free[..., None], hessian[rows], 0.0))
+        top = np.maximum(0.0, eig[:, -1])
+        go = g.any(axis=1) | (top > 0.0)  # else no slope and no upward curvature
+        climbing[rows[~go]] = False
+        rows, free, g, eig, vec, top = (x[go] for x in (rows, free, g, eig, vec, top))
+        along = (vec.transpose(0, 2, 1) @ g[:, :, None])[:, :, 0]
+        scale = np.maximum(np.abs(eig).max(axis=1), np.abs(g).max(axis=1))
+        up = top > 0.0  # no slope along upward curvature: a saddle, climb it
+        along[up, -1] = np.copysign(np.maximum(np.abs(along[up, -1]), 1e-12 * scale[up]),
+                                    along[up, -1])
+        # lam = top + 1e-12 scale, 4x per retry; where H is negative definite, lam - eig[-1]
+        # grows 4x instead: lam alone starts near 0 there and would take ~20 retries to
+        # shorten a step (a held coordinate's eigenvalue 0 keeps a row on the plain rule)
+        grow = 4.0 ** tries[rows]
+        shift = (top + 1e-12 * scale) * grow + (top - eig[:, -1]) * (grow - 1.0)
+        along /= shift[:, None] - eig  # after k tries, at most axes * 1e12 / 4**k
+        move = np.where(free, (vec @ along[:, :, None])[:, :, 0], 0.0)
         trial = np.clip(points[rows] + move, lows, highs)
         last = np.abs(trial - points[rows]).max(axis=1) <= tol
         trial_value, *derivatives = overlap._derivatives(rows, trial)

@@ -333,6 +333,10 @@ EXTREME_SCALES = [
     ("double-slit --width 1e-170 --grid=-30,30,101", "packet_width"),
     ("double-slit --wavenumber 1e-300 --grid=-30,30,101", "wavenumber"),
     ("double-slit --distance 1e300 --grid=-30,30,101", "screen_to_detector"),
+    ("double-slit --coeffs 1e200,1", "coefficients"),  # |c1|^2 overflows
+    ("double-slit --coeffs 1e-200,1e-200", "coefficients"),  # both weights underflow
+    ("epr --envelope-width 1e300 --n 8", "envelope_width"),
+    ("epr --envelope-width 1e-300 --n 8", "envelope_width"),
 ]
 MALFORMED += [argv for argv, _ in EXTREME_SCALES]
 

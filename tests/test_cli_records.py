@@ -34,6 +34,8 @@ CASES = {
     "double-slit": ["double-slit", "--grid=-30,30,601", "--coeffs", "1,0.7j"],
     "double-slit-which-path": ["double-slit", "--grid=-30,30,601", "--which-path"],
     "double-slit-detected": ["double-slit", "--grid=-30,30,601", "--detected-point=0.7"],
+    "double-slit-tail": ["double-slit", "--grid=-30,30,601", "--which-path", "--slits=-1.2,1.2",
+                         "--coeffs=1,0.8"],
     "epr-position": ["epr", "--profile", "position", "--n", "16", "--a-values=-1,0,1",
                      "--grid=-2,2,9", "--measure-position", "0.5"],
     "epr-momentum": ["epr", "--profile", "momentum", "--n", "16", "--a-values=-1,0,1",

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from statesphere import (DivergenceError, DomainError,
-                         EPRConfig, SegmentKind, SlitConfig, UnitSystem,
+                         EPRConfig, ManifoldId, SegmentKind, SlitConfig, UnitSystem,
                          arc_length, build_double_slit_trajectory,
                          build_epr_state, collapse_time, detector_intensity,
                          momentum_collapse, momentum_correlation_profile,
+                         nearest_classical_points,
                          position_collapse, position_correlation_profile,
                          sphere_angle)
 
@@ -225,6 +226,19 @@ class TestDoubleSlitTrajectory:
         trajectory = build_double_slit_trajectory(cfg)
         target = trajectory.segments[2].samples[-1][1].expr.terms[0][1]
         assert target.center == (slit,)
+
+    def test_ascent_has_no_rounding_tail(self):
+        # one sample state's ascent falls through rounding at a flat maximum;
+        # retries that grew lam 4x from just above 0 took 16 points after the
+        # grid's 42 to shorten the step, growing lam - e 4x takes 4
+        cfg = SlitConfig(slit_positions=(-1.2, 1.2), coefficients=(1.0, 0.8), which_path=True,
+                         detector_grid=(-30.0, 30.0, 601))
+        trajectory = build_double_slit_trajectory(cfg)
+        distinct = list(dict.fromkeys(s for seg in trajectory.segments for _, s in seg.samples))
+        ends = (*cfg.slit_positions, trajectory.detected_point)
+        box = (min(ends) - 6.0 * cfg.packet_width - 2.0, max(ends) + 6.0 * cfg.packet_width + 2.0)
+        projections = nearest_classical_points(distinct, ManifoldId.POSITION, box, coarse=41)
+        assert max(p.iterations for p in projections) <= 50
 
     def test_collapse_times_bounded_by_pi(self, trajectory):
         for seg in trajectory.segments:

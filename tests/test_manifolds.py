@@ -300,9 +300,9 @@ class TestNearestClassicalPoint:
         assert len(results) == len(batch)
         for state, got in zip(batch, results):
             want = nearest_classical_point(state, manifold, box, coarse=coarse, tol=tol)
-            # each state is evaluated on its own terms with the shapes it has
-            # alone, so these agree to the bit in practice; the check leaves
-            # room for a BLAS that rounds a stacked product differently
+            # a state padded to the batch's width sums exact zeros; for longer
+            # states BLAS may round a padded product differently in the last
+            # bit, and the check leaves room for that
             assert got.tie == want.tie
             assert got.iterations == want.iterations
             assert abs(got.residual_angle - want.residual_angle) <= 1e-12
@@ -405,6 +405,20 @@ class TestManifoldOverlap:
         # points on either side of a chunk boundary keep their values
         assert values[4090:4100].tobytes() == overlap(theta[4090:4100]).tobytes()
 
+    @pytest.mark.parametrize("manifold", [ManifoldId.POSITION, ManifoldId.POSITION_PAIR])
+    def test_padded_batch_keeps_each_state_bitwise(self, manifold):
+        # 1-, 2- and 3-term states in one table, the shorter ones padded with
+        # exact zeros, in both orders; 1500 points cross the batch's chunk
+        # seam at 4096 // 3 = 1365
+        arity = 2 if manifold.is_pair else 1
+        prims = [Delta((0.3,)), Packet((-0.8,), 0.6, (0.4,)), Delta((1.1,)), Packet((0.5,), 1.3)]
+        batch = [StateExpr(tuple((complex(1.0, 0.5 * k), *prims[k:k + arity]) for k in range(n)))
+                 for n in (1, 2, 3)]
+        theta = np.random.default_rng(3).uniform(-3.0, 3.0, (1500, arity))
+        for order in (batch, batch[::-1]):
+            for state, got in zip(order, ManifoldOverlap(order, K1, manifold)(theta)):
+                assert got.tobytes() == ManifoldOverlap(state, K1, manifold)(theta).tobytes()
+
     def test_rejects_wrong_point_size(self):
         overlap = ManifoldOverlap(embed_pair_position((0.0,), (1.0,)), K1,
                                   ManifoldId.POSITION_PAIR)
@@ -420,6 +434,17 @@ class TestManifoldOverlap:
         manifold = ManifoldId.MOMENTUM_PAIR
         result = nearest_classical_point(state, manifold, (-6.0, 6.0), coarse=5)
         assert_local_maximum(result, state, manifold, -6.0, 6.0, 5)
+
+    def test_retries_keep_climbing_past_a_saddle(self):
+        # on the way up the Hessian curves up by about 0.09 and down by 1.0:
+        # retries that jumped from lam = top to lam = top + 1.0 crept on with
+        # tiny steps and met the 100-step cap short of the top
+        state = normalize(StateExpr(((1j, PlaneWave((0.0,)), PlaneWave((1.5,))),
+                                     (-1.0, Delta((0.0,)), Delta((0.0,))))),
+                          ConfinedKernel(0.125, 2.0))
+        manifold = ManifoldId.POSITION_PAIR
+        result = nearest_classical_point(state, manifold, (-6.0, 6.0), coarse=6)
+        assert_local_maximum(result, state, manifold, -6.0, 6.0, 6)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
