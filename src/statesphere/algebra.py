@@ -24,24 +24,10 @@ from typing import Union
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericalFailureError
-from .kernels import KernelSpec, _formed, _integer, _positive, kernel_coefficients
+from .kernels import KernelSpec, Vec, _formed, _positive, as_vec, kernel_coefficients
 
-Vec = tuple[float, ...]
-
-MAX_DIMENSION = 3
 IMAG_RESIDUE_TOL = 1e-10
 CONDITION_CAP = 1e12
-
-
-def as_vec(value) -> Vec:
-    """Coerce a scalar or an iterable of reals to a validated coordinate tuple."""
-    if isinstance(value, (int, float)):
-        value = (value,)
-    vec = tuple(float(c) for c in value)
-    _integer(len(vec), "dimension", 1, MAX_DIMENSION)
-    if not all(math.isfinite(c) for c in vec):
-        raise DomainError(f"non-finite component in {vec!r}")
-    return vec
 
 
 def _finite_complex(z, name: str) -> complex:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StateExpr, as_vec, blend, inner_product, norm_sq
+from .algebra import StateExpr, blend, inner_product, norm_sq
 from .errors import DomainError, GeodesicUndeterminedError
-from .kernels import KernelSpec, _positive
+from .kernels import KernelSpec, _positive, as_vec
 
 PLANCK_LENGTH_M = 1.6e-35
 LIGHT_SPEED_M_PER_S = 2.99792458e8

@@ -26,6 +26,10 @@ import numpy as np
 
 from .errors import DomainError
 
+Vec = tuple[float, ...]
+
+MAX_DIMENSION = 3
+
 
 def _finite(value: float, name: str) -> float:
     value = float(value)
@@ -60,6 +64,17 @@ def _integer(value, name: str, lo: int, hi: float = math.inf) -> int:
         bound = f"of at least {lo}" if hi == math.inf else f"from {lo} to {hi}"
         raise DomainError(f"{name} must be an integer {bound}, got {value!r}")
     return number
+
+
+def as_vec(value) -> Vec:
+    """Coerce a scalar or an iterable of reals to a validated coordinate tuple."""
+    if isinstance(value, (int, float)):
+        value = (value,)
+    vec = tuple(float(c) for c in value)
+    _integer(len(vec), "dimension", 1, MAX_DIMENSION)
+    if not all(math.isfinite(c) for c in vec):
+        raise DomainError(f"non-finite component in {vec!r}")
+    return vec
 
 
 @dataclass(frozen=True)
@@ -169,12 +184,13 @@ def induced_metric(kernel: KernelSpec, at, h: float = 1e-3) -> MetricReport:
     Each component is the central mixed second difference of the kernel,
     d^2 k(x, y) / dx_i dy_k evaluated at x = y = `at`, with O(h^2) error; one
     Richardson step over {h, h/2} cancels the leading error term.  `h` must
-    lie 1e-5 to 0.1 kernel length scales.
+    lie 1e-5 to 0.1 kernel length scales, and `at` has 1 to MAX_DIMENSION
+    finite coordinates, as every primitive's.
     """
     from .oracle import finite_difference
 
     h = _metric_step(kernel, h, "h")
-    point = tuple(_finite(c, "metric point") for c in np.atleast_1d(np.asarray(at, dtype=float)))
+    point = as_vec(at)
     d = len(point)
     pt = np.array(point)
 

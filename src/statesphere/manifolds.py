@@ -16,10 +16,10 @@ from enum import Enum
 import numpy as np
 
 from .algebra import (Delta, PlaneWave, StateExpr, _check_form_matrix, _free_pair_margin,
-                      _profile, as_vec, overlap_matrix)
+                      _profile, overlap_matrix)
 from .errors import DomainError
 from .geometry import SphereState, normalize
-from .kernels import KernelSpec, _finite, _integer, _positive, kernel_coefficients
+from .kernels import KernelSpec, _finite, _integer, _positive, as_vec, kernel_coefficients
 
 _TIE_TOL = 1e-9  # relative to the compared overlaps
 _CHUNK = 4096  # manifold points per batched evaluation

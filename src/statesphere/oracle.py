@@ -2,18 +2,17 @@
 
 Inner products are re-evaluated by brute tensor-grid quadrature.  The
 integrand of every supported primitive pair factorizes across coordinate
-axes, so a 2d-dimensional integral is computed as a product of d
-two-dimensional blocks; this is an identity of the integrand, not of the
-closed-form evaluation path, so the check stays independent.  Deltas are
-substituted analytically and never discretized as spikes.
+axes, so a 2d-dimensional integral is a product of d blocks, one per axis;
+this is an identity of the integrand, not of the closed-form evaluation
+path, so the check stays independent.  One routine builds every block from
+two sides: a free primitive is Gauss-Legendre nodes on a box, a delta one
+node at its coordinate (substituted exactly, never a discretized spike).
 
-Every node value is the integrand sampled pointwise: |integrand| is one real
-grid built in place (8 n^2 bytes per 2-d block, 8.4 MB at n = 1025), and the
-unit-modulus phases e^{+-i p t} ride on the quadrature weights.
-
-Integration boxes are centered on the real-part maximum of the (quadratic)
-integrand exponent and sized from its curvature, so the integrand decays
-below 1e-16 of its peak at every box edge.
+|integrand| is sampled pointwise into one real grid built in place (8 n^2
+bytes for two free sides, 8.4 MB at n = 1025); the unit-modulus phases
+e^{+-i p t} ride on the weights.  Each free side's box is centered on the
+real-part maximum of the quadratic exponent in its variable and sized from
+its curvature, so the integrand decays below 1e-16 of its peak at the edges.
 """
 
 from __future__ import annotations
@@ -26,9 +25,10 @@ import numpy as np
 
 from .algebra import Delta, Packet, Primitive, StateExpr, _pairwise, _slot_matrices
 from .errors import BoxTooSmallError, DomainError, NumericalFailureError
-from .kernels import KernelSpec, _integer, _positive, kernel_coefficients, kernel_value
+from .kernels import KernelSpec, _integer, _positive, kernel_coefficients
 
 BOUNDARY_DECAY = 1e-16
+MAX_NODES = 4097  # top refinement level: one 134 MB block of two free sides
 _PAD = 10.0  # box half-extent in units of 1/sqrt(marginal curvature)
 
 
@@ -36,22 +36,22 @@ _PAD = 10.0  # box half-extent in units of 1/sqrt(marginal curvature)
 class QuadratureSpec:
     """Controls for the brute-force integrator.
 
-    A box_halfwidth of None sizes each box from the integrand itself; the
-    error estimate is the difference of the last two refinement levels.
+    Boxes are sized from the integrand itself; the error estimate is the
+    difference of the last two refinement levels.  Level k = 0, 1, ... has
+    (nodes_per_axis - 1) 2^k + 1 nodes per axis, at most MAX_NODES.
     """
 
-    box_halfwidth: float | None = None
     nodes_per_axis: int = 257
     refinement_levels: int = 3
 
     def __post_init__(self):
-        if self.box_halfwidth is not None:
-            object.__setattr__(self, "box_halfwidth",
-                               _positive(self.box_halfwidth, "box_halfwidth"))
-        for name, lo in (("nodes_per_axis", 33), ("refinement_levels", 1)):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, lo))
-        if self.nodes_per_axis % 2 == 0:
-            raise DomainError(f"nodes_per_axis must be odd, got {self.nodes_per_axis!r}")
+        nodes = _integer(self.nodes_per_axis, "nodes_per_axis", 33, MAX_NODES)
+        if nodes % 2 == 0:
+            raise DomainError(f"nodes_per_axis must be odd, got {nodes!r}")
+        top = ((MAX_NODES - 1) // (nodes - 1)).bit_length()
+        object.__setattr__(self, "nodes_per_axis", nodes)
+        object.__setattr__(self, "refinement_levels",
+                           _integer(self.refinement_levels, "refinement_levels", 1, top))
 
 
 @functools.cache
@@ -77,96 +77,68 @@ def _real_anchor(prim: Primitive, axis: int) -> float:
     return prim.center[axis] if isinstance(prim, Packet) else 0.0
 
 
-def _envelope(prim: Primitive, axis: int, t: np.ndarray) -> np.ndarray:
-    """Real exponent -s(t - c)^2 of a free primitive's factor on one axis (0 for a wave)."""
-    return -_quad_weight(prim) * (t - _real_anchor(prim, axis)) ** 2
-
-
-def _phased(prim: Primitive, axis: int, t: np.ndarray, w: np.ndarray, conjugate: bool):
-    """Weights times the unit-modulus phase e^{+-i p t} of a free primitive's factor."""
-    return w * np.exp((-1j if conjugate else 1j) * prim.momentum[axis] * t)
-
-
 def _check_boundary(magnitude: np.ndarray):
     """Raise unless |integrand|, a real grid, decays at every box edge."""
     peak = magnitude.max()
     if peak == 0.0:
         return
-    edge = max(np.take(magnitude, [0, -1], axis=a).max() for a in range(magnitude.ndim))
+    edge = max((np.take(magnitude, [0, -1], axis=a).max()
+                for a in range(magnitude.ndim) if magnitude.shape[a] > 1), default=0.0)
     if edge > BOUNDARY_DECAY * peak:
         raise BoxTooSmallError(
             f"integrand at box edge is {edge / peak:.2e} of its peak; enlarge the box")
 
 
-def _boxes_2d(f, g, kernel, axis, halfwidth):
-    """Boxes for one (x_i, y_i) block from the exponent's peak and curvature."""
+def _box(prim: Primitive, other: Primitive, kernel, axis: int):
+    """Box of a free side from the exponent's peak and curvature in its variable:
+    the other variable is maximized out if free, else fixed at the delta."""
     conf, pair = kernel_coefficients(kernel)
-    s_f, s_g = _quad_weight(f), _quad_weight(g)
-    cxx = 2.0 * (conf + pair + s_f)
-    cyy = 2.0 * (conf + pair + s_g)
-    cxy = -2.0 * pair
-    det = cxx * cyy - cxy * cxy
-    if det <= 0.0:
-        raise DomainError("integrand does not decay; the pair diverges under this kernel")
-    rx = 2.0 * s_f * _real_anchor(f, axis)
-    ry = 2.0 * s_g * _real_anchor(g, axis)
-    x_star = (cyy * rx - cxy * ry) / det
-    y_star = (cxx * ry - cxy * rx) / det
-    if halfwidth is not None:
-        pad_x = pad_y = halfwidth
+    s, cxy = _quad_weight(prim), -2.0 * pair
+    cxx, rx = 2.0 * (conf + pair + s), 2.0 * s * _real_anchor(prim, axis)
+    if isinstance(other, Delta):
+        peak, curvature = (2.0 * pair * other.center[axis] + rx) / cxx, cxx
     else:
-        pad_x = _PAD / math.sqrt(cxx - cxy * cxy / cyy)
-        pad_y = _PAD / math.sqrt(cyy - cxy * cxy / cxx)
-    return (x_star - pad_x, x_star + pad_x), (y_star - pad_y, y_star + pad_y)
+        cyy = 2.0 * (conf + pair + _quad_weight(other))
+        det = cxx * cyy - cxy * cxy
+        if det <= 0.0:
+            raise DomainError("integrand does not decay; the pair diverges under this kernel")
+        ry = 2.0 * _quad_weight(other) * _real_anchor(other, axis)
+        peak, curvature = (cyy * rx - cxy * ry) / det, cxx - cxy * cxy / cyy
+    pad = _PAD / math.sqrt(curvature)
+    return peak - pad, peak + pad
 
 
-def _quad_block_2d(f, g, kernel, axis, n, halfwidth):
-    conf, pair = kernel_coefficients(kernel)
-    box_x, box_y = _boxes_2d(f, g, kernel, axis, halfwidth)
-    x, wx = _nodes(*box_x, n)
-    y, wy = _nodes(*box_y, n)
-    # |integrand| in place in one real n x n array; x^2 + y^2 - 2xy would cancel
+def _side(prim: Primitive, other: Primitive, kernel, axis: int, n: int, conjugate: bool):
+    """Nodes, phased weights and real log-envelope of one factor on one axis."""
+    conf, _ = kernel_coefficients(kernel)
+    if isinstance(prim, Delta):
+        t = np.array([prim.center[axis]])
+        return t, np.ones(1, complex), -conf * t**2
+    t, w = _nodes(*_box(prim, other, kernel, axis), n)
+    phased = w * np.exp((-1j if conjugate else 1j) * prim.momentum[axis] * t)
+    return t, phased, -_quad_weight(prim) * (t - _real_anchor(prim, axis)) ** 2 - conf * t**2
+
+
+def _quad_block(f: Primitive, g: Primitive, kernel, axis: int, n: int) -> complex:
+    """u @ K @ v on one axis, K = exp(env_f(x) - pair (x - y)^2 + env_g(y))."""
+    _, pair = kernel_coefficients(kernel)
+    x, u, env_x = _side(f, g, kernel, axis, n, conjugate=False)
+    y, v, env_y = _side(g, f, kernel, axis, n, conjugate=True)
+    # |integrand| in place in one real array; x^2 + y^2 - 2xy would cancel
     magnitude = np.subtract.outer(x, y)
     np.square(magnitude, out=magnitude)
     magnitude *= -pair
-    magnitude += (_envelope(f, axis, x) - conf * x**2)[:, None]
-    magnitude += _envelope(g, axis, y) - conf * y**2
+    magnitude += env_x[:, None]
+    magnitude += env_y
     np.exp(magnitude, out=magnitude)
     _check_boundary(magnitude)
-    v = _phased(g, axis, y, wy, conjugate=True)
-    mv = magnitude @ np.stack([v.real, v.imag], 1)
-    return complex(_phased(f, axis, x, wx, conjugate=False) @ (mv[:, 0] + 1j * mv[:, 1]))
+    mv = magnitude @ v.view(float).reshape(-1, 2)  # columns Re v, Im v: a real product
+    return complex(u @ mv.view(complex)[:, 0])
 
 
-def _quad_block_1d(free, conjugate, kernel, axis, anchor, n, halfwidth):
-    conf, pair = kernel_coefficients(kernel)
-    s = _quad_weight(free)
-    curv = 2.0 * (conf + pair + s)
-    lin = 2.0 * pair * anchor + 2.0 * s * _real_anchor(free, axis)
-    t_star = lin / curv
-    pad = halfwidth if halfwidth is not None else _PAD / math.sqrt(curv)
-    t, w = _nodes(t_star - pad, t_star + pad, n)
-    magnitude = np.exp(-conf * (anchor**2 + t**2) - pair * (anchor - t) ** 2
-                       + _envelope(free, axis, t))
-    _check_boundary(magnitude)
-    return complex(_phased(free, axis, t, w, conjugate) @ magnitude)
-
-
-def _quad_pair_level(f: Primitive, g: Primitive, kernel, spec, n: int) -> complex:
-    d = f.dimension
-    value = 1.0 + 0j
-    if isinstance(f, Delta) or isinstance(g, Delta):
-        if isinstance(f, Delta):
-            anchors, free, conjugate = f.center, g, True
-        else:
-            anchors, free, conjugate = g.center, f, False
-        for axis in range(d):
-            value *= _quad_block_1d(free, conjugate, kernel, axis, anchors[axis],
-                                    n, spec.box_halfwidth)
-        return value
-    for axis in range(d):
-        value *= _quad_block_2d(f, g, kernel, axis, n, spec.box_halfwidth)
-    return value
+def _quad_pair_level(f: Primitive, g: Primitive, kernel, n: int) -> complex:
+    return math.prod((_quad_block(f, g, kernel, axis, n) for axis in range(f.dimension)),
+                     start=1.0 + 0j)
 
 
 def _refine(level_value, spec):
@@ -193,13 +165,12 @@ def quad_pair_overlap(f: Primitive, g: Primitive, kernel: KernelSpec,
                       spec: QuadratureSpec = QuadratureSpec()) -> tuple[complex, float]:
     """<f, g> under the kernel by tensor-grid quadrature, with an error estimate.
 
-    Delta pairs are evaluated by exact substitution and report zero error.
+    A delta is substituted exactly, as a one-node side; a delta pair takes the
+    same value at every level, so its estimate is 0.
     """
     if f.dimension != g.dimension:
         raise DomainError("dimension mismatch")
-    if isinstance(f, Delta) and isinstance(g, Delta):
-        return complex(kernel_value(kernel, f.center, g.center)), 0.0
-    value, estimate, _ = _refine(lambda n: _quad_pair_level(f, g, kernel, spec, n), spec)
+    value, estimate, _ = _refine(lambda n: _quad_pair_level(f, g, kernel, n), spec)
     return value, estimate
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import json
 import math
 import re
@@ -228,6 +229,21 @@ def test_readme_commands_run(tmp_path: Path, capsys):
             assert Path(argv[argv.index("--csv") + 1]).exists(), line
 
 
+def test_readme_python_examples_run():
+    # both blocks in one namespace; each expression line's value by its source
+    namespace, values = {}, {}
+    for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S):
+        for node in ast.parse(block).body:
+            if isinstance(node, ast.Expr):
+                values[ast.unparse(node)] = eval(ast.unparse(node), namespace)
+            else:
+                exec(ast.unparse(node), namespace)
+    assert math.pi / 2 - values["sphere_angle(a, b)"] == pytest.approx(1.52e-8, rel=1e-2)
+    assert values["collapse_time(path)"] == pytest.approx(8.38e-44, rel=1e-3)
+    assert values["pair.arity"] == 2
+    assert values["inner_product(pair, pair, kernel)"] == 1
+
+
 def test_oracle_verify():
     record = record_of(run_cli("oracle-verify", "--count", "6", "--seed", "3"))
     assert record["results"]["passed"] is True
@@ -256,6 +272,7 @@ MALFORMED = [
     "geodesic --delta 0 --delta 1 --speed inf",
     "metric --at nan,0,0",
     "metric --at inf,0,0",
+    "metric --at 1,2,3,4",  # d^2 kernel stencils: a long point ran for minutes
     "oracle-verify --tolerance nan",
     "oracle-verify --tolerance inf",
     "oracle-verify --tolerance -1",

@@ -78,6 +78,11 @@ class TestInducedMetric:
         with pytest.raises(DomainError):
             induced_metric(K1, at)
 
+    def test_rejects_point_beyond_max_dimension(self):
+        # as every primitive's coordinates; a d-coordinate point costs 8 d^2 kernel values
+        with pytest.raises(DomainError, match="^dimension must be an integer from 1 to 3"):
+            induced_metric(K1, (0.0, 1.0, 2.0, 3.0))
+
     def test_step_lies_in_a_window_of_the_length_scale(self):
         # 1e-5 to 0.1 times 1/sqrt(reference_factor): sigma, or 1/sqrt(2 beta)
         for kernel, scale in ((K1, 1.0), (TranslationKernel(2.0), 2.0),

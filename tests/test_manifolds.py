@@ -20,7 +20,7 @@ from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
 from statesphere.kernels import kernel_coefficients, kernel_value
 from statesphere.manifolds import ManifoldOverlap, gram_matrix
 
-from helpers import coords, kernels, primitives
+from helpers import coords, kernels, primitives, random_pair_state, random_state
 
 K1 = TranslationKernel(1.0)
 KC = ConfinedKernel(0.1, 1.0)
@@ -418,6 +418,29 @@ class TestManifoldOverlap:
         for order in (batch, batch[::-1]):
             for state, got in zip(order, ManifoldOverlap(order, K1, manifold)(theta)):
                 assert got.tobytes() == ManifoldOverlap(state, K1, manifold)(theta).tobytes()
+
+    def test_derivatives_match_central_differences(self):
+        # gradient from differences of values, Hessian from differences of
+        # gradients, step 1e-5: both agree to about 3e-9 of their largest entry
+        rng, h = np.random.default_rng(11), 1e-5
+        for i in range(200):
+            manifold = list(ManifoldId)[i % 4]
+            # plane waves, as states or as momentum targets, only where they normalize
+            confined = manifold.primitive is PlaneWave or i % 8 >= 4
+            kernel = KC if confined else K1
+            kinds = ("delta", "packet", "wave") if confined else ("delta", "packet")
+            make = random_pair_state if manifold.is_pair else random_state
+            overlap = ManifoldOverlap(make(rng, int(rng.integers(1, 4)), kinds, max_terms=3),
+                                      kernel, manifold)
+            theta = rng.uniform(-3.0, 3.0, (1, overlap.axes))
+            step = h * np.eye(overlap.axes)
+            _, gradient, hessian = overlap._derivatives(np.zeros(1, int), theta)
+            rows = np.zeros(overlap.axes, int)
+            slopes = (overlap(theta + step).real - overlap(theta - step).real) / (2.0 * h)
+            curvatures = (overlap._derivatives(rows, theta + step)[1]
+                          - overlap._derivatives(rows, theta - step)[1]) / (2.0 * h)
+            for want, got in ((gradient[0], slopes), (hessian[0], curvatures)):
+                assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), (i, manifold)
 
     def test_rejects_wrong_point_size(self):
         overlap = ManifoldOverlap(embed_pair_position((0.0,), (1.0,)), K1,

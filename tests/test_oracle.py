@@ -9,7 +9,7 @@ import pytest
 from helpers import run_python
 from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError,
                          Packet, PlaneWave, StateExpr, TranslationKernel,
-                         inner_product, primitive_overlap)
+                         inner_product, overlap_matrix, primitive_overlap)
 from statesphere.oracle import (QuadratureSpec, _gauss_legendre, _nodes,
                                 _quad_pair_level, _refine, finite_difference,
                                 quad_inner_product, quad_pair_overlap)
@@ -26,14 +26,47 @@ class TestQuadratureSpec:
             QuadratureSpec(nodes_per_axis=64)
         with pytest.raises(DomainError):
             QuadratureSpec(refinement_levels=0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(box_halfwidth=-1.0)
-        for halfwidth in (math.nan, math.inf):  # quad_pair_overlap gave (nan+nanj, nan)
-            with pytest.raises(DomainError, match="box_halfwidth"):
-                QuadratureSpec(box_halfwidth=halfwidth)
+
+    def test_top_level_is_bounded(self):
+        # construction only: a top level of n nodes gives an 8 n^2 byte block
+        assert QuadratureSpec(nodes_per_axis=4097, refinement_levels=1).nodes_per_axis == 4097
+        assert QuadratureSpec(nodes_per_axis=257, refinement_levels=5).refinement_levels == 5
+        assert QuadratureSpec(nodes_per_axis=35, refinement_levels=7).refinement_levels == 7
+        for kwargs, field in (({"nodes_per_axis": 100001}, "nodes_per_axis"),
+                              ({"nodes_per_axis": 4099, "refinement_levels": 1}, "nodes_per_axis"),
+                              ({"refinement_levels": 10}, "refinement_levels"),
+                              ({"refinement_levels": 6}, "refinement_levels"),
+                              ({"nodes_per_axis": 35, "refinement_levels": 8},
+                               "refinement_levels")):
+            with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+                QuadratureSpec(**kwargs)
+
+
+KINDS = {
+    "delta": lambda d: Delta((0.7, -0.4, 1.1)[:d]),
+    "packet": lambda d: Packet((-0.5, 0.3, 0.9)[:d], 0.8, (0.6, -0.2, 0.4)[:d]),
+    "wave": lambda d: PlaneWave((0.9, -0.5, 0.3)[:d]),
+}
+
+
+# every kind pair but the one that diverges: two plane waves under K1
+KIND_PAIRS = [(f, g, kernel) for f in KINDS for g in KINDS for kernel in (K1, KC)
+              if not (kernel is K1 and f == g == "wave")]
 
 
 class TestQuadPairOverlap:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("f_kind, g_kind, kernel", KIND_PAIRS,
+                             ids=[f"{f}-{g}-{type(k).__name__}" for f, g, k in KIND_PAIRS])
+    def test_every_kind_pair_matches_closed_form(self, f_kind, g_kind, kernel, d):
+        # one block routine for all nine kind pairs, with one- and multi-axis
+        # delta sides; a delta pair is the same one-node block at every level
+        f, g = KINDS[f_kind](d), KINDS[g_kind](d)
+        value, estimate = quad_pair_overlap(f, g, kernel, QuadratureSpec(129, 2))
+        np.testing.assert_allclose(value, overlap_matrix([f], [g], kernel)[0, 0], rtol=1e-8)
+        if f_kind == g_kind == "delta":
+            assert estimate == 0.0
+
     def test_delta_delta_is_exact_substitution(self):
         value, estimate = quad_pair_overlap(Delta((0.0,)), Delta((2.0,)), K1)
         assert estimate == 0.0
@@ -67,19 +100,21 @@ class TestQuadPairOverlap:
         value, _ = quad_pair_overlap(f, g, K1, QuadratureSpec(nodes_per_axis=129))
         np.testing.assert_allclose(value, closed, rtol=1e-7)
 
-    def test_undersized_box_raises(self):
-        spec = QuadratureSpec(box_halfwidth=1.0)
-        for f in (Packet((0.0,), 1.0), Delta((0.0,))):  # a 2-d block, then a 1-d block
+    def test_undersized_box_raises(self, monkeypatch):
+        monkeypatch.setattr("statesphere.oracle._PAD", 1.0)
+        for f in (Packet((0.0,), 1.0), Delta((0.0,))):  # two free sides, then a delta side
             with pytest.raises(BoxTooSmallError):
-                quad_pair_overlap(f, Packet((0.0,), 1.0), K1, spec)
+                quad_pair_overlap(f, Packet((0.0,), 1.0), K1)
 
-    def test_refinement_estimates_decrease(self):
-        # a deliberately wide box keeps the early levels under-resolved, so
-        # the ladder is visible above the rounding floor
+    def test_refinement_estimates_decrease(self, monkeypatch):
+        # a deliberately wide box (half-width 65 / sqrt(8/3) = 39.8) keeps the
+        # early levels under-resolved, so the ladder is visible above the
+        # rounding floor
+        monkeypatch.setattr("statesphere.oracle._PAD", 65.0)
         f = Packet((0.4,), 0.5)
         g = Packet((-0.6,), 0.5)
-        spec = QuadratureSpec(nodes_per_axis=33, refinement_levels=5, box_halfwidth=40.0)
-        _, _, history = _refine(lambda n: _quad_pair_level(f, g, K1, spec, n), spec)
+        spec = QuadratureSpec(nodes_per_axis=33, refinement_levels=5)
+        _, _, history = _refine(lambda n: _quad_pair_level(f, g, K1, n), spec)
         estimates = [abs(b - a) for a, b in zip(history, history[1:])]
         assert all(later < earlier for earlier, later in zip(estimates, estimates[1:]))
         assert estimates[-1] < 1e-10
@@ -124,18 +159,18 @@ class TestQuadratureBlocks:
     def test_refinement_history_matches_recorded(self, name):
         (f, g, kernel), *want = _HISTORIES[name]
         spec = QuadratureSpec()
-        _, _, history = _refine(lambda n: _quad_pair_level(f, g, kernel, spec, n), spec)
+        _, _, history = _refine(lambda n: _quad_pair_level(f, g, kernel, n), spec)
         np.testing.assert_allclose(history, want, rtol=1e-13, atol=0.0)
 
     def test_2d_block_holds_one_real_grid(self):
         # tracemalloc sees numpy buffers
         f = Packet((0.5,), 0.6, (1.2,))
         g = Packet((-0.8,), 1.1, (-0.5,))
-        spec, n = QuadratureSpec(), 1025
-        _quad_pair_level(f, g, K1, spec, n)  # warm the node cache
+        n = 1025
+        _quad_pair_level(f, g, K1, n)  # warm the node cache
         tracemalloc.start()
         try:
-            _quad_pair_level(f, g, K1, spec, n)
+            _quad_pair_level(f, g, K1, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
