@@ -67,12 +67,20 @@ def _integer(value, name: str, lo: int, hi: float = math.inf) -> int:
 
 
 def as_vec(value) -> Vec:
-    """Coerce a scalar or an iterable of reals to a validated coordinate tuple."""
-    if isinstance(value, (int, float)):
+    """Coerce a real, a 0-d or 1-d array, or an iterable of reals to a validated
+    coordinate tuple; any other value is a DomainError."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = np.atleast_1d(value).tolist()  # nested lists for 2-d, rejected below
+    elif isinstance(value, (int, float, str, bytes)) or not hasattr(value, "__iter__"):
         value = (value,)
-    vec = tuple(float(c) for c in value)
-    _integer(len(vec), "dimension", 1, MAX_DIMENSION)
-    if not all(math.isfinite(c) for c in vec):
+    try:
+        vec = tuple(map(float, value))
+    except (TypeError, ValueError):
+        raise DomainError(f"coordinates must be reals, got {value!r}") from None
+    if not 0 < len(vec) <= MAX_DIMENSION:
+        raise DomainError(f"dimension must be an integer from 1 to {MAX_DIMENSION}, "
+                          f"got {len(vec)}")
+    if not all(map(math.isfinite, vec)):
         raise DomainError(f"non-finite component in {vec!r}")
     return vec
 

@@ -8,8 +8,8 @@ path, so the check stays independent.  One routine builds every block from
 two sides: a free primitive is Gauss-Legendre nodes on a box, a delta one
 node at its coordinate (substituted exactly, never a discretized spike).
 
-|integrand| is sampled pointwise into one real grid built in place (8 n^2
-bytes for two free sides, 8.4 MB at n = 1025); the unit-modulus phases
+|integrand| is sampled pointwise into real row strips built in place in one
+reused buffer, a strip of about 512 KB at any level; the unit-modulus phases
 e^{+-i p t} ride on the weights.  Each free side's box is centered on the
 real-part maximum of the quadratic exponent in its variable and sized from
 its curvature, so the integrand decays below 1e-16 of its peak at the edges.
@@ -28,8 +28,9 @@ from .errors import BoxTooSmallError, DomainError, NumericalFailureError
 from .kernels import KernelSpec, _integer, _positive, kernel_coefficients
 
 BOUNDARY_DECAY = 1e-16
-MAX_NODES = 4097  # top refinement level: one 134 MB block of two free sides
+MAX_NODES = 4097  # top refinement level: a strip of about 512 KB at any level
 _PAD = 10.0  # box half-extent in units of 1/sqrt(marginal curvature)
+_STRIP_BYTES = 65 * 8192  # 64 rows at 1025 nodes, a whole block at 257
 
 
 @dataclass(frozen=True)
@@ -77,18 +78,6 @@ def _real_anchor(prim: Primitive, axis: int) -> float:
     return prim.center[axis] if isinstance(prim, Packet) else 0.0
 
 
-def _check_boundary(magnitude: np.ndarray):
-    """Raise unless |integrand|, a real grid, decays at every box edge."""
-    peak = magnitude.max()
-    if peak == 0.0:
-        return
-    edge = max((np.take(magnitude, [0, -1], axis=a).max()
-                for a in range(magnitude.ndim) if magnitude.shape[a] > 1), default=0.0)
-    if edge > BOUNDARY_DECAY * peak:
-        raise BoxTooSmallError(
-            f"integrand at box edge is {edge / peak:.2e} of its peak; enlarge the box")
-
-
 def _box(prim: Primitive, other: Primitive, kernel, axis: int):
     """Box of a free side from the exponent's peak and curvature in its variable:
     the other variable is maximized out if free, else fixed at the delta."""
@@ -120,19 +109,35 @@ def _side(prim: Primitive, other: Primitive, kernel, axis: int, n: int, conjugat
 
 
 def _quad_block(f: Primitive, g: Primitive, kernel, axis: int, n: int) -> complex:
-    """u @ K @ v on one axis, K = exp(env_f(x) - pair (x - y)^2 + env_g(y))."""
+    """u @ K @ v on one axis, K = exp(env_f(x) - pair (x - y)^2 + env_g(y)),
+    built in row strips; raises unless K decays at every box edge."""
     _, pair = kernel_coefficients(kernel)
     x, u, env_x = _side(f, g, kernel, axis, n, conjugate=False)
     y, v, env_y = _side(g, f, kernel, axis, n, conjugate=True)
-    # |integrand| in place in one real array; x^2 + y^2 - 2xy would cancel
-    magnitude = np.subtract.outer(x, y)
-    np.square(magnitude, out=magnitude)
-    magnitude *= -pair
-    magnitude += env_x[:, None]
-    magnitude += env_y
-    np.exp(magnitude, out=magnitude)
-    _check_boundary(magnitude)
-    mv = magnitude @ v.view(float).reshape(-1, 2)  # columns Re v, Im v: a real product
+    rows = max(1, _STRIP_BYTES // (8 * len(y)))
+    buffer = np.empty((min(rows, len(x)), len(y)))
+    mv = np.empty((len(x), 2))
+    v = v.view(float).reshape(-1, 2)  # columns Re v, Im v: a real product
+    peak = edge = 0.0
+    for lo in range(0, len(x), rows):
+        hi = min(lo + rows, len(x))
+        strip = buffer[:hi - lo]
+        # |integrand| in place; x^2 + y^2 - 2xy would cancel
+        np.subtract.outer(x[lo:hi], y, out=strip)
+        np.square(strip, out=strip)
+        strip *= -pair
+        strip += env_x[lo:hi, None]
+        strip += env_y
+        np.exp(strip, out=strip)
+        np.matmul(strip, v, out=mv[lo:hi])
+        peak = max(peak, strip.max())
+        if len(y) > 1:  # first and last column
+            edge = max(edge, strip[:, 0].max(), strip[:, -1].max())
+        if len(x) > 1:  # first and last row, in the strips that hold them
+            edge = max([edge, *(strip[i - lo].max() for i in (0, len(x) - 1) if lo <= i < hi)])
+    if peak > 0.0 and edge > BOUNDARY_DECAY * peak:
+        raise BoxTooSmallError(
+            f"integrand at box edge is {edge / peak:.2e} of its peak; enlarge the box")
     return complex(u @ mv.view(complex)[:, 0])
 
 

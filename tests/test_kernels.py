@@ -72,6 +72,21 @@ def test_every_count_takes_one_integer_check(name, call, valid, below):
     call(np.int64(valid))
 
 
+class TestCoordinates:
+    # every primitive and induced_metric's point go through one coordinate check
+    @pytest.mark.parametrize("coordinates", [lambda v: Delta(v).center,
+                                             lambda v: induced_metric(K1, v).point],
+                             ids=["Delta", "induced_metric"])
+    def test_zero_d_array_is_a_one_vector(self, coordinates):
+        assert coordinates(np.asarray(0.5)) == coordinates(0.5) == (0.5,)
+
+    @pytest.mark.parametrize("bad", [np.array([[0.5]]), [[0.5, 1.0]], None, [1 + 2j], "abc"],
+                             ids=["2-d array", "nested list", "None", "complex", "str"])
+    def test_malformed_coordinates_are_domain_errors(self, bad):
+        with pytest.raises(DomainError, match="^coordinates must be reals"):
+            Delta(bad)
+
+
 class TestInducedMetric:
     @pytest.mark.parametrize("at", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0)])
     def test_rejects_non_finite_point(self, at):

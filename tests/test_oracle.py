@@ -10,7 +10,7 @@ from helpers import run_python
 from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError,
                          Packet, PlaneWave, StateExpr, TranslationKernel,
                          inner_product, overlap_matrix, primitive_overlap)
-from statesphere.oracle import (QuadratureSpec, _gauss_legendre, _nodes,
+from statesphere.oracle import (_STRIP_BYTES, QuadratureSpec, _box, _gauss_legendre, _nodes,
                                 _quad_pair_level, _refine, finite_difference,
                                 quad_inner_product, quad_pair_overlap)
 
@@ -162,11 +162,12 @@ class TestQuadratureBlocks:
         _, _, history = _refine(lambda n: _quad_pair_level(f, g, kernel, n), spec)
         np.testing.assert_allclose(history, want, rtol=1e-13, atol=0.0)
 
-    def test_2d_block_holds_one_real_grid(self):
-        # tracemalloc sees numpy buffers
+    @pytest.mark.parametrize("n", [513, 1025])
+    def test_2d_block_holds_one_strip(self, n):
+        # tracemalloc sees numpy buffers; one bound for every n: the strip
+        # budget plus O(n) vectors at the largest n here, about 0.93 MB
         f = Packet((0.5,), 0.6, (1.2,))
         g = Packet((-0.8,), 1.1, (-0.5,))
-        n = 1025
         _quad_pair_level(f, g, K1, n)  # warm the node cache
         tracemalloc.start()
         try:
@@ -174,7 +175,44 @@ class TestQuadratureBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8 * n * n
+        assert peak <= 1.25 * _STRIP_BYTES + 32 * 8 * 1025
+
+    # rows per strip at 257 columns: the last strip is partial (257 = 85 * 3 + 2)
+    # or a single row (257 = 64 * 4 + 1)
+    @pytest.mark.parametrize("rows", [3, 4])
+    def test_strips_match_one_strip(self, monkeypatch, rows):
+        spec = QuadratureSpec()
+        for (f, g, kernel), *_ in _HISTORIES.values():
+            def history(strip_bytes):
+                monkeypatch.setattr("statesphere.oracle._STRIP_BYTES", strip_bytes)
+                return _refine(lambda n: _quad_pair_level(f, g, kernel, n), spec)[2]
+            np.testing.assert_allclose(history(8 * rows * 257), history(1 << 40),
+                                       rtol=1e-13, atol=0.0)
+
+    # one side's box moved by half its half-width, so exactly one box edge
+    # cuts into the integrand: a row edge if f's box moves, else a column edge
+    @pytest.mark.parametrize("rows", [3, 4])
+    @pytest.mark.parametrize("by", [-0.5, 0.5], ids=["last", "first"])
+    @pytest.mark.parametrize("f, g, moved", [
+        (Packet((0.3,), 0.7), Delta((0.1,)), "f"),  # one-column block: a row edge
+        (Delta((0.1,)), Packet((0.3,), 0.7), "g"),  # one-row block: a column edge
+        (Packet((0.3,), 0.7), Packet((-0.2,), 1.1), "f"),
+        (Packet((0.3,), 0.7), Packet((-0.2,), 1.1), "g"),
+    ], ids=["one-column row", "one-row column", "2-d row", "2-d column"])
+    def test_lone_offending_edge_raises(self, monkeypatch, f, g, moved, by, rows):
+        side = f if moved == "f" else g
+
+        def moved_box(prim, other, kernel, axis):
+            lo, hi = _box(prim, other, kernel, axis)
+            shift = by * 0.5 * (hi - lo) if prim is side else 0.0
+            return lo + shift, hi + shift
+
+        columns = 1 if isinstance(g, Delta) else 257
+        monkeypatch.setattr("statesphere.oracle._STRIP_BYTES", 8 * rows * columns)
+        _quad_pair_level(f, g, K1, 257)  # the unmoved box passes
+        monkeypatch.setattr("statesphere.oracle._box", moved_box)
+        with pytest.raises(BoxTooSmallError, match="of its peak; enlarge the box"):
+            _quad_pair_level(f, g, K1, 257)
 
 
 class TestGaussLegendreCache:
