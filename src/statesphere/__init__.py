@@ -18,7 +18,7 @@ from .experiments import (DetectorCurve, EPRConfig, SegmentKind, SlitConfig,
                           detector_intensity, momentum_collapse,
                           momentum_correlation_profile, position_collapse,
                           position_correlation_profile)
-from .geometry import (GeodesicPath, SphereState, UnitSystem, arc_length,
+from .geometry import (GeodesicPath, SphereState, UnitSystem,
                        classical_path_length, collapse_time, fs_angle,
                        geodesic_at, geodesic_between, normalize, sphere_angle,
                        state_overlap)
@@ -29,6 +29,6 @@ from .manifolds import (ManifoldId, ProjectionResult, embed_momentum,
                         embed_pair_momentum, embed_pair_position,
                         embed_position, gram_matrix, gram_min_eigenvalue,
                         manifold_member, manifold_separation,
-                        nearest_classical_point, nearest_classical_points)
+                        nearest_classical_points)
 from .oracle import (QuadratureSpec, finite_difference, quad_inner_product,
                      quad_pair_overlap)

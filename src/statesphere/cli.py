@@ -20,19 +20,18 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .algebra import (Delta, Packet, PlaneWave, StateExpr, inner_product)
-from .errors import DomainError, StateSphereError
+from .algebra import Delta, Packet, PlaneWave, StateExpr, primitive_overlap
+from .errors import DomainError, NumericalFailureError, StateSphereError
 from .experiments import (MAX_DISCRETIZATION, EPRConfig, SlitConfig,
                           build_double_slit_trajectory, build_epr_state,
                           momentum_collapse, momentum_correlation_profile,
-                          position_collapse, position_correlation_profile)
-from .geometry import (UnitSystem, angles_from_start, arc_length, collapse_time,
-                       fs_angle, geodesic_between, normalize, sphere_angle,
-                       state_overlap)
+                          position_collapse)
+from .geometry import (UnitSystem, collapse_time, fs_angle, geodesic_between,
+                       normalize, sphere_angle, state_overlap)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
                       _integer, _metric_step, _positive, induced_metric)
 from .manifolds import ManifoldId, ManifoldOverlap, gram_min_eigenvalue
-from .oracle import QuadratureSpec, quad_inner_product
+from .oracle import QuadratureSpec, quad_pair_overlap
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1234
@@ -157,16 +156,18 @@ def run_geodesic(config: dict):
     end = normalize(parse_state(config["states"][1]), kernel)
     path = geodesic_between(start, end)
     units = UnitSystem()
-    ts = np.linspace(0.0, 1.0, samples)
     results = {
         "theta": path.theta,
         "alignment_phase": path.alignment_phase,
-        "arc_length_planck": arc_length(path),
+        "arc_length_planck": path.theta,
         "collapse_time_s": collapse_time(path, units, config["speed"]),
         "speed_m_per_s": config["speed"] or units.light_speed_m_per_s,
     }
-    return results, lambda: [("t", "angle_from_start"),
-                             *zip(ts.tolist(), angles_from_start(path, ts).tolist())]
+
+    def rows():  # a great circle: the sample at t lies t theta from the start
+        ts = np.linspace(0.0, 1.0, samples)
+        return [("t", "angle_from_start"), *zip(ts.tolist(), (ts * path.theta).tolist())]
+    return results, rows
 
 
 def run_metric(config: dict):
@@ -231,6 +232,29 @@ def run_double_slit(config: dict):
     return results, lambda: [("x", "intensity"), *curve.points]
 
 
+def _ridge_grid(lo: float, hi: float, count: int, center: float) -> np.ndarray:
+    """`count` points from center + lo to center + hi, which must be distinct."""
+    grid = np.linspace(center + lo, center + hi, count)
+    if not (np.diff(grid) > 0.0).all():
+        raise DomainError(f"--grid gives {count} points around {center!r} that coincide in "
+                          "floating point; widen --grid or bring --x0 nearer 0")
+    return grid
+
+
+def _ridge_rows(state, manifold: ManifoldId, firsts, grids) -> list[np.ndarray]:
+    """Overlaps of `state` with the pair manifold along each row (first, grid),
+    from one compiled overlap; a non-finite value fails."""
+    with np.errstate(over="ignore", invalid="ignore"):  # far-out exponents, caught below
+        overlap = ManifoldOverlap(state.expr, state.kernel, manifold)
+        values = [overlap(np.column_stack([np.full(len(grid), first), grid]))
+                  for first, grid in zip(firsts, grids)]
+    for first, row in zip(firsts, values):
+        if not np.isfinite(row).all():
+            raise NumericalFailureError(f"the overlap along the ridge row at {first!r} is not "
+                                        "finite; --x0 or --grid is too large")
+    return values
+
+
 def run_epr(config: dict):
     cfg = EPRConfig(
         x0=config["x0"],
@@ -251,21 +275,18 @@ def run_epr(config: dict):
     # one normalized pair state per kernel, shared by profile and collapse
     state_under = functools.cache(lambda kernel: build_epr_state(cfg, kernel))
     if config["profile"] == "position":
-        overlap = ManifoldOverlap(state_under(cfg.position_kernel).expr, cfg.position_kernel,
-                                  ManifoldId.POSITION_PAIR)
-        profiles = []  # (a, profile) per a-value, repeats included
-        ridges = []
-        for a in config["a_values"]:
-            grid = np.linspace(cfg.x0 + a + lo, cfg.x0 + a + hi, count)
-            profile = position_correlation_profile(overlap, cfg, a, grid)
-            profiles.append((a, profile))
-            best = max(profile, key=lambda bv: bv[1])
-            ridges.append({"a": a, "argmax_b": best[0], "expected_b": cfg.x0 + a,
-                           "grid_step": float(grid[1] - grid[0])})
-        results["position_ridge"] = ridges
+        grids = [_ridge_grid(lo, hi, count, cfg.x0 + a) for a in config["a_values"]]
+        values = _ridge_rows(state_under(cfg.position_kernel), ManifoldId.POSITION_PAIR,
+                             config["a_values"], grids)
+        results["position_ridge"] = [
+            {"a": a, "argmax_b": float(grid[row.real.argmax()]), "expected_b": cfg.x0 + a,
+             "grid_step": float(grid[1] - grid[0])}
+            for a, grid, row in zip(config["a_values"], grids, values)]
 
-        def rows():
-            return [("a", "b", "overlap"), *((a, b, v) for a, p in profiles for b, v in p)]
+        def rows():  # (a, b, overlap) per a-value, repeats included
+            return [("a", "b", "overlap"),
+                    *((a, b, v) for a, grid, row in zip(config["a_values"], grids, values)
+                      for b, v in zip(grid.tolist(), row.real.tolist()))]
     elif config["profile"] == "momentum":
         # the profile scans every (q1, q2) pair
         _integer(count, "--grid COUNT of a momentum profile", 2, math.isqrt(MAX_POINTS))
@@ -274,32 +295,32 @@ def run_epr(config: dict):
                 raise DomainError(f"--a-values momentum {q1!r} has its ridge at q2 = {-q1!r}, "
                                   f"outside the --grid range [{lo!r}, {hi!r}]")
         state = state_under(cfg.momentum_kernel)
-        qs = np.linspace(lo, hi, count)
-        overlap = ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)
-        ridges = []  # one row (q1, qs) each, so q1 need not be a grid point
-        for q1 in config["a_values"]:
-            row = np.abs(overlap(np.column_stack([np.full(count, q1), qs])))
-            ridges.append({"q1": q1, "argmax_q2": float(qs[row.argmax()]), "expected_q2": -q1,
-                           "grid_step": float(qs[1] - qs[0])})
-        results["momentum_ridge"] = ridges
+        qs = _ridge_grid(lo, hi, count, 0.0)
+        # one row (q1, qs) each, so q1 need not be a grid point
+        values = _ridge_rows(state, ManifoldId.MOMENTUM_PAIR, config["a_values"],
+                             [qs] * len(config["a_values"]))
+        results["momentum_ridge"] = [
+            {"q1": q1, "argmax_q2": float(qs[np.abs(row).argmax()]), "expected_q2": -q1,
+             "grid_step": float(qs[1] - qs[0])}
+            for q1, row in zip(config["a_values"], values)]
 
         def rows():  # the COUNT^2 profile, which only the csv shows
-            profile = momentum_correlation_profile(overlap, cfg, qs)
+            profile = momentum_correlation_profile(state, qs)
             return [("q1", "q2", "overlap"), *((q1, q2, v) for (q1, q2), v in profile)]
     if cfg.measured_position is not None:
         path = position_collapse(state_under(cfg.position_kernel), cfg.measured_position, cfg)
         results["position_collapse"] = {
             "a": cfg.measured_position,
             "partner_point": cfg.x0 + cfg.measured_position,
-            "arc_length": arc_length(path),
+            "arc_length": path.theta,
             "collapse_time_s": collapse_time(path),
         }
     if cfg.measured_momentum is not None:
-        path = momentum_collapse(state_under(cfg.momentum_kernel), cfg.measured_momentum, cfg)
+        path = momentum_collapse(state_under(cfg.momentum_kernel), cfg.measured_momentum)
         results["momentum_collapse"] = {
             "q": cfg.measured_momentum,
             "partner_momentum": -cfg.measured_momentum,
-            "arc_length": arc_length(path),
+            "arc_length": path.theta,
             "collapse_time_s": collapse_time(path),
         }
     return results, rows
@@ -337,8 +358,8 @@ def run_oracle_verify(config: dict):
     for index in range(count):
         kernel = TranslationKernel(1.0) if index % 2 == 0 else ConfinedKernel(0.1, 1.0)
         f, g = _random_convergent_pair(rng, kernel)
-        closed = inner_product(StateExpr.single(f), StateExpr.single(g), kernel)
-        quad, _ = quad_inner_product(StateExpr.single(f), StateExpr.single(g), kernel, spec)
+        closed = primitive_overlap(f, g, kernel)
+        quad, _ = quad_pair_overlap(f, g, kernel, spec)
         rel = abs(closed - quad) / max(abs(quad), 1e-300)
         worst = max(worst, rel)
         cases.append({"kinds": [type(f).__name__, type(g).__name__],
@@ -377,14 +398,25 @@ def run_record(command: str, config: dict) -> tuple[dict, Callable[[], list] | N
 
 def _add_state_flags(p):
     p.add_argument("--kernel", default="translation:1", help="translation:SIGMA or confined:ALPHA,BETA")
-    p.add_argument("--state", action="append", help="full state spec, e.g. '0.7@delta:0|0.7@delta:6'")
-    p.add_argument("--delta", action="append", help="delta state at COORDS (sugar)")
-    p.add_argument("--wave", action="append", help="plane-wave state at MOMENTUM (sugar)")
-    p.add_argument("--packet", action="append", help="packet state COORDS:WIDTH[:MOMENTUM] (sugar)")
+    # every state flag appends to one list, in command-line order
+    p.add_argument("--state", dest="states", action="append", metavar="SPEC",
+                   help="full state spec, e.g. '0.7@delta:0|0.7@delta:6'")
+    for kind, spec, what in (("delta", "COORDS", "delta state"),
+                             ("wave", "MOMENTUM", "plane-wave state"),
+                             ("packet", "COORDS:WIDTH[:MOMENTUM]", "packet state")):
+        p.add_argument(f"--{kind}", dest="states", action="append", metavar=spec,
+                       type=f"{kind}:".__add__, help=f"{what} at {spec} (sugar)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise DomainError, so they print as JSON."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="statesphere",
         description="Geometry of quantum states on the unit sphere of a "
                     "Gaussian-kernel Hilbert space.")
@@ -465,19 +497,16 @@ _CONVERTERS = {
 
 def _config_from_args(args) -> tuple[str, dict, str | None]:
     """Config keyed by argparse dest, in the order the parser declares the
-    flags; the state flags fold into one "states" list of state specs."""
+    flags; "states" lists the state specs in command-line order."""
+    if "states" in args and len(args.states or ()) != 2:
+        raise DomainError(f"{args.command} needs exactly two states, "
+                          f"got {len(args.states or ())}")
     config = {}
     for key, value in vars(args).items():
-        if key in ("state", "delta", "wave", "packet"):
-            prefix = "" if key == "state" else f"{key}:"
-            config.setdefault("states", []).extend(prefix + spec for spec in value or [])
-        elif key not in ("command", "csv"):
+        if key not in ("command", "csv"):
             if key == "a_values" and value is None:  # momenta must keep -q1 on the grid
                 value = "-1,0,1" if args.profile == "momentum" else "-5,0,5"
             config[key] = _CONVERTERS[key](value) if key in _CONVERTERS else value
-    if "states" in config and len(config["states"]) != 2:
-        raise DomainError(f"{args.command} needs exactly two states, "
-                          f"got {len(config['states'])}")
     return args.command, config, getattr(args, "csv", None)
 
 

@@ -351,18 +351,16 @@ def build_epr_state(cfg: EPRConfig,
     return normalize(StateExpr(terms), kernel)
 
 
-def position_correlation_profile(state: StateExpr | ManifoldOverlap, cfg: EPRConfig, a: float,
+def position_correlation_profile(state: SphereState, a: float,
                                  b_grid) -> list[tuple[float, float]]:
     """Real overlap of the pair state with normalized point pairs (a, b).
 
     The profile over b peaks at b = x0 + a up to the envelope regularization
     bias a / (envelope_width^2 + 1), which stays within one grid step for
-    grids at least that coarse.  `state` may also be its compiled
-    position-pair `ManifoldOverlap`.
+    grids at least that coarse.
     """
     bs = np.asarray(b_grid, dtype=float)
-    overlap = state if isinstance(state, ManifoldOverlap) else \
-        ManifoldOverlap(state, cfg.position_kernel, ManifoldId.POSITION_PAIR)
+    overlap = ManifoldOverlap(state.expr, state.kernel, ManifoldId.POSITION_PAIR)
     values = overlap(np.column_stack([np.full(len(bs), float(a)), bs]))
     return list(zip(bs.tolist(), values.real.tolist()))
 
@@ -373,7 +371,7 @@ def position_collapse(state: SphereState, a: float, cfg: EPRConfig) -> GeodesicP
     return geodesic_between(state, target)
 
 
-def momentum_collapse(state: SphereState, q: float, cfg: EPRConfig) -> GeodesicPath:
+def momentum_collapse(state: SphereState, q: float) -> GeodesicPath:
     """Geodesic collapse onto the anti-correlated momentum pair (q, -q).
 
     Requires a confined kernel; plane-wave targets have no finite norm under
@@ -383,18 +381,15 @@ def momentum_collapse(state: SphereState, q: float, cfg: EPRConfig) -> GeodesicP
     return geodesic_between(state, target)
 
 
-def momentum_correlation_profile(state: SphereState | ManifoldOverlap, cfg: EPRConfig,
+def momentum_correlation_profile(state: SphereState,
                                  q_grid) -> list[tuple[tuple[float, float], float]]:
     """Normalized overlap modulus with plane-wave pairs on a momentum grid.
 
     The ridge of maxima runs along q2 = -q1; using the modulus makes the
     profile invariant under a global phase of the state.  Requires a
-    confined kernel, as `momentum_collapse` does.  `state` may also be its
-    compiled momentum-pair `ManifoldOverlap`.
+    confined kernel, as `momentum_collapse` does.
     """
     qs = np.asarray(q_grid, dtype=float)
     pairs = np.stack(np.meshgrid(qs, qs, indexing="ij"), axis=-1).reshape(-1, 2)
-    overlap = state if isinstance(state, ManifoldOverlap) else \
-        ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)
-    values = np.abs(overlap(pairs))
+    values = np.abs(ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)(pairs))
     return [((q1, q2), v) for (q1, q2), v in zip(pairs.tolist(), values.tolist())]

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import StateExpr, blend, inner_product, norm_sq
 from .errors import DomainError, GeodesicUndeterminedError
 from .kernels import KernelSpec, _positive, as_vec
@@ -52,10 +50,6 @@ class SphereState:
     expr: StateExpr
     kernel: KernelSpec
     raw_norm: float
-
-    @property
-    def is_pair(self) -> bool:
-        return self.expr.arity == 2
 
     def norm_defect(self) -> float:
         """|<expr,expr> - 1|; diagnostic for the unit-norm invariant."""
@@ -145,30 +139,6 @@ def geodesic_at(path: GeodesicPath, t: float) -> SphereState:
     w1 = math.sin(t * theta) / sin_theta
     mixed = blend(w0, path.start.expr, w1, path.end_aligned.expr)
     return SphereState(expr=mixed, kernel=path.start.kernel, raw_norm=1.0)
-
-
-def angles_from_start(path: GeodesicPath, ts) -> np.ndarray:
-    """sphere_angle(path.start, geodesic_at(path, t)) for every t of an array.
-
-    The weights of `geodesic_at` are real, so Re<start, phi_t> is
-    w0(t) Re<start, start> + w1(t) Re<start, end_aligned>: two inner
-    products give every sample.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if ts.size and not (-1e-12 <= ts.min() and ts.max() <= 1.0 + 1e-12):
-        raise DomainError("path parameters must lie in [0, 1]")
-    real = np.full(ts.shape, state_overlap(path.start, path.start).real)
-    theta = path.theta
-    if theta >= _DEGENERATE_ANGLE:
-        sin_theta = math.sin(theta)
-        real *= np.sin((1.0 - ts) * theta) / sin_theta
-        real += (np.sin(ts * theta) / sin_theta) * state_overlap(path.start, path.end_aligned).real
-    return np.arccos(np.clip(real, -1.0, 1.0))
-
-
-def arc_length(path: GeodesicPath) -> float:
-    """Arc length in Planck lengths; equal to theta on the unit sphere."""
-    return path.theta
 
 
 def collapse_time(path: GeodesicPath, units: UnitSystem = UnitSystem(),

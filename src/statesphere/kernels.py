@@ -31,15 +31,23 @@ Vec = tuple[float, ...]
 MAX_DIMENSION = 3
 
 
+def _real(value, name: str = "coordinates") -> float:
+    """float(value) of a real; a complex value, whose real part numpy's float()
+    keeps with only a warning, is a DomainError."""
+    if isinstance(value, (complex, np.complexfloating)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _finite(value: float, name: str) -> float:
-    value = float(value)
+    value = _real(value, name)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
 def _positive(value: float, name: str) -> float:
-    value = float(value)
+    value = _real(value, name)
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be a positive finite number, got {value!r}")
     return value
@@ -74,7 +82,7 @@ def as_vec(value) -> Vec:
     elif isinstance(value, (int, float, str, bytes)) or not hasattr(value, "__iter__"):
         value = (value,)
     try:
-        vec = tuple(map(float, value))
+        vec = tuple(map(_real, value))
     except (TypeError, ValueError):
         raise DomainError(f"coordinates must be reals, got {value!r}") from None
     if not 0 < len(vec) <= MAX_DIMENSION:

@@ -19,9 +19,10 @@ from .algebra import (Delta, PlaneWave, StateExpr, _check_form_matrix, _free_pai
                       _profile, overlap_matrix)
 from .errors import DomainError
 from .geometry import SphereState, normalize
-from .kernels import KernelSpec, _finite, _integer, _positive, as_vec, kernel_coefficients
+from .kernels import KernelSpec, _finite, _integer, as_vec, kernel_coefficients
 
 _TIE_TOL = 1e-9  # relative to the compared overlaps
+_STEP_TOL = 1e-8  # an ascent ends after a step this short
 _CHUNK = 4096  # manifold points per batched evaluation
 
 
@@ -239,8 +240,8 @@ class ManifoldOverlap:
             yield theta, self(theta)
 
 
-def nearest_classical_points(states, manifold: ManifoldId, box, coarse: int = 33,
-                             tol: float = 1e-8) -> list[ProjectionResult]:
+def nearest_classical_points(states, manifold: ManifoldId, box,
+                             coarse: int = 33) -> list[ProjectionResult]:
     """Best-overlap point of a classical manifold for each state (one kernel).
 
     A coarse grid of `coarse` points per axis over `box` (one (lo, hi) per
@@ -250,11 +251,11 @@ def nearest_classical_points(states, manifold: ManifoldId, box, coarse: int = 33
     whose gradient points out (the active set) and stepping (lam I - H)^-1 g
     with lam just above max(0, top eigenvalue e of H), raised 4x until the
     overlap rises (lam - e where H is negative definite).  It stops after a
-    step of at most `tol` (taken unless the overlap falls), when no shift
+    step of at most _STEP_TOL (taken unless the overlap falls), when no shift
     rises, or after 100 steps.  `iterations` counts the points evaluated, grid
     included.  The ascents run in lockstep, one `eigh` per round.
     """
-    coarse, tol, states = _integer(coarse, "coarse", 2), _positive(tol, "tol"), list(states)
+    coarse, states = _integer(coarse, "coarse", 2), list(states)
     if not states:
         return []
     if any(s.kernel != states[0].kernel for s in states):
@@ -303,7 +304,7 @@ def nearest_classical_points(states, manifold: ManifoldId, box, coarse: int = 33
         along /= shift[:, None] - eig  # after k tries, at most axes * 1e12 / 4**k
         move = np.where(free, (vec @ along[:, :, None])[:, :, 0], 0.0)
         trial = np.clip(points[rows] + move, lows, highs)
-        last = np.abs(trial - points[rows]).max(axis=1) <= tol
+        last = np.abs(trial - points[rows]).max(axis=1) <= _STEP_TOL
         trial_value, *derivatives = overlap._derivatives(rows, trial)
         evals[rows] += 1
         rose = (trial_value > value[rows]) | (last & (trial_value >= value[rows]))
@@ -318,12 +319,6 @@ def nearest_classical_points(states, manifold: ManifoldId, box, coarse: int = 33
     return [ProjectionResult(point=(tuple(p[:d]), tuple(p[d:])) if manifold.is_pair else tuple(p),
                              overlap=f, residual_angle=math.acos(f), iterations=n, tie=t)
             for p, f, n, t in zip(points.tolist(), final, evals.tolist(), tie.tolist())]
-
-
-def nearest_classical_point(state: SphereState, manifold: ManifoldId, box,
-                            coarse: int = 33, tol: float = 1e-8) -> ProjectionResult:
-    """`nearest_classical_points` for one state."""
-    return nearest_classical_points([state], manifold, box, coarse, tol)[0]
 
 
 def manifold_member(manifold: ManifoldId, params, kernel: KernelSpec) -> SphereState:

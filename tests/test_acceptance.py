@@ -187,14 +187,14 @@ def test_08_epr_correlations():
     ok = True
     for a in (-cfg.envelope_width, 0.0, cfg.envelope_width):
         grid = np.arange(cfg.x0 + a - 3.0, cfg.x0 + a + 3.0 + 1e-9, step)
-        profile = position_correlation_profile(state.expr, cfg, a, grid)
+        profile = position_correlation_profile(state, a, grid)
         best_b = max(profile, key=lambda bv: bv[1])[0]
         ok &= abs(best_b - (cfg.x0 + a)) <= step + 1e-12
 
     momentum_kernel = cfg.momentum_kernel
     mstate = build_epr_state(cfg, momentum_kernel)
     qs = np.arange(-2.0, 2.0 + 1e-9, 0.5)
-    profile = momentum_correlation_profile(mstate, cfg, qs)
+    profile = momentum_correlation_profile(mstate, qs)
     for q1 in (-1.0, 0.0, 1.0):
         row = [(q2, v) for (p1, q2), v in profile if p1 == q1]
         best_q2 = max(row, key=lambda qv: qv[1])[0]

@@ -29,9 +29,11 @@ def record_of(cp: subprocess.CompletedProcess) -> dict:
 
 
 def test_help():
-    cp = run_cli("--help")
-    assert cp.returncode == 0
-    assert "unit sphere" in cp.stdout
+    # usage errors print JSON, but --help and --version still print and exit 0
+    for flag, text in (("--help", "unit sphere"), ("--version", "0.1.0")):
+        cp = run_cli(flag)
+        assert cp.returncode == 0
+        assert text in cp.stdout
 
 
 def test_constants():
@@ -62,6 +64,25 @@ def test_geodesic_with_csv(tmp_path: Path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,angle_from_start"
     assert len(lines) == 6
+    theta = record["results"]["theta"]
+    for line in lines[1:]:  # a great circle: the sample at t lies t theta from the start
+        t, angle = map(float, line.split(","))
+        assert angle == t * theta
+
+
+def test_state_flags_keep_command_line_order(capsys):
+    # the geodesic runs from the first state given to the second, whatever
+    # flags name them; each sugar flag adds its kind
+    assert main("geodesic --packet 1:1 --delta 0 --samples 2".split()) == 0
+    forward = json.loads(capsys.readouterr().out)
+    assert forward["config"]["states"] == ["packet:1:1", "delta:0"]
+    assert main("geodesic --state delta:0 --wave 0.5 --kernel confined:0.1,1 "
+                "--samples 2".split()) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["states"] == ["delta:0", "wave:0.5"]
+    assert main("geodesic --delta 0 --state packet:1:1 --samples 2".split()) == 0
+    backward = json.loads(capsys.readouterr().out)
+    assert backward["config"]["states"] == ["delta:0", "packet:1:1"]
+    assert backward["results"]["theta"] == pytest.approx(forward["results"]["theta"], rel=1e-12)
 
 
 def test_metric_command():
@@ -175,6 +196,34 @@ def test_epr_momentum_ridge_outside_grid_rejected(capsys):
     assert "--a-values" in error["message"]
 
 
+@pytest.mark.parametrize("x0", ["1e17", "1e200"])
+def test_epr_grid_without_spacing_rejected(x0, capsys):
+    # the ridge grid's points coincided (grid_step 0.0) and the ridges were read
+    # from NaN overlaps, with exit code 0
+    assert main(f"epr --x0 {x0}".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "DomainError"
+    assert "--grid" in error["message"] and "--x0" in error["message"]
+
+
+def test_epr_non_finite_ridge_fails(capsys):
+    # a spaced grid, but |u|^2 of the compiled overlap overflows
+    assert main("epr --x0 1e160 --a-values=0 --grid=-1e150,1e150,5".split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "NumericalFailureError"
+
+
+@pytest.mark.xfail(strict=True, reason="the expanded quadratic exponent cancels at x0 = 1e8 "
+                   "(ROADMAP item 4): argmax_b is 99999999.0, four grid steps off")
+def test_epr_ridge_far_from_origin(capsys):
+    assert main("epr --x0 1e8 --a-values=0".split()) == 0
+    (ridge,) = json.loads(capsys.readouterr().out)["results"]["position_ridge"]
+    assert abs(ridge["argmax_b"] - ridge["expected_b"]) <= ridge["grid_step"]
+
+
 def test_geodesic_samples_in_one_pass(capsys):
     start = time.perf_counter()
     assert main("geodesic --delta 0 --delta 1 --samples 100000".split()) == 0
@@ -185,9 +234,14 @@ def test_geodesic_samples_in_one_pass(capsys):
 
 
 def test_csv_rows_built_only_for_csv(tmp_path: Path, monkeypatch, capsys):
-    angles = cli.angles_from_start
+    geodesic = cli.run_geodesic
     calls = []
-    monkeypatch.setattr(cli, "angles_from_start", lambda *args: calls.append(args) or angles(*args))
+
+    def counting(config):
+        results, rows = geodesic(config)
+        return results, lambda: calls.append(config) or rows()
+
+    monkeypatch.setitem(cli._RUNNERS, "geodesic", counting)
     argv = ["geodesic", "--delta", "0", "--delta", "1", "--samples", "5"]
     assert main(argv) == 0
     assert calls == []
@@ -397,14 +451,7 @@ def test_parser_built_once(capsys, monkeypatch):
              "gram --random 5 --seed 3", "constants --bogus", "constants"]
 
     def outputs():
-        out = []
-        for argv in argvs:
-            try:
-                code = main(argv.split())
-            except SystemExit as exc:  # argparse rejects unknown flags itself
-                code = exc.code
-            out.append((code, *capsys.readouterr()))
-        return out
+        return [(main(argv.split()), *capsys.readouterr()) for argv in argvs]
 
     cli._parser.cache_clear()
     cached = outputs()
@@ -425,3 +472,25 @@ def test_numerical_failure_exit_code_three():
 def test_unknown_flag_rejected():
     cp = run_cli("constants", "--bogus")
     assert cp.returncode == 2
+    assert json.loads(cp.stderr)["error"]["type"] == "DomainError"
+
+
+# (argv, text the message must hold): argparse's own rejections
+USAGE_ERRORS = [
+    ("constants --bogus", "unrecognized arguments: --bogus"),
+    ("geodesic --state -1@delta:0 --delta 0", "--state: expected one argument"),
+    ("geodesic --delta 0 --delta 1 --samples x", "--samples: invalid int value"),
+    ("epr --profile sideways", "--profile: invalid choice"),
+    ("bogus", "invalid choice"),
+    ("", "required: command"),
+]
+
+
+@pytest.mark.parametrize("argv, text", USAGE_ERRORS, ids=[argv for argv, _ in USAGE_ERRORS])
+def test_usage_errors_print_json(argv, text, capsys):
+    # the README's one-line JSON error, exit code 2, instead of a usage text
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "DomainError" and text in error["message"]

@@ -8,7 +8,8 @@ intended) with
 
     PYTHONPATH=src python tests/test_cli_records.py [CASE ...]
 
-which rewrites only the named cases, or every case when none is named.
+which rewrites only the named cases, or every case when none is named, and
+prints every leaf it changes as "path: old → new".
 """
 
 import contextlib
@@ -67,6 +68,19 @@ def assert_close(got, want, where: str = "record"):
         assert got == want, f"{where}: {got!r} != {want!r}"
 
 
+def changed_leaves(old, new, where: str = "record"):
+    """(path, old, new) for every leaf that differs; a subtree whose keys or
+    length differ counts as one leaf."""
+    if isinstance(old, dict) and isinstance(new, dict) and list(old) == list(new):
+        for key in old:
+            yield from changed_leaves(old[key], new[key], f"{where}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for index, (o, n) in enumerate(zip(old, new)):
+            yield from changed_leaves(o, n, f"{where}[{index}]")
+    elif old != new or type(old) is not type(new):
+        yield where, old, new
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_record_matches_golden(case):
     want = json.loads((GOLDEN / f"{case}.json").read_text())
@@ -80,6 +94,10 @@ if __name__ == "__main__":
         sys.exit(f"unknown case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     for case in names:
+        path = GOLDEN / f"{case}.json"
+        old = json.loads(path.read_text()) if path.exists() else None
         record = run_record(CASES[case])
-        (GOLDEN / f"{case}.json").write_text(json.dumps(record, indent=1) + "\n")
+        path.write_text(json.dumps(record, indent=1) + "\n")
         print(f"wrote {case}", file=sys.stderr)
+        for where, was, now in changed_leaves(old, record):
+            print(f"  {where}: {was!r} → {now!r}", file=sys.stderr)

@@ -7,7 +7,7 @@ import pytest
 
 from statesphere import (DivergenceError, DomainError,
                          EPRConfig, ManifoldId, SegmentKind, SlitConfig, UnitSystem,
-                         arc_length, build_double_slit_trajectory,
+                         build_double_slit_trajectory,
                          build_epr_state, collapse_time, detector_intensity,
                          momentum_collapse, momentum_correlation_profile,
                          nearest_classical_points,
@@ -286,19 +286,19 @@ class TestEPRState:
 
     def test_position_ridge(self):
         cfg = EPRConfig()
-        state = build_epr_state(cfg).expr
+        state = build_epr_state(cfg)
         step = 0.25
         for a in (-cfg.envelope_width, 0.0, cfg.envelope_width):
             grid = np.arange(cfg.x0 + a - 3.0, cfg.x0 + a + 3.0 + 1e-9, step)
-            profile = position_correlation_profile(state, cfg, a, grid)
+            profile = position_correlation_profile(state, a, grid)
             best_b = max(profile, key=lambda bv: bv[1])[0]
             assert abs(best_b - (cfg.x0 + a)) <= step + 1e-12
 
     def test_symmetric_profile_at_origin(self):
         cfg = EPRConfig(x0=0.0)
-        state = build_epr_state(cfg).expr
+        state = build_epr_state(cfg)
         grid = np.linspace(-3.0, 3.0, 25)
-        profile = dict(position_correlation_profile(state, cfg, 0.0, grid))
+        profile = dict(position_correlation_profile(state, 0.0, grid))
         for b in grid[: len(grid) // 2]:
             np.testing.assert_allclose(profile[float(b)], profile[float(-b)], rtol=1e-9)
 
@@ -310,7 +310,7 @@ class TestEPRCollapse:
         for a in (-4.0, -1.0, 0.0, 2.0, 5.0):
             path = position_collapse(state, a, cfg)
             assert collapse_time(path) < 1e-43
-            np.testing.assert_allclose(arc_length(path),
+            np.testing.assert_allclose(path.theta,
                                        sphere_angle(state, path.end_aligned), atol=1e-12)
 
     def test_position_collapse_lands_on_manifold(self):
@@ -325,8 +325,8 @@ class TestEPRCollapse:
         cfg = EPRConfig()
         kernel = cfg.momentum_kernel
         state = build_epr_state(cfg, kernel)
-        path = momentum_collapse(state, 0.8, cfg)
-        assert arc_length(path) < math.pi
+        path = momentum_collapse(state, 0.8)
+        assert path.theta < math.pi
         target = path.end_aligned.expr.terms[0]
         assert target[1].momentum == (0.8,)
         assert target[2].momentum == (-0.8,)
@@ -335,7 +335,7 @@ class TestEPRCollapse:
         cfg = EPRConfig()
         state = build_epr_state(cfg)
         with pytest.raises(DivergenceError):
-            momentum_collapse(state, 1.0, cfg)
+            momentum_collapse(state, 1.0)
 
     def test_collapses_reject_single_particle_state(self):
         from statesphere import Delta, StateExpr, normalize
@@ -344,13 +344,13 @@ class TestEPRCollapse:
         with pytest.raises(DomainError):
             position_collapse(single, 1.0, cfg)
         with pytest.raises(DomainError):
-            momentum_collapse(single, 1.0, cfg)
+            momentum_collapse(single, 1.0)
 
     def test_zero_momentum_target_is_constant_state(self):
         cfg = EPRConfig()
         kernel = cfg.momentum_kernel
         state = build_epr_state(cfg, kernel)
-        path = momentum_collapse(state, 0.0, cfg)
+        path = momentum_collapse(state, 0.0)
         target = path.end_aligned.expr.terms[0]
         assert target[1].momentum == (0.0,) and target[2].momentum == (0.0,)
 
@@ -361,7 +361,7 @@ def profile_setup():
     kernel = cfg.momentum_kernel
     state = build_epr_state(cfg, kernel)
     qs = np.arange(-2.0, 2.0 + 1e-9, 0.5)
-    return cfg, state, qs, momentum_correlation_profile(state, cfg, qs)
+    return cfg, state, qs, momentum_correlation_profile(state, qs)
 
 
 class TestMomentumProfile:
@@ -378,7 +378,7 @@ class TestMomentumProfile:
         kernel = cfg.momentum_kernel
         state = build_epr_state(cfg, kernel)
         qs = np.array([-1.0, 0.0, 1.0])
-        profile = dict(momentum_correlation_profile(state, cfg, qs))
+        profile = dict(momentum_correlation_profile(state, qs))
         np.testing.assert_allclose(profile[(1.0, -1.0)], profile[(-1.0, 1.0)], rtol=1e-9)
 
     def test_profile_invariant_under_global_phase(self, profile_setup):
@@ -387,8 +387,8 @@ class TestMomentumProfile:
         rotated = SphereState(expr=state.expr.scaled(complex(math.cos(0.8), math.sin(0.8))),
                               kernel=state.kernel, raw_norm=state.raw_norm)
         sub = np.array([-1.0, 1.0])
-        original = momentum_correlation_profile(state, cfg, sub)
-        shifted = momentum_correlation_profile(rotated, cfg, sub)
+        original = momentum_correlation_profile(state, sub)
+        shifted = momentum_correlation_profile(rotated, sub)
         for (key_a, val_a), (key_b, val_b) in zip(original, shifted):
             assert key_a == key_b
             np.testing.assert_allclose(val_a, val_b, rtol=1e-12)
@@ -397,4 +397,4 @@ class TestMomentumProfile:
         cfg = EPRConfig()
         state = build_epr_state(cfg)
         with pytest.raises(DivergenceError):
-            momentum_correlation_profile(state, cfg, np.array([0.0]))
+            momentum_correlation_profile(state, np.array([0.0]))

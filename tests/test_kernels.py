@@ -8,7 +8,7 @@ import pytest
 from statesphere import (ConfinedKernel, Delta, DomainError, EPRConfig, ManifoldId,
                          MetricReference, Packet, QuadratureSpec, SlitConfig, StateExpr,
                          TranslationKernel, induced_metric, kernel_value, manifold_separation,
-                         nearest_classical_point, norm_ratio, normalize)
+                         nearest_classical_points, norm_ratio, normalize)
 
 K1 = TranslationKernel(1.0)
 
@@ -49,8 +49,8 @@ class TestKernelValue:
 
 # (count argument, a call passing it a value, a valid value, a value below its bound)
 COUNT_SITES = [
-    ("coarse", lambda n: nearest_classical_point(
-        normalize(StateExpr.single(Packet((0.0,), 1.0)), K1), ManifoldId.POSITION,
+    ("coarse", lambda n: nearest_classical_points(
+        [normalize(StateExpr.single(Packet((0.0,), 1.0)), K1)], ManifoldId.POSITION,
         (-1.0, 1.0), coarse=n), 5, 1),
     ("resolution", lambda n: manifold_separation(
         (0.0,), ManifoldId.POSITION, ManifoldId.POSITION, K1, (-1.0, 1.0), resolution=n), 5, 1),
@@ -85,6 +85,24 @@ class TestCoordinates:
     def test_malformed_coordinates_are_domain_errors(self, bad):
         with pytest.raises(DomainError, match="^coordinates must be reals"):
             Delta(bad)
+
+    @pytest.mark.parametrize("value", [np.complex128(1 + 2j), np.complex64(1 + 1j),
+                                       np.complex128(1.0), np.clongdouble(2j)],
+                             ids=["complex128", "complex64", "zero imaginary part", "clongdouble"])
+    def test_numpy_complex_scalars_are_domain_errors(self, value):
+        # float() of a numpy complex kept the real part with only a ComplexWarning:
+        # Delta([np.complex128(1+2j)]) built Delta((1.0,))
+        with pytest.raises(DomainError, match="^coordinates must be reals"):
+            Delta([value])
+        with pytest.raises(DomainError, match="^coordinates must be reals"):
+            Delta((0.5, value))
+        for call, name in ((lambda: TranslationKernel(value), "sigma"),
+                           (lambda: ConfinedKernel(0.1, value), "beta"),
+                           (lambda: Packet((0.0,), value), "packet width"),
+                           (lambda: EPRConfig(x0=value), "x0"),
+                           (lambda: SlitConfig(slit_positions=(value, 1.0)), "slit_positions")):
+            with pytest.raises(DomainError, match=f"^{name} must be a real number"):
+                call()
 
 
 class TestInducedMetric:

@@ -1,5 +1,6 @@
 """Tests for the quadrature oracle and finite differences."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from helpers import run_python
-from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError,
+from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError, ManifoldId,
                          Packet, PlaneWave, StateExpr, TranslationKernel,
                          inner_product, overlap_matrix, primitive_overlap)
+from statesphere.manifolds import ManifoldOverlap
 from statesphere.oracle import (_STRIP_BYTES, QuadratureSpec, _box, _gauss_legendre, _nodes,
                                 _quad_pair_level, _refine, finite_difference,
                                 quad_inner_product, quad_pair_overlap)
@@ -118,6 +120,34 @@ class TestQuadPairOverlap:
         estimates = [abs(b - a) for a, b in zip(history, history[1:])]
         assert all(later < earlier for earlier, later in zip(estimates, estimates[1:]))
         assert estimates[-1] < 1e-10
+
+
+# a one-particle state in each kind, a pair state in each ordered pair of kinds, on
+# every manifold its kernel allows; plane waves (and their manifolds) under KC only
+MANIFOLD_CASES = [(manifold, kinds, kernel) for kernel in (K1, KC) for manifold in ManifoldId
+                  if kernel is KC or manifold.primitive is Delta
+                  for kinds in itertools.product(
+                      ["delta", "packet"] + (["wave"] if kernel is KC else []),
+                      repeat=2 if manifold.is_pair else 1)]
+
+
+class TestManifoldCompiler:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("manifold, kinds, kernel", MANIFOLD_CASES, ids=[
+        f"{m.value}-{'-'.join(k)}-{type(kernel).__name__}" for m, k, kernel in MANIFOLD_CASES])
+    def test_manifold_overlap_matches_quadrature(self, manifold, kinds, kernel, d):
+        # the compiled quadratic exponents (`_slot_exponents`, target norm folded
+        # in) against <state, target> / ||target|| by quadrature, with `target`
+        # the unnormalized embedding at theta
+        state = StateExpr.single(*(KINDS[kind](d) for kind in kinds))
+        theta = np.array([0.3, -0.2, 0.5, -0.4, 0.6, 0.1][:d * len(kinds)])
+        target = StateExpr.single(*(manifold.primitive(tuple(t))
+                                    for t in np.split(theta, len(kinds))))
+        spec = QuadratureSpec(129, 2)
+        value, _ = quad_inner_product(state, target, kernel, spec)
+        norm_sq, _ = quad_inner_product(target, target, kernel, spec)
+        got = ManifoldOverlap(state, kernel, manifold)(theta[None])[0]
+        np.testing.assert_allclose(got, value / math.sqrt(norm_sq.real), rtol=1e-8)
 
 
 # Refinement histories (levels 257, 513, 1025) recorded from the complex-grid
