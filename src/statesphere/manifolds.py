@@ -294,6 +294,7 @@ def nearest_classical_points(states, manifold: ManifoldId, box,
         along = (vec.transpose(0, 2, 1) @ g[:, :, None])[:, :, 0]
         scale = np.maximum(np.abs(eig).max(axis=1), np.abs(g).max(axis=1))
         up = top > 0.0  # no slope along upward curvature: a saddle, climb it
+        nudged = up & (np.abs(along[:, -1]) < 1e-12 * scale)  # a unit step, 4x shorter a retry
         along[up, -1] = np.copysign(np.maximum(np.abs(along[up, -1]), 1e-12 * scale[up]),
                                     along[up, -1])
         # lam = top + 1e-12 scale, 4x per retry; where H is negative definite, lam - eig[-1]
@@ -302,6 +303,7 @@ def nearest_classical_points(states, manifold: ManifoldId, box,
         grow = 4.0 ** tries[rows]
         shift = (top + 1e-12 * scale) * grow + (top - eig[:, -1]) * (grow - 1.0)
         along /= shift[:, None] - eig  # after k tries, at most axes * 1e12 / 4**k
+        along[nudged, -1] = np.copysign(1.0 / grow[nudged], along[nudged, -1])
         move = np.where(free, (vec @ along[:, :, None])[:, :, 0], 0.0)
         trial = np.clip(points[rows] + move, lows, highs)
         last = np.abs(trial - points[rows]).max(axis=1) <= _STEP_TOL

@@ -464,18 +464,28 @@ class TestManifoldOverlap:
         result = nearest_classical_points([state], manifold, (-6.0, 6.0), coarse=6)[0]
         assert_local_maximum(result, state, manifold, -6.0, 6.0, 6)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the ascent stops on the v = 0 saddle (Hessian eigenvalues -1.01 and +0.0034, "
-        "zero gradient): the nudge's unit step overshoots, the raised shift then "
-        "leaves a 1e-10 step and it ends at v = 1.0e-10, overlap 0.5696325120, "
-        "below the maxima near |v| = 0.25 (0.569678)"))
     def test_projection_leaves_a_flat_saddle(self):
+        # at the v = 0 saddle (Hessian eigenvalues -1.01 and +0.0034, zero
+        # gradient) the nudge's unit step overshoots; a raised shift then left
+        # a 1e-10 step and the ascent ended at v = 1.0e-10, overlap
+        # 0.5696325120, below the maxima near |v| = 0.25 (0.569678)
         state = normalize(StateExpr(((2.0, Delta((0.0,)), Packet((0.0,), 2.0)),
                                      (-0.25, Delta((0.0,)), Delta((0.0,))))),
                           TranslationKernel(0.75))
         manifold = ManifoldId.POSITION_PAIR
         result = nearest_classical_points([state], manifold, (-6, 6), coarse=5)[0]
         assert_local_maximum(result, state, manifold, -6.0, 6.0, 5)
+
+    def test_projection_leaves_an_even_minimum(self):
+        # the overlap is even in u and the best coarse cell, u = 0, is a local
+        # minimum: the unit nudge overshoots, and a raised shift left a 3e-13
+        # step that ended the ascent at u = 3.3e-13, overlap 0.4882103205
+        state = normalize(StateExpr(((1.0, PlaneWave((1.0,))), (-0.5, Delta((0.0,))))),
+                          ConfinedKernel(0.5, 2.0))
+        result = nearest_classical_points([state], ManifoldId.POSITION, (-6.0, 6.0),
+                                          coarse=5)[0]
+        assert abs(abs(result.point[0]) - 0.4787) <= 1e-4
+        assert_local_maximum(result, state, ManifoldId.POSITION, -6.0, 6.0, 5)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
