@@ -175,11 +175,13 @@ class QuadForm:
 
 
 def _check_form_matrix(a: np.ndarray):
-    """Re(A) positive definite, else `DomainError`; cond(A) <= CONDITION_CAP,
-    else `NumericalFailureError`."""
-    if np.linalg.eigvalsh(a.real).min() <= 0.0:
+    """Re(A) positive definite, else `DomainError`; cond(A) <= CONDITION_CAP (a real
+    A's from its eigenvalues, a complex A's by SVD), else `NumericalFailureError`."""
+    eigenvalues = np.linalg.eigvalsh(a.real)  # ascending
+    if eigenvalues[0] <= 0.0:
         raise DomainError("real part of the quadratic form is not positive definite")
-    if np.linalg.cond(a) > CONDITION_CAP:
+    cond = np.linalg.cond(a) if np.count_nonzero(a.imag) else eigenvalues[-1] / eigenvalues[0]
+    if cond > CONDITION_CAP:
         raise NumericalFailureError(
             f"quadratic form is near singular (condition number above {CONDITION_CAP:g})")
 

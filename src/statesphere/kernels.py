@@ -32,11 +32,16 @@ MAX_DIMENSION = 3
 
 
 def _real(value, name: str = "coordinates") -> float:
-    """float(value) of a real; a complex value, whose real part numpy's float()
-    keeps with only a warning, is a DomainError."""
-    if isinstance(value, (complex, np.complexfloating)):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    """float(value) of a real or numeric string; a complex value, whose real part numpy's
+    float() keeps with only a warning, or a value float() rejects is a DomainError."""
+    try:
+        if not isinstance(value, (complex, np.complexfloating)):
+            return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is out of floating-point range") from None
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 def _finite(value: float, name: str) -> float:
@@ -134,17 +139,25 @@ def kernel_coefficients(kernel: KernelSpec) -> tuple[float, float]:
     raise DomainError(f"unknown kernel spec: {kernel!r}")
 
 
-def kernel_value(kernel: KernelSpec, x, y) -> float:
-    """Evaluate the kernel at a pair of points of equal dimension."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if xv.shape != yv.shape:
+def kernel_value(kernel: KernelSpec, x, y):
+    """The kernel at a pair of points of equal dimension d (a float), or at stacked
+    points of shapes (..., d) that broadcast (an array); a stacked value is the
+    one-pair value bit for bit (np.matmul sums as np.dot does, math.exp per value)."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    yv = np.atleast_1d(np.asarray(y, dtype=float))
+    if xv.shape[-1] != yv.shape[-1]:
         raise DomainError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
     conf, pair = kernel_coefficients(kernel)
-    exponent = -pair * float(np.dot(xv - yv, xv - yv))
+
+    def square(v):
+        return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+    exponent = -pair * square(xv - yv)
     if conf:
-        exponent -= conf * (float(np.dot(xv, xv)) + float(np.dot(yv, yv)))
-    return math.exp(exponent)
+        exponent = exponent - conf * (square(xv) + square(yv))
+    if exponent.ndim == 0:
+        return math.exp(exponent)
+    return np.fromiter(map(math.exp, exponent.flat), float, exponent.size).reshape(exponent.shape)
 
 
 class MetricReference(Enum):
@@ -160,7 +173,9 @@ class MetricReport:
 
     `matrix` holds the mixed second derivatives d^2 k / dx_i dy_k evaluated
     on the diagonal x = y = point; `deviation` is the max-abs entrywise
-    distance to `reference_factor` times the identity.
+    distance to `reference_factor` times the identity.  Under ConfinedKernel `matrix`
+    is the unnormalized kernel's e^{-2 alpha |u|^2} (2 beta I + 4 alpha^2 u u^T) at
+    u = point, not the normalized embedding's 2 beta I.
     """
 
     point: tuple[float, ...]
@@ -199,28 +214,21 @@ def induced_metric(kernel: KernelSpec, at, h: float = 1e-3) -> MetricReport:
 
     Each component is the central mixed second difference of the kernel,
     d^2 k(x, y) / dx_i dy_k evaluated at x = y = `at`, with O(h^2) error; one
-    Richardson step over {h, h/2} cancels the leading error term.  `h` must
+    Richardson step over {h, h/2} cancels the leading error term; each value is
+    oracle.finite_difference's over one-pair kernel values, bit for bit.  `h` must
     lie 1e-5 to 0.1 kernel length scales, and `at` has 1 to MAX_DIMENSION
     finite coordinates, as every primitive's.
     """
-    from .oracle import finite_difference
-
     h = _metric_step(kernel, h, "h")
     point = as_vec(at)
     d = len(point)
-    pt = np.array(point)
-
-    def f(x, y):
-        return kernel_value(kernel, x, y)
-
-    def stencil(step: float) -> np.ndarray:
-        g = np.empty((d, d))
-        for i in range(d):
-            for k in range(d):
-                g[i, k] = finite_difference(f, (pt, pt), (i, k), step)
-        return g
-
-    g = (4.0 * stencil(h / 2.0) - stencil(h)) / 3.0
+    # v[step, x sign, y sign, i, k]: k at x = point +- step e_i, y = point +- step e_k
+    steps = np.array([h / 2.0, h])[:, None, None]
+    shifts = steps * np.eye(d)
+    corners = np.array(point) + np.stack([shifts, -shifts], axis=1)
+    v = kernel_value(kernel, corners[:, :, None, :, None], corners[:, None, :, None, :])
+    stencil = (v[:, 0, 0] - v[:, 0, 1] - v[:, 1, 0] + v[:, 1, 1]) / (4.0 * steps * steps)
+    g = (4.0 * stencil[0] - stencil[1]) / 3.0
     g = 0.5 * (g + g.T)  # stencil is symmetric up to rounding
     reference, factor = _metric_reference(kernel)
     deviation = float(np.max(np.abs(g - factor * np.eye(d))))

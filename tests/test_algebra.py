@@ -126,10 +126,70 @@ class TestGaussianIntegral:
             gaussian_integral(form)
 
     def test_rejects_near_singular(self):
-        a = np.array([[1.0, 0.0], [0.0, 1e-14]], dtype=complex)
-        form = QuadForm(a, np.zeros(2, dtype=complex), 0j)
-        with pytest.raises(NumericalFailureError):
-            gaussian_integral(form)
+        # diagonal and rotated real forms (condition from eigenvalues), a complex one (SVD)
+        q = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+        rotated = (q * [2.0, 1.0, 1e-13]) @ q.T
+        for a in (np.diag([1.0, 1e-14]), 0.5 * (rotated + rotated.T),
+                  rotated + 1e-14j * np.eye(3)):
+            form = QuadForm(a.astype(complex), np.zeros(len(a), dtype=complex), 0j)
+            with pytest.raises(NumericalFailureError, match="near singular"):
+                gaussian_integral(form)
+
+    def test_condition_check_decides_as_the_svd(self):
+        # a real form's condition number is its extreme eigenvalues' ratio, not an
+        # SVD's; the decision is the same wherever cond(A) is not within 1e-6 of the cap
+        rng = np.random.default_rng(19)
+        decisions = set()
+        for _ in range(1500):
+            d = int(rng.integers(1, 7))
+            q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            # log10 eigenvalues from a random base to base + log10 cond, cond up to 1e14
+            logs = np.sort(rng.uniform(0.0, 1.0, d))
+            logs = rng.uniform(0.0, 14.0) * (logs - logs[0]) / max(logs[-1] - logs[0], 1e-300)
+            a = (q * 10.0 ** (rng.uniform(-3.0, 3.0) + logs)) @ q.T
+            a = 0.5 * (a + a.T)
+            cond = np.linalg.cond(a)
+            if np.linalg.eigvalsh(a)[0] <= 0.0 or abs(cond / algebra.CONDITION_CAP - 1.0) < 1e-6:
+                continue
+            form = QuadForm(a.astype(complex), np.zeros(d, dtype=complex), 0j)
+            decisions.add(cond > algebra.CONDITION_CAP)
+            if cond > algebra.CONDITION_CAP:
+                with pytest.raises(NumericalFailureError):
+                    gaussian_integral(form)
+            else:
+                gaussian_integral(form)
+        assert decisions == {False, True}
+
+    # gaussian_integral(compile_pair(f, g, kernel)) of free pairs as float.hex of the
+    # real and imaginary parts, recorded before the eigenvalue condition check; the
+    # double-slit static-leg arcs of bench/golden rest on these bits
+    FREE_PAIR_BITS = [
+        ("packet-packet", 1, "translation", "0x1.db3b5c42d56d2p-1", "0x1.c51972259d6c5p-3"),
+        ("packet-wave", 1, "confined", "0x1.18fa20c805673p+0", "0x1.1a69686af5501p-1"),
+        ("wave-packet", 1, "translation", "0x1.fa40278b59476p-5", "-0x1.8a060a4908706p-3"),
+        ("wave-wave", 1, "confined", "0x1.00f8aae24887dp+1", "0x0.0p+0"),
+        ("packet-packet", 2, "confined", "0x1.54b5a798f8286p-4", "0x1.94d5e76d14da8p-3"),
+        ("packet-wave", 2, "translation", "-0x1.4a31f28a43b18p+0", "0x1.361eddb59b66ep+1"),
+        ("wave-packet", 2, "translation", "-0x1.f6fbc4af6905bp-36", "0x1.be8b4c9ded205p-38"),
+        ("wave-wave", 2, "confined", "0x1.b98ac8c419a37p-3", "0x0.0p+0"),
+        ("packet-packet", 3, "translation", "-0x1.8e4fcf03f280cp-4", "0x1.ad0c50cdb5878p-5"),
+        ("packet-wave", 3, "confined", "-0x1.cd18d9001b47fp-9", "-0x1.e1b7479137a6cp-4"),
+        ("wave-packet", 3, "confined", "0x1.11581a8abe149p-7", "-0x1.266105dd25b4cp-6"),
+        ("wave-wave", 3, "confined", "0x1.3c2b46b9f3ac5p-8", "0x0.0p+0"),
+    ]
+
+    @pytest.mark.parametrize("kinds, d, kernel, real, imag", FREE_PAIR_BITS,
+                             ids=[f"{c[0]}-{c[1]}d-{c[2]}" for c in FREE_PAIR_BITS])
+    def test_free_pair_bits_are_pinned(self, kinds, d, kernel, real, imag):
+        first = {"packet": Packet((0.4, -1.1, 2.0)[:d], 0.7, (1.5, -0.3, 0.9)[:d]),
+                 "wave": PlaneWave((0.8, -1.3, 0.45)[:d])}
+        second = {"packet": Packet((-0.9, 0.6, -1.7)[:d], 1.4, (-0.6, 2.2, 0.1)[:d]),
+                  "wave": PlaneWave((-0.35, 0.9, -2.1)[:d])}
+        kernel = {"translation": TranslationKernel(1.3),
+                  "confined": ConfinedKernel(0.15, 0.8)}[kernel]
+        f, g = (side[kind] for side, kind in zip((first, second), kinds.split("-")))
+        value = gaussian_integral(compile_pair(f, g, kernel))
+        assert (value.real.hex(), value.imag.hex()) == (real, imag)
 
 
 def _random_symmetric(rng, n):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers import run_python
-from statesphere import cli
+from statesphere import DomainError, cli
 from statesphere.cli import main
 
 
@@ -311,6 +311,18 @@ def test_round_trip_reproducibility():
 
     second, _ = run_record(first["command"], first["config"])
     assert second == first
+
+
+@pytest.mark.parametrize("key, value, name", [("x0", "abc", "x0"),
+                                              ("alpha", None, "confined_alpha"),
+                                              ("a_values", ["abc"], "a_values")])
+def test_hand_edited_config_fails_as_domain_error(key, value, name):
+    # a non-numeric value in a re-run config raised a bare ValueError or TypeError,
+    # which main printed as a traceback instead of the exit-2 JSON error
+    config = cli._config_from_args(cli._parser().parse_args(["epr", "--profile", "none"]))[1]
+    config[key] = value
+    with pytest.raises(DomainError, match=f"^{name} must be a real number"):
+        cli.run_record("epr", config)
 
 
 MALFORMED = [

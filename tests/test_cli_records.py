@@ -31,6 +31,7 @@ CASES = {
     "geodesic": ["geodesic", "--kernel", "confined:0.1,1", "--delta", "0",
                  "--state", "1@packet:1:0.8|0.5@wave:0.4", "--samples", "5"],
     "metric": ["metric", "--kernel", "confined:0.1,1", "--at=0.5,-1,2"],
+    "metric-off-origin": ["metric", "--kernel", "confined:0.2,1.5", "--at=0.3,-1,2"],
     "gram": ["gram", "--random", "8", "--dim", "2", "--seed", "7"],
     "double-slit": ["double-slit", "--grid=-30,30,601", "--coeffs", "1,0.7j"],
     "double-slit-which-path": ["double-slit", "--grid=-30,30,601", "--which-path"],

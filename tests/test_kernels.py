@@ -43,8 +43,25 @@ class TestKernelValue:
             ConfinedKernel(0.1, 0.0)
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            kernel_value(K1, (0.0,), (0.0, 1.0))
+        # stacked points too: the last axes must agree
+        for x, y in (((0.0,), (0.0, 1.0)), (np.zeros((4, 2)), np.zeros((4, 3))),
+                     (np.zeros((2, 1, 3)), np.zeros(2))):
+            with pytest.raises(DomainError, match="^dimension mismatch"):
+                kernel_value(K1, x, y)
+
+    def test_stacked_points_give_the_one_pair_values(self):
+        # induced_metric takes every stencil corner in one call; each value must be
+        # the one-pair value bit for bit, since the stencil amplifies an ulp to ~1e-8
+        rng = np.random.default_rng(23)
+        for kernel in (K1, TranslationKernel(0.6), ConfinedKernel(0.01, 1.0),
+                       ConfinedKernel(0.2, 1.5)):
+            for d in (1, 2, 3):
+                x, y = rng.uniform(-8, 8, (12, 1, d)), rng.uniform(-8, 8, (1, 10, d))
+                got = kernel_value(kernel, x, y)
+                assert got.shape == (12, 10)
+                assert np.array_equal(got, [[kernel_value(kernel, a[0], b) for b in y[0]]
+                                            for a in x])
+                assert type(kernel_value(kernel, x[0, 0], y[0, 0])) is float
 
 
 # (count argument, a call passing it a value, a valid value, a value below its bound)
@@ -72,6 +89,15 @@ def test_every_count_takes_one_integer_check(name, call, valid, below):
     call(np.int64(valid))
 
 
+def _real_sites(value):
+    """(call, field name) of one real field of each kind of object, set to `value`."""
+    return ((lambda: TranslationKernel(value), "sigma"),
+            (lambda: ConfinedKernel(0.1, value), "beta"),
+            (lambda: Packet((0.0,), value), "packet width"),
+            (lambda: EPRConfig(x0=value), "x0"),
+            (lambda: SlitConfig(slit_positions=(value, 1.0)), "slit_positions"))
+
+
 class TestCoordinates:
     # every primitive and induced_metric's point go through one coordinate check
     @pytest.mark.parametrize("coordinates", [lambda v: Delta(v).center,
@@ -96,13 +122,27 @@ class TestCoordinates:
             Delta([value])
         with pytest.raises(DomainError, match="^coordinates must be reals"):
             Delta((0.5, value))
-        for call, name in ((lambda: TranslationKernel(value), "sigma"),
-                           (lambda: ConfinedKernel(0.1, value), "beta"),
-                           (lambda: Packet((0.0,), value), "packet width"),
-                           (lambda: EPRConfig(x0=value), "x0"),
-                           (lambda: SlitConfig(slit_positions=(value, 1.0)), "slit_positions")):
+        for call, name in _real_sites(value):
             with pytest.raises(DomainError, match=f"^{name} must be a real number"):
                 call()
+
+    @pytest.mark.parametrize("value", ["abc", None, [1.0]], ids=["str", "None", "list"])
+    def test_non_numeric_values_are_domain_errors(self, value):
+        # float() raised a bare ValueError or TypeError: EPRConfig(x0="abc"),
+        # Packet((0.0,), "abc") and TranslationKernel(None)
+        for call, name in _real_sites(value):
+            with pytest.raises(DomainError, match=f"^{name} must be a real number"):
+                call()
+
+    def test_integer_beyond_float_range_is_a_domain_error(self):
+        for call, name in _real_sites(10**400):
+            with pytest.raises(DomainError, match=f"^{name} is out of floating-point range"):
+                call()
+
+    def test_numeric_strings_stay_accepted(self):
+        assert TranslationKernel("2").sigma == 2.0
+        assert Packet((0.0,), "0.5").width == 0.5
+        assert EPRConfig(x0="-1.5").x0 == -1.5
 
 
 class TestInducedMetric:

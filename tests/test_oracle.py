@@ -6,11 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import run_python
 from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError, ManifoldId,
                          Packet, PlaneWave, StateExpr, TranslationKernel,
-                         inner_product, overlap_matrix, primitive_overlap)
+                         induced_metric, inner_product, kernel_value, overlap_matrix,
+                         primitive_overlap)
+from statesphere.kernels import _metric_reference
 from statesphere.manifolds import ManifoldOverlap
 from statesphere.oracle import (_STRIP_BYTES, QuadratureSpec, _box, _gauss_legendre, _nodes,
                                 _quad_pair_level, _refine, finite_difference,
@@ -365,3 +369,25 @@ class TestFiniteDifference:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(DomainError):
             finite_difference(lambda x, y: 0.0, (np.zeros(1), np.zeros(1)), (0, 0), 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_induced_metric_is_the_scalar_stencil(self, data):
+        # induced_metric takes every corner of its stencil in one kernel call; it must
+        # equal the Richardson step over finite_difference of one-pair kernel values
+        kernel = data.draw(st.one_of(
+            st.builds(TranslationKernel, st.floats(0.3, 3.0)),
+            st.builds(ConfinedKernel, st.floats(0.01, 1.0), st.floats(0.2, 3.0))))
+        d = data.draw(st.integers(1, 3))
+        at = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=d, max_size=d))
+        scale = _metric_reference(kernel)[1] ** -0.5
+        h = min(max(scale * 10.0 ** data.draw(st.floats(-5.0, -1.0)), 1e-5 * scale), 0.1 * scale)
+        point = np.array(at, dtype=float)
+
+        def stencil(step):
+            return np.array([[finite_difference(lambda x, y: kernel_value(kernel, x, y),
+                                                (point, point), (i, k), step)
+                              for k in range(d)] for i in range(d)])
+
+        want = (4.0 * stencil(h / 2.0) - stencil(h)) / 3.0
+        assert np.array_equal(induced_metric(kernel, at, h).matrix, 0.5 * (want + want.T))
