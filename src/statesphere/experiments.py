@@ -9,16 +9,18 @@ onto a classical-manifold state.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .algebra import Delta, Packet, StateExpr, _finite_complex, blend
+from .algebra import Delta, Packet, StateExpr, _clamp_norm, _finite_complex, overlap_matrix
 from .errors import DomainError
-from .geometry import (GeodesicPath, SphereState, collapse_time, geodesic_at,
-                       geodesic_between, normalize, sphere_angle)
+from .geometry import (GeodesicPath, SphereState, _alignment, _arc, _slerp_weights,
+                       _unit_scale, collapse_time, geodesic_between, normalize)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
                       _formed, _integer, _positive)
 from .manifolds import (ManifoldId, ManifoldOverlap, embed_pair_momentum,
@@ -105,6 +107,7 @@ class SlitConfig:
 class DetectorCurve:
     """Detector intensity curve, its fringe summary and the collapse point.
 
+    `points` pairs the grid `xs` with the `intensity` on it, on first read.
     `visibility` is (Imax - Imin) / (Imax + Imin) over the central window of
     about one fringe period; Imin ranges over interior local minima, and a
     fringeless (monotone-envelope) curve reports visibility 0 and no spacing.
@@ -112,13 +115,18 @@ class DetectorCurve:
     names the slit it keeps.
     """
 
-    points: tuple[tuple[float, float], ...]
+    xs: array  # of doubles, which compare by value
+    intensity: array
     visibility: float
     fringe_spacing: float | None
     predicted_fringe_spacing: float
     envelope_width: float
     detected_point: float
     which_path_slit: float | None = None
+
+    @functools.cached_property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.xs, self.intensity))
 
 
 def _fringe_summary(xs: np.ndarray, intensity: np.ndarray, mid: float, spacing: float):
@@ -178,11 +186,9 @@ def detector_intensity(cfg: SlitConfig) -> DetectorCurve:
         xs, intensity = _intensity(cfg, [sources[cfg.slit_positions.index(slit)]])
     visibility, measured = _fringe_summary(xs, intensity, cfg.slit_midpoint,
                                            cfg.predicted_fringe_spacing)
-    return DetectorCurve(points=tuple(zip(xs.tolist(), intensity.tolist())),
-                         visibility=visibility, fringe_spacing=measured,
-                         predicted_fringe_spacing=cfg.predicted_fringe_spacing,
-                         envelope_width=cfg.detector_envelope_width,
-                         detected_point=detected, which_path_slit=slit)
+    return DetectorCurve(array("d", xs.tobytes()), array("d", intensity.tobytes()), visibility,
+                         measured, cfg.predicted_fringe_spacing, cfg.detector_envelope_width,
+                         detected, slit)
 
 
 class SegmentKind(Enum):
@@ -220,11 +226,25 @@ class Trajectory:
         return sum(seg.arc_length for seg in self.segments)
 
 
-def _polyline_arc(states) -> float:
-    """Summed angles between consecutive states, each pair of objects measured once."""
-    pairs = {(id(a), id(b)): (a, b) for a, b in zip(states, states[1:])}
-    angles = {key: sphere_angle(a, b) for key, (a, b) in pairs.items()}
-    return sum(angles[id(a), id(b)] for a, b in zip(states, states[1:]))
+def _combine(*parts) -> tuple[tuple, tuple]:
+    """`blend` on (coefficients, basis indices) rows, in Python complex, zero terms dropped."""
+    terms = [(complex(w) * c, i) for w, (coeffs, idx) in parts for c, i in zip(coeffs, idx)]
+    return tuple(zip(*(term for term in terms if term[0] != 0)))
+
+
+def _overlaps(gram: np.ndarray, pairs) -> list[complex]:
+    """<a, b> of row pairs as `inner_product` forms them, a norm clamped; one unpadded
+    stack per shape, weights per pair: numpy rounds a stacked 1x1 product otherwise."""
+    values, shapes = {}, {}
+    for k, (a, b) in enumerate(pairs):
+        shapes.setdefault((len(a[1]), len(b[1])), []).append(k)
+    for ks in shapes.values():
+        weights = np.stack([np.array(pairs[k][0][0])[:, None] * np.array(pairs[k][1][0]).conj()
+                            for k in ks])
+        ia, ib = (np.array([pairs[k][side][1] for k in ks]) for side in (0, 1))
+        totals = (weights * gram[ia[:, :, None], ib[:, None, :]]).sum(axis=(1, 2))
+        values.update(zip(ks, totals.tolist()))
+    return [_clamp_norm(values[k]) if a == b else values[k] for k, (a, b) in enumerate(pairs)]
 
 
 def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
@@ -237,8 +257,8 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     detector, (4) geodesic collapse onto the packet at the detected point.
     A which-path measurement moves the collapse directly behind the split,
     targeting the slit the detector curve keeps, after which the single
-    surviving packet propagates to the detector.  One batch projects all
-    distinct sample states."""
+    surviving packet propagates to the detector.  States are rows over the
+    distinct packets' one Gram matrix, bit for bit the StateExpr geometry."""
     n = SEGMENT_SAMPLES
     w = cfg.packet_width
     x1, x2 = cfg.slit_positions
@@ -246,41 +266,48 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     curve = detector_intensity(cfg)
     detected = curve.detected_point
     box = (min(x1, x2, detected) - 6.0 * w - 2.0, max(x1, x2, detected) + 6.0 * w + 2.0)
+    packets = [Packet((x,), w) for x in (cfg.arrival_center, x1, x2,
+                                         curve.which_path_slit if cfg.which_path else detected)]
+    basis = list(dict.fromkeys(packets))
+    gram = overlap_matrix(basis, basis, _SLIT_KERNEL)
+    arrival, slit1, slit2, target = (((1.0 + 0j,), (basis.index(p),)) for p in packets)
+    ts = np.linspace(0.0, 1.0, n)[1:-1]
 
-    def packet_state(center):
-        return normalize(StateExpr.single(Packet((center,), w)), _SLIT_KERNEL)
+    def normalized(rows):  # `normalize` on rows: (unit row, raw norm) of each
+        units = [_unit_scale(n2.real) for n2 in _overlaps(gram, [(row, row) for row in rows])]
+        return [(_combine((scale, row)), norm) for row, (norm, scale) in zip(rows, units)]
 
-    def collapse_leg(start_state, target_state):
-        path = geodesic_between(start_state, target_state)
-        states = [geodesic_at(path, t) for t in np.linspace(0.0, 1.0, n)]
-        states[0], states[-1] = path.start, path.end_aligned
-        return SegmentKind.COLLAPSE, states, path
-
-    arrived = packet_state(cfg.arrival_center)
-    split = normalize(blend(c1, StateExpr.single(Packet((x1,), w)),
-                            c2, StateExpr.single(Packet((x2,), w))), _SLIT_KERNEL)
+    arrived, split, aimed = normalized([arrival, _combine((c1, slit1), (c2, slit2)), target])
     # refraction: packet -> normalized two-slit superposition
-    refraction = [arrived, *(normalize(blend(1.0 - t, arrived.expr, t, split.expr), _SLIT_KERNEL)
-                             for t in np.linspace(0.0, 1.0, n)[1:-1]), split]
-    legs = [(SegmentKind.PROPAGATION, [arrived] * n, None),
-            (SegmentKind.REFRACTION_SPLIT, refraction, None)]
+    refraction = [arrived, *normalized([_combine((1.0 - t, arrived[0]), (t, split[0]))
+                                        for t in ts]), split]
+    theta, phase, factor = _alignment(_overlaps(gram, [(split[0], aimed[0])])[0])
+    aligned = (_combine((factor, aimed[0])), aimed[1])
+    collapse = [split, *(split if ws is None else (_combine(*zip(ws, (split[0], aligned[0]))), 1.0)
+                         for ws in (_slerp_weights(theta, t) for t in ts)), aligned]
+    legs = [(SegmentKind.PROPAGATION, [arrived] * n), (SegmentKind.REFRACTION_SPLIT, refraction)]
     if cfg.which_path:
-        collapse = collapse_leg(split, packet_state(curve.which_path_slit))
-        legs += [collapse, (SegmentKind.PROPAGATION, [collapse[1][-1]] * n, None)]
+        legs += [(SegmentKind.COLLAPSE, collapse), (SegmentKind.PROPAGATION, [aligned] * n)]
     else:
-        legs += [(SegmentKind.PROPAGATION, [split] * n, None),
-                 collapse_leg(split, packet_state(detected))]
+        legs += [(SegmentKind.PROPAGATION, [split] * n), (SegmentKind.COLLAPSE, collapse)]
 
-    distinct = list(dict.fromkeys(s for _, states, _ in legs for s in states))
+    slot = {}  # distinct (row, raw norm) states in first-use order: equal rows, equal states
+    order = [[slot.setdefault(state, len(slot)) for state in states] for _, states in legs]
+    rows = [row for row, _ in slot]
+    distinct = [SphereState(StateExpr(tuple(zip(coeffs, map(basis.__getitem__, idx)))),
+                            _SLIT_KERNEL, norm) for (coeffs, idx), norm in slot]
+    steps = list(dict.fromkeys((a, b) for ks in order for a, b in zip(ks, ks[1:])))
+    overlaps = _overlaps(gram, [(rows[a], rows[b]) for a, b in steps])
+    angles = {step: _arc(ov.real) for step, ov in zip(steps, overlaps)}
     projections = nearest_classical_points(distinct, ManifoldId.POSITION, box, coarse=41)
-    residual = {s: p.residual_angle for s, p in zip(distinct, projections)}
+    seconds = collapse_time(GeodesicPath(distinct[slot[split]], distinct[slot[aligned]], theta, phase))
     segments = tuple(
         TrajectorySegment(kind=kind,
-                          samples=tuple((offset + j / (n - 1), s) for j, s in enumerate(states)),
-                          arc_length=_polyline_arc(states),
-                          max_residual_angle=max(residual[s] for s in states),
-                          collapse_time_s=None if path is None else collapse_time(path))
-        for offset, (kind, states, path) in enumerate(legs))
+                          samples=tuple((offset + j / (n - 1), distinct[k]) for j, k in enumerate(ks)),
+                          arc_length=sum(angles[step] for step in zip(ks, ks[1:])),
+                          max_residual_angle=max(projections[k].residual_angle for k in ks),
+                          collapse_time_s=seconds if kind is SegmentKind.COLLAPSE else None)
+        for offset, ((kind, _), ks) in enumerate(zip(legs, order)))
     return Trajectory(segments=segments, detector=curve, kernel=_SLIT_KERNEL)
 
 
@@ -290,6 +317,7 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
 
 # An n-term pair state takes n x n overlap matrices per particle.
 MAX_DISCRETIZATION = 1024
+MAX_PARTNER_SHIFT = 1e-6  # of the node spacing, by rounding x0 + u to a partner point
 
 
 @dataclass(frozen=True)
@@ -342,6 +370,10 @@ def build_epr_state(cfg: EPRConfig,
     width = cfg.envelope_width
     u = np.linspace(-4.0 * width, 4.0 * width, n)
     h = u[1] - u[0]
+    shift = float(np.abs(cfg.x0 + u - cfg.x0 - u).max())  # rounding of the partners x0 + u
+    if shift > MAX_PARTNER_SHIFT * h:
+        raise DomainError(f"x0 = {cfg.x0!r} rounds the partners x0 + u by {shift:.3g}, over "
+                          f"{MAX_PARTNER_SHIFT:g} of the node spacing {h:.3g}; bring --x0 nearer 0")
     weights = np.full(n, h)
     weights[0] *= 0.5
     weights[-1] *= 0.5

@@ -56,13 +56,18 @@ class SphereState:
         return abs(norm_sq(self.expr, self.kernel) - 1.0)
 
 
-def normalize(expr: StateExpr, kernel: KernelSpec) -> SphereState:
-    """Project a state expression onto the unit sphere of the kernel norm."""
-    n2 = norm_sq(expr, kernel)
+def _unit_scale(n2: float) -> tuple[float, complex]:
+    """Norm and rescaling factor of a state of squared norm n2 (finite and > 0, or DomainError)."""
     if not math.isfinite(n2) or n2 <= 0.0:
         raise DomainError(f"state has zero or undefined norm ({n2!r}); cannot normalize")
     norm = math.sqrt(n2)
-    return SphereState(expr=expr.scaled(1.0 / norm), kernel=kernel, raw_norm=norm)
+    return norm, complex(1.0 / norm)
+
+
+def normalize(expr: StateExpr, kernel: KernelSpec) -> SphereState:
+    """Project a state expression onto the unit sphere of the kernel norm."""
+    norm, scale = _unit_scale(norm_sq(expr, kernel))
+    return SphereState(expr=expr.scaled(scale), kernel=kernel, raw_norm=norm)
 
 
 def state_overlap(a: SphereState, b: SphereState) -> complex:
@@ -72,16 +77,19 @@ def state_overlap(a: SphereState, b: SphereState) -> complex:
     return inner_product(a.expr, b.expr, a.kernel)
 
 
+def _arc(cosine: float) -> float:
+    """arccos of a cosine clamped to [-1, 1]."""
+    return math.acos(min(1.0, max(-1.0, cosine)))
+
+
 def sphere_angle(a: SphereState, b: SphereState) -> float:
     """Angle between the states as vectors: arccos of the real overlap part."""
-    ov = state_overlap(a, b)
-    return math.acos(min(1.0, max(-1.0, ov.real)))
+    return _arc(state_overlap(a, b).real)
 
 
 def fs_angle(a: SphereState, b: SphereState) -> float:
     """Phase-insensitive angle: arccos of the overlap modulus, in [0, pi/2]."""
-    ov = state_overlap(a, b)
-    return math.acos(min(1.0, max(0.0, abs(ov))))
+    return _arc(abs(state_overlap(a, b)))
 
 
 @dataclass(frozen=True)
@@ -99,28 +107,34 @@ class GeodesicPath:
     alignment_phase: float
 
 
-def geodesic_between(start: SphereState, end: SphereState) -> GeodesicPath:
-    """Construct the geodesic from `start` to `end`.
-
-    Raises GeodesicUndeterminedError for antipodal endpoints (real overlap
-    -1), where no unique great-circle plane exists.
-    """
-    ov = state_overlap(start, end)
+def _alignment(ov: complex) -> tuple[float, float, complex]:
+    """Angle, alignment phase and phase factor of a geodesic whose endpoints overlap
+    by `ov`; antipodal ones (real overlap -1) raise GeodesicUndeterminedError."""
     if ov.real <= -(1.0 - _ANTIPODAL_TOL):
         raise GeodesicUndeterminedError(
             "endpoints are antipodal; the geodesic plane is undetermined")
     magnitude = abs(ov)
     if magnitude > 0.0:
         phase = math.atan2(ov.imag, ov.real)
-        factor = complex(math.cos(phase), math.sin(phase))
-    else:
-        phase = 0.0
-        factor = 1.0 + 0j
-    aligned = SphereState(expr=end.expr.scaled(factor), kernel=end.kernel,
-                          raw_norm=end.raw_norm)
-    theta = math.acos(min(1.0, magnitude))
-    return GeodesicPath(start=start, end_aligned=aligned, theta=theta,
-                        alignment_phase=phase)
+        return _arc(magnitude), phase, complex(math.cos(phase), math.sin(phase))
+    return _arc(magnitude), 0.0, 1.0 + 0j
+
+
+def geodesic_between(start: SphereState, end: SphereState) -> GeodesicPath:
+    """The geodesic from `start` to `end`; antipodal endpoints have no unique plane."""
+    theta, phase, factor = _alignment(state_overlap(start, end))
+    aligned = SphereState(end.expr.scaled(factor), end.kernel, end.raw_norm)
+    return GeodesicPath(start, aligned, theta, phase)
+
+
+def _slerp_weights(theta: float, t: float) -> tuple[float, float] | None:
+    """Weights of start and aligned end at t in [0, 1], None below _DEGENERATE_ANGLE."""
+    if not -1e-12 <= t <= 1.0 + 1e-12:
+        raise DomainError(f"path parameter must lie in [0, 1], got {t!r}")
+    if theta < _DEGENERATE_ANGLE:
+        return None
+    sin_theta = math.sin(theta)
+    return math.sin((1.0 - t) * theta) / sin_theta, math.sin(t * theta) / sin_theta
 
 
 def geodesic_at(path: GeodesicPath, t: float) -> SphereState:
@@ -129,16 +143,11 @@ def geodesic_at(path: GeodesicPath, t: float) -> SphereState:
     phi_t = [sin((1-t) theta) start + sin(t theta) end_aligned] / sin(theta);
     unit norm holds because the aligned overlap equals cos(theta).
     """
-    if not -1e-12 <= t <= 1.0 + 1e-12:
-        raise DomainError(f"path parameter must lie in [0, 1], got {t!r}")
-    theta = path.theta
-    if theta < _DEGENERATE_ANGLE:
+    weights = _slerp_weights(path.theta, t)
+    if weights is None:
         return path.start
-    sin_theta = math.sin(theta)
-    w0 = math.sin((1.0 - t) * theta) / sin_theta
-    w1 = math.sin(t * theta) / sin_theta
-    mixed = blend(w0, path.start.expr, w1, path.end_aligned.expr)
-    return SphereState(expr=mixed, kernel=path.start.kernel, raw_norm=1.0)
+    mixed = blend(weights[0], path.start.expr, weights[1], path.end_aligned.expr)
+    return SphereState(mixed, path.start.kernel, raw_norm=1.0)
 
 
 def collapse_time(path: GeodesicPath, units: UnitSystem = UnitSystem(),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -31,7 +32,15 @@ Vec = tuple[float, ...]
 MAX_DIMENSION = 3
 
 
-def _real(value, name: str = "coordinates") -> float:
+def _shown(value) -> str:
+    """reprlib's bounded repr; a value whose repr fails (an int past 4300 digits) by its type."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        return f"a value of type {type(value).__name__}"
+
+
+def _real(value, name: str = "coordinates", kind: str = "a real number") -> float:
     """float(value) of a real or numeric string; a complex value, whose real part numpy's
     float() keeps with only a warning, or a value float() rejects is a DomainError."""
     try:
@@ -41,7 +50,7 @@ def _real(value, name: str = "coordinates") -> float:
         raise DomainError(f"{name} is out of floating-point range") from None
     except (TypeError, ValueError):
         pass
-    raise DomainError(f"{name} must be a real number, got {value!r}")
+    raise DomainError(f"{name} must be {kind}, got {_shown(value)}")
 
 
 def _finite(value: float, name: str) -> float:
@@ -75,7 +84,7 @@ def _integer(value, name: str, lo: int, hi: float = math.inf) -> int:
         number = None
     if number is None or not lo <= number <= hi:
         bound = f"of at least {lo}" if hi == math.inf else f"from {lo} to {hi}"
-        raise DomainError(f"{name} must be an integer {bound}, got {value!r}")
+        raise DomainError(f"{name} must be an integer {bound}, got {_shown(value)}")
     return number
 
 
@@ -87,9 +96,9 @@ def as_vec(value) -> Vec:
     elif isinstance(value, (int, float, str, bytes)) or not hasattr(value, "__iter__"):
         value = (value,)
     try:
-        vec = tuple(map(_real, value))
-    except (TypeError, ValueError):
-        raise DomainError(f"coordinates must be reals, got {value!r}") from None
+        vec = tuple(_real(v, "coordinates", "reals") for v in value)
+    except TypeError:  # iterating the value failed
+        raise DomainError(f"coordinates must be reals, got {_shown(value)}") from None
     if not 0 < len(vec) <= MAX_DIMENSION:
         raise DomainError(f"dimension must be an integer from 1 to {MAX_DIMENSION}, "
                           f"got {len(vec)}")

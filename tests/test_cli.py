@@ -209,11 +209,32 @@ def test_epr_grid_without_spacing_rejected(x0, capsys):
 
 
 def test_epr_non_finite_ridge_fails(capsys):
-    # a spaced grid, but |u|^2 of the compiled overlap overflows
-    assert main("epr --x0 1e160 --a-values=0 --grid=-1e150,1e150,5".split()) == 3
+    # a spaced grid, but b^2 of the compiled overlap overflows (an x0 of 1e160,
+    # which reached the overlap before, now fails in building the state)
+    assert main("epr --x0 1 --a-values=0 --grid=-1e307,1e307,5".split()) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "NumericalFailureError"
+
+
+@pytest.mark.parametrize("x0", ["1e15", "1e17"])
+def test_epr_partner_rounding_rejected(x0, capsys):
+    # rounding x0 + u moved the partner points: arc_length 1.1253 at 1e15 and
+    # 1.0156 at 1e17 against 1.11083847393 at 1, with exit code 0
+    assert main(f"epr --profile none --measure-position 0 --x0 {x0}".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["type"] == "DomainError" and "--x0" in error["message"]
+
+
+def test_epr_collapse_near_origin_runs(capsys):
+    arcs = []
+    for x0 in ("1", "1e8"):
+        assert main(f"epr --profile none --measure-position 0 --x0 {x0}".split()) == 0
+        arcs.append(json.loads(capsys.readouterr().out)["results"]["position_collapse"]
+                    ["arc_length"])
+    assert arcs[0] == pytest.approx(arcs[1], abs=1e-9)
 
 
 @pytest.mark.xfail(strict=True, reason="the expanded quadratic exponent cancels at x0 = 1e8 "

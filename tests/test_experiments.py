@@ -1,18 +1,24 @@
 """Tests for the double-slit and entangled-pair scenarios."""
 
+import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statesphere import (DivergenceError, DomainError,
-                         EPRConfig, ManifoldId, SegmentKind, SlitConfig, UnitSystem,
-                         build_double_slit_trajectory,
+                         EPRConfig, ManifoldId, Packet, SegmentKind, SlitConfig, StateExpr,
+                         UnitSystem, blend, build_double_slit_trajectory,
                          build_epr_state, collapse_time, detector_intensity,
+                         geodesic_at, geodesic_between,
                          momentum_collapse, momentum_correlation_profile,
-                         nearest_classical_points,
+                         nearest_classical_points, normalize,
                          position_collapse, position_correlation_profile,
                          sphere_angle)
+from statesphere.experiments import SEGMENT_SAMPLES
 
 PLANCK_TIME = UnitSystem().planck_time_s
 
@@ -98,6 +104,25 @@ class TestDetectorIntensity:
         curve = detector_intensity(cfg)
         assert len(curve.points) == 301
         assert all(i >= 0.0 for _, i in curve.points)
+
+    def test_points_are_built_on_first_read(self):
+        import statesphere.experiments as experiments
+        cfg = SlitConfig(coefficients=(1.0, 0.6j), detector_grid=(-30.0, 30.0, 301))
+        curve = detector_intensity(cfg)
+        assert "points" not in vars(curve)
+        xs, values = experiments._intensity(cfg, zip(cfg.coefficients, cfg.slit_positions))
+        assert curve.points == tuple(zip(xs.tolist(), values.tolist()))
+        assert all(type(x) is float and type(i) is float for x, i in curve.points)
+        assert curve.points is curve.points
+
+    def test_curves_that_differ_in_a_point_are_unequal(self):
+        cfg = SlitConfig(which_path=True)
+        curve = detector_intensity(cfg)
+        assert curve == detector_intensity(cfg)
+        for name in ("xs", "intensity"):
+            moved = array("d", getattr(curve, name))
+            moved[600] = math.nextafter(moved[600], math.inf)
+            assert dataclasses.replace(curve, **{name: moved}) != curve
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +271,115 @@ class TestDoubleSlitTrajectory:
                 assert seg.collapse_time_s <= math.pi * PLANCK_TIME
 
 
+def stateexpr_legs(cfg: SlitConfig, trajectory):
+    """The trajectory's legs rebuilt state by state with the StateExpr geometry
+    (`normalize`, `blend`, `geodesic_between`, `geodesic_at`): a list of
+    (states, collapse path or None) per segment."""
+    n, w, kernel = SEGMENT_SAMPLES, cfg.packet_width, trajectory.kernel
+    (x1, x2), (c1, c2) = cfg.slit_positions, cfg.coefficients
+
+    def packet(center):
+        return normalize(StateExpr.single(Packet((center,), w)), kernel)
+
+    arrived = packet(cfg.arrival_center)
+    split = normalize(blend(c1, StateExpr.single(Packet((x1,), w)),
+                            c2, StateExpr.single(Packet((x2,), w))), kernel)
+    ts = np.linspace(0.0, 1.0, n)[1:-1]
+    refraction = [arrived, *(normalize(blend(1.0 - t, arrived.expr, t, split.expr), kernel)
+                             for t in ts), split]
+    curve = trajectory.detector
+    path = geodesic_between(split, packet(curve.which_path_slit if cfg.which_path
+                                          else curve.detected_point))
+    collapse = [path.start, *(geodesic_at(path, t) for t in ts), path.end_aligned]
+    if cfg.which_path:
+        return [([arrived] * n, None), (refraction, None), (collapse, path),
+                ([path.end_aligned] * n, None)]
+    return [([arrived] * n, None), (refraction, None), ([split] * n, None), (collapse, path)]
+
+
+@st.composite
+def slit_configs(draw):
+    half = draw(st.floats(0.3, 3.0))
+    second = draw(st.one_of(st.just(0j), st.builds(complex, st.floats(-1.5, 1.5),
+                                                   st.floats(-1.5, 1.5))))
+    return SlitConfig(slit_positions=(-half, half), coefficients=(1.0, second),
+                      packet_width=draw(st.floats(0.05, 0.3)), which_path=draw(st.booleans()),
+                      detected_point=draw(st.one_of(st.none(), st.floats(-5.0, 5.0))))
+
+
+# float.hex of (arc_length, max_residual_angle, collapse_time_s) per segment, as the
+# term-by-term StateExpr geometry (one inner product per norm and angle) computed them
+TRAJECTORY_RECORD = {
+    "default": (SlitConfig(), [
+        ("0x0.0p+0", "0x1.c65c040717ab7p-7", None),
+        ("0x1.8f780df612e9fp-1", "0x1.76e78121e7567p-1", None),
+        ("0x0.0p+0", "0x1.76e78121e7567p-1", None),
+        ("0x1.8f780df612edap-1", "0x1.76e78121e7567p-1", "0x1.db7250e61e987p-145")]),
+    "which_path": (SlitConfig(which_path=True), [
+        ("0x0.0p+0", "0x1.c65c040717ab7p-7", None),
+        ("0x1.8f780df612e9fp-1", "0x1.76e78121e7567p-1", None),
+        ("0x1.7f486d425944ep-1", "0x1.76e78121e7567p-1", "0x1.c82e95bdd6612p-145"),
+        ("0x0.0p+0", "0x1.c65c04074940dp-7", None)]),
+    "one_slit": (SlitConfig(coefficients=(1, 0)), [
+        ("0x0.0p+0", "0x1.c65c04074940dp-7", None),
+        ("0x0.0p+0", "0x1.c65c04074940dp-7", None),
+        ("0x0.0p+0", "0x1.c65c04074940dp-7", None),
+        ("0x1.e1f76107d4581p-7", "0x1.c79cca9e604e5p-7", "0x1.1ed13b0c87452p-150")]),
+    "phased_detected": (SlitConfig(slit_positions=(-0.9, 1.3), coefficients=(1, 0.5j),
+                                   packet_width=0.13, which_path=True, detected_point=0.7), [
+        ("0x0.0p+0", "0x1.7adcdb2e384c9p-6", None),
+        ("0x1.3ac53d693f32cp-1", "0x1.db5287d03d76fp-2", None),
+        ("0x1.18b3992baddcfp+0", "0x1.5dcfdecbec58ap+0", "0x1.4e170a2df4699p-144"),
+        ("0x1.0000000000000p-23", "0x1.5dcfdecbec58ap+0", None)]),
+}
+
+
+class TestTrajectoryFrame:
+    """The trajectory's frame (rows over one Gram matrix) against the StateExpr geometry."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(slit_configs())
+    def test_matches_the_stateexpr_geometry(self, cfg):
+        trajectory = build_double_slit_trajectory(cfg)
+        for seg, (states, path) in zip(trajectory.segments, stateexpr_legs(cfg, trajectory),
+                                       strict=True):
+            assert [repr(s) for _, s in seg.samples] == [repr(s) for s in states]
+            assert seg.arc_length == sum(sphere_angle(a, b) for a, b in zip(states, states[1:]))
+            assert seg.collapse_time_s == (None if path is None else collapse_time(path))
+
+    @pytest.mark.parametrize("name", sorted(TRAJECTORY_RECORD))
+    def test_values_keep_their_bits(self, name):
+        cfg, record = TRAJECTORY_RECORD[name]
+        got = [(seg.arc_length.hex(), seg.max_residual_angle.hex(),
+                None if seg.collapse_time_s is None else seg.collapse_time_s.hex())
+               for seg in build_double_slit_trajectory(cfg).segments]
+        assert got == record
+
+    def test_one_gram_matrix_and_no_inner_product(self, monkeypatch):
+        import statesphere.algebra as algebra
+        import statesphere.experiments as experiments
+        import statesphere.geometry as geometry
+        import statesphere.manifolds as manifolds
+        calls = []
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return call
+
+        overlap = counted("overlap_matrix", algebra.overlap_matrix)
+        inner = counted("inner_product", algebra.inner_product)
+        for module in (algebra, experiments, manifolds):
+            monkeypatch.setattr(module, "overlap_matrix", overlap)
+        for module in (algebra, geometry):
+            monkeypatch.setattr(module, "inner_product", inner)
+        for which_path in (False, True):
+            calls.clear()
+            build_double_slit_trajectory(SlitConfig(which_path=which_path))
+            assert calls == ["overlap_matrix"]
+
+
 class TestEPRState:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -293,6 +427,16 @@ class TestEPRState:
             profile = position_correlation_profile(state, a, grid)
             best_b = max(profile, key=lambda bv: bv[1])[0]
             assert abs(best_b - (cfg.x0 + a)) <= step + 1e-12
+
+    def test_partner_rounding_far_from_origin_is_a_domain_error(self):
+        # x0 + u moved the partner points: the position-collapse arc read
+        # 1.11083847393 at x0 = 1, 1.1253 at 1e15 and 1.0156 at 1e17, all returned
+        for x0 in (1e11, 1e15, 1e17, -1e200):
+            with pytest.raises(DomainError, match="--x0"):
+                build_epr_state(EPRConfig(x0=x0))
+        arcs = [position_collapse(build_epr_state(cfg), 0.0, cfg).theta
+                for cfg in (EPRConfig(x0=1.0), EPRConfig(x0=1e8))]
+        assert arcs[0] == pytest.approx(arcs[1], abs=1e-9)
 
     def test_symmetric_profile_at_origin(self):
         cfg = EPRConfig(x0=0.0)

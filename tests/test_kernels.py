@@ -139,6 +139,23 @@ class TestCoordinates:
             with pytest.raises(DomainError, match=f"^{name} is out of floating-point range"):
                 call()
 
+    @pytest.mark.parametrize("huge", [(10**5000,), [10**5000], 10**5000],
+                             ids=["tuple", "list", "int"])
+    def test_int_past_the_repr_limit_is_out_of_range(self, huge):
+        # as_vec caught the out-of-range DomainError as a ValueError and formatted
+        # the repr of the input, which fails past 4300 digits: a bare ValueError
+        with pytest.raises(DomainError, match="^coordinates is out of floating-point range"):
+            Delta(huge)
+
+    def test_messages_show_no_unbounded_repr(self):
+        # the repr of a huge int in a rejected value raised a bare ValueError
+        with pytest.raises(DomainError, match="^coordinates must be reals, got a value of type list"):
+            Delta([[10**5000]])
+        with pytest.raises(DomainError, match="^discretization_n must be an integer from 8"):
+            EPRConfig(discretization_n=10**5000)
+        with pytest.raises(DomainError, match=r"^coordinates must be reals, got \[0, 1, 2, "):
+            Delta([list(range(10**5))])
+
     def test_numeric_strings_stay_accepted(self):
         assert TranslationKernel("2").sigma == 2.0
         assert Packet((0.0,), "0.5").width == 0.5
