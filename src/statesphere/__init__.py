@@ -5,7 +5,7 @@ double-slit / entangled-pair scenarios built on top of them."""
 
 __version__ = "0.1.0"
 
-from .algebra import (Delta, Packet, PlaneWave, QuadForm, StateExpr, blend,
+from .algebra import (Basis, Delta, Packet, PlaneWave, QuadForm, StateExpr, blend,
                       compile_pair, gaussian_integral, hilbert_norm,
                       inner_product, l2_inner_product, norm_sq,
                       overlap_matrix, primitive_overlap)

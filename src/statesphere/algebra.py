@@ -24,7 +24,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericalFailureError
-from .kernels import KernelSpec, Vec, _formed, _positive, as_vec, kernel_coefficients
+from .kernels import (MAX_DIMENSION, KernelSpec, Vec, _formed, _positive, as_vec,
+                      kernel_coefficients)
 
 IMAG_RESIDUE_TOL = 1e-10
 CONDITION_CAP = 1e12
@@ -93,72 +94,253 @@ class Packet:
 
 
 Primitive = Union[Delta, PlaneWave, Packet]
+KINDS = (Delta, PlaneWave, Packet)  # the kind codes of a `Basis`
+_FIELDS = ("kind", "center", "width", "momentum", "s")
+_ROWS = {Delta: lambda p, zero: (0, p.center, 0.0, zero),  # a primitive's first four fields
+         PlaneWave: lambda p, zero: (1, zero, 0.0, p.momentum),
+         Packet: lambda p, zero: (2, p.center, p.width, p.momentum)}
 
 
-@dataclass(frozen=True)
+class Basis:
+    """The distinct primitives of one particle slot as a struct of arrays:
+    `kind` (codes into KINDS, or one KINDS class for all), `center` (n, d),
+    `width`, `s` = 1/(4 width^2) and `momentum` (n, d), 0 where a kind lacks
+    the field.  The constructor checks each array once, with the messages
+    of the primitives' own checks; `of` takes primitive objects.  `deltas`
+    and `free` number the rows of each sort, and `_memo` keeps what is
+    derived from a basis: its `split` per side, its `cut` per index array and
+    its join with each partner basis."""
+
+    __slots__ = (*_FIELDS, "deltas", "free", "_memo")
+
+    def __init__(self, kind, center, width=0.0, momentum=0.0):
+        try:
+            center = np.asarray(center, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError("basis centers must be an (n, d) array of reals") from None
+        if center.ndim != 2 or not 0 < center.shape[1] <= MAX_DIMENSION:
+            raise DomainError(f"dimension must be an integer from 1 to {MAX_DIMENSION}, "
+                              f"got centers of shape {center.shape}")
+        fields = [np.empty(shape, dtype) for shape, dtype
+                  in ((center.shape[:1], int), (center.shape[:1], float), (center.shape, float))]
+        try:  # each field takes its array, or one value for every row
+            for field, value in zip(fields, (KINDS.index(kind) if isinstance(kind, type) else kind,
+                                             width, momentum)):
+                field[...] = value
+        except (TypeError, ValueError):
+            raise DomainError(f"the arrays of a basis need {center.shape} rows") from None
+        kind, width, momentum = fields
+        if ((kind < 0) | (kind > 2)).any():
+            raise DomainError(f"not a primitive: kind {kind[(kind < 0) | (kind > 2)][0]!r}")
+        center, momentum = (np.where(absent[:, None], 0.0, v) for absent, v
+                            in ((kind == 1, center), (kind == 0, momentum)))
+        for vectors in (center, momentum):
+            if not np.isfinite(vectors).all():
+                bad = vectors[~np.isfinite(vectors).all(axis=1)][0]
+                raise DomainError(f"non-finite component in {tuple(bad.tolist())!r}")
+        for w in width[kind == 2].tolist():
+            _formed(lambda: 1.0 / (4.0 * _positive(w, "packet width")**2),
+                    "1/(4 width^2) of the packet width")
+        self._set(kind, center, np.where(kind == 2, width, 0.0), momentum)
+
+    def _set(self, kind, center, width, momentum, s=None) -> "Basis":
+        if s is None:  # as Packet checks it, in Python floats
+            s = np.array([1.0 / (4.0 * w**2) if w else 0.0 for w in width.tolist()]
+                         if width.any() else np.zeros(len(width)))
+        self.kind, self.center, self.width, self.momentum, self.s = kind, center, width, momentum, s
+        self.deltas, self.free, self._memo = (kind == 0).nonzero()[0], kind.nonzero()[0], {}
+        return self
+
+    @classmethod
+    def of(cls, prims) -> "Basis":
+        if len({p.dimension for p in prims}) > 1:
+            raise DomainError("all primitives in a state must share one dimension")
+        zero = (0.0,) * prims[0].dimension
+        return object.__new__(cls)._set(*map(np.array, zip(*(_ROWS[type(p)](p, zero)
+                                                              for p in prims))))
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    @property
+    def dimension(self) -> int:
+        return self.center.shape[1]
+
+    def primitives(self) -> list:
+        return [Delta(c) if k == 0 else PlaneWave(p) if k == 1 else Packet(c, w, p)
+                for k, c, w, p in zip(self.kind.tolist(), self.center.tolist(),
+                                      self.width.tolist(), self.momentum.tolist())]
+
+    def split(self, conjugate: bool):
+        """Delta rows, free rows, and the free rows' (s, linear vector, constant)
+        of exp(...) and `_free_overlap` keys (kind name, s, linear vector,
+        constant), the conjugated side's if `conjugate`; once per basis and side.
+        A packet's are (s, 2 s mu +- i p, -s |mu|^2), a plane wave's (0, +- i p, 0)."""
+        if conjugate not in self._memo:
+            free, profile, keys = self.free, (None,) * 3, []
+            if len(free):
+                s, mu, packet = self.s[free], self.center[free], self.kind[free] == 2
+                wave = 1j * (-1.0 if conjugate else 1.0) * self.momentum[free]
+                lin = np.where(packet[:, None], (2.0 * s)[:, None] * mu + wave, wave)
+                const = np.where(packet, -s * (mu[:, None, :] @ mu[:, :, None])[:, 0, 0], 0.0)
+                profile = s, lin, const
+                keys = list(zip([KINDS[k].__name__ for k in self.kind[free].tolist()], s.tolist(),
+                                map(tuple, lin.tolist()), const.tolist()))
+            self._memo[conjugate] = self.deltas, free, profile, keys
+        return self._memo[conjugate]
+
+    def cut(self, idx: np.ndarray):
+        """This basis cut to the rows `idx` uses, and `idx` into it; once per index array."""
+        key = idx.tobytes()
+        if key not in self._memo:
+            used = np.bincount(idx, minlength=len(self)) > 0
+            self._memo[key] = None if used.all() else (object.__new__(Basis)._set(
+                *(getattr(self, name)[used] for name in _FIELDS)), (np.cumsum(used) - 1)[idx])
+        return self._memo[key] or (self, idx)
+
+
+def _stacked(bases) -> Basis:
+    """One basis of the rows of `bases`, in their order."""
+    return object.__new__(Basis)._set(*(np.concatenate([getattr(b, name) for b in bases])
+                                        for name in _FIELDS))
+
+
+def _joined(a: Basis, ia, b: Basis, ib):
+    """One basis of `a` and `b` (`a` if they are one; one join per pair), and the rows into it."""
+    if a is b:
+        return a, np.concatenate([ia, ib])
+    if b not in a._memo:
+        a._memo[b] = _stacked([a, b])
+    return a._memo[b], np.concatenate([ia, ib + len(a)])
+
+
+def _checked(coeffs, bases, indices) -> tuple:
+    """A state's arrays, checked once each with the messages of the term-by-term checks."""
+    try:
+        coeffs, indices = np.asarray(coeffs, dtype=complex), [np.asarray(i) for i in indices]
+    except (TypeError, ValueError):
+        raise DomainError("a state needs complex coefficients and integer row arrays") from None
+    if coeffs.ndim != 1 or not len(coeffs):
+        raise DomainError("state expression needs at least one term")
+    if not bases:
+        raise DomainError("a term needs a coefficient and at least one primitive")
+    if len(indices) != len(bases) or any(i.shape != coeffs.shape for i in indices):
+        raise DomainError("all terms of a state must have the same arity")
+    if not np.isfinite(coeffs).all():
+        _finite_complex(coeffs[~np.isfinite(coeffs)][0], "coefficient")
+    for basis, i in zip(bases, indices):
+        if not (isinstance(basis, Basis) and i.dtype.kind in "iu"
+                and 0 <= min(i.tolist()) and max(i.tolist()) < len(basis)):
+            raise DomainError("each slot needs a Basis and integer rows into it")
+    indices = [i.astype(np.intp, copy=False) for i in indices]  # one dtype: `Basis.cut` keys
+    if len({basis.dimension for basis in bases}) > 1:
+        raise DomainError("all primitives in a state must share one dimension")
+    return coeffs, bases, indices
+
+
 class StateExpr:
     """Finite complex combination of product primitives.
 
     Each term is (coefficient, primitive_1, ..., primitive_arity): arity 1
     describes one particle, arity 2 a particle pair in the tensor-product
     space.  All terms share one arity and one dimension.  Terms with a zero
-    coefficient are validated, then dropped.
+    coefficient are validated, then dropped.  A state is stored as arrays:
+    `coeffs`, and per slot k the `Basis` `bases[k]` of the primitives its
+    terms use and `indices[k]`, each term's row in it; `from_arrays` takes
+    these directly, and `.terms` is built from them on first read.  Equality
+    and hashing go by the terms' values.
     """
 
-    terms: tuple
+    def __init__(self, terms):
+        if any(len(term) != len(terms[0]) for term in terms):
+            raise DomainError("all terms of a state must have the same arity")
+        bad = [p for term in terms for p in term[1:] if not isinstance(p, KINDS)]
+        if bad:
+            raise DomainError(f"not a primitive: {bad[0]!r}")
+        rows = [{} for _ in terms[0][1:]] if terms else []  # per slot: distinct primitives
+        indices = [[slot.setdefault(p, len(slot)) for p in prims]
+                   for slot, prims in zip(rows, list(zip(*terms))[1:])]
+        self._set(*_checked([_finite_complex(term[0], "coefficient") for term in terms],
+                            [Basis.of(list(slot)) for slot in rows], indices))
 
-    def __post_init__(self):
-        if not self.terms:
-            raise DomainError("state expression needs at least one term")
-        arity = len(self.terms[0]) - 1
-        if arity < 1:
-            raise DomainError("a term needs a coefficient and at least one primitive")
-        dim = None
-        terms = []
-        for term in self.terms:
-            if len(term) != 1 + arity:
-                raise DomainError("all terms of a state must have the same arity")
-            coeff = _finite_complex(term[0], "coefficient")
-            for prim in term[1:]:
-                if not isinstance(prim, (Delta, PlaneWave, Packet)):
-                    raise DomainError(f"not a primitive: {prim!r}")
-                if dim is None:
-                    dim = prim.dimension
-                elif prim.dimension != dim:
-                    raise DomainError("all primitives in a state must share one dimension")
-            if coeff != 0:
-                terms.append((coeff, *term[1:]))
-        if not terms:
-            raise DomainError("state expression must have a nonzero coefficient")
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "_arity", arity)
-        object.__setattr__(self, "_dim", dim)
+    @classmethod
+    def from_arrays(cls, coeffs, bases, indices) -> "StateExpr":
+        """State of coefficients `coeffs` and, per slot, the `Basis` `bases[k]` and
+        the term rows `indices[k]` into it: for large states, or many states over
+        one basis.  Rows no kept term uses are cut from a basis."""
+        return object.__new__(cls)._set(*_checked(coeffs, bases, indices), cut=True)
+
+    def _set(self, coeffs, bases, indices, cut=False) -> "StateExpr":
+        """Store the arrays, zero terms dropped and the bases cut to the rest."""
+        if not coeffs.all():
+            if not coeffs.any():
+                raise DomainError("state expression must have a nonzero coefficient")
+            coeffs, indices, cut = coeffs[coeffs != 0], [i[coeffs != 0] for i in indices], True
+        if cut:
+            bases, indices = zip(*map(Basis.cut, bases, indices))
+        self.__dict__.update(coeffs=coeffs, bases=tuple(bases), indices=tuple(indices))
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StateExpr is immutable; cannot set {name!r}")
 
     @property
     def arity(self) -> int:
-        return self._arity
+        return len(self.bases)
 
     @property
     def dimension(self) -> int:
-        return self._dim
+        return self.bases[0].dimension
+
+    @functools.cached_property
+    def terms(self) -> tuple:
+        prims = [basis.primitives() for basis in self.bases]
+        return tuple(zip(self.coeffs.tolist(), *([p[i] for i in idx.tolist()]
+                                                 for p, idx in zip(prims, self.indices))))
+
+    @functools.cached_property
+    def _key(self) -> tuple:
+        """The terms' values as bytes, -0.0 read as 0.0: the coefficients, and
+        per term the kind, width, center and momentum of each slot."""
+        rows = [np.column_stack([b.kind[i], b.width[i], b.center[i], b.momentum[i]])
+                for b, i in zip(self.bases, self.indices)]
+        return self.arity, (self.coeffs + 0.0).tobytes(), (np.hstack(rows) + 0.0).tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, StateExpr):
+            return NotImplemented
+        return self is other or (  # cheap mismatches first
+            self.coeffs.tolist() == other.coeffs.tolist()
+            and all(a.center[i].tolist() == b.center[j].tolist() for a, i, b, j
+                    in zip(self.bases, self.indices, other.bases, other.indices))
+            and self._key == other._key)
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return f"StateExpr(terms={self.terms!r})"
 
     @classmethod
     def single(cls, *prims: Primitive, coeff=1.0) -> "StateExpr":
         return cls(((coeff, *prims),))
 
     def scaled(self, z) -> "StateExpr":
-        z = _finite_complex(z, "scale")
-        return StateExpr(tuple((t[0] * z, *t[1:]) for t in self.terms))
+        z = _finite_complex(z, "scale")  # Python's complex product: numpy's may fuse a multiply-add
+        return object.__new__(StateExpr)._set(np.array([c * z for c in self.coeffs.tolist()]),
+                                              self.bases, self.indices)
 
 
 def blend(wa, a: StateExpr, wb, b: StateExpr) -> StateExpr:
     """Linear combination wa*a + wb*b of two expressions of equal arity and
-    dimension; the combined expression rejects a mismatch."""
+    dimension, each slot's bases joined; a mismatch is rejected."""
     wa = _finite_complex(wa, "weight")
     wb = _finite_complex(wb, "weight")
-    terms = tuple((wa * t[0], *t[1:]) for t in a.terms)
-    terms += tuple((wb * t[0], *t[1:]) for t in b.terms)
-    return StateExpr(terms)
+    if (a.arity, a.dimension) != (b.arity, b.dimension):
+        raise DomainError("all terms of a state must have the same arity and dimension")
+    coeffs = [wa * c for c in a.coeffs.tolist()] + [wb * c for c in b.coeffs.tolist()]
+    slots = zip(*map(_joined, a.bases, a.indices, b.bases, b.indices))
+    return object.__new__(StateExpr)._set(np.array(coeffs), *slots)
 
 
 @dataclass
@@ -225,19 +407,20 @@ def gaussian_integral(form: QuadForm) -> complex:
     return complex((2.0 * math.pi) ** (n / 2.0) / sqrt_det * np.exp(exponent))
 
 
-def _profile(prim: Primitive, conjugate: bool):
-    """Quadratic coefficient, linear vector and constant of exp(...) for one
-    free factor; `conjugate` selects the complex-conjugated side."""
-    sign = -1.0 if conjugate else 1.0
-    if isinstance(prim, Packet):
-        s = 1.0 / (4.0 * prim.width**2)
-        mu = np.array(prim.center)
-        p = np.array(prim.momentum)
-        return s, 2.0 * s * mu + 1j * sign * p, -s * float(np.dot(mu, mu))
-    if isinstance(prim, PlaneWave):
-        p = np.array(prim.momentum)
-        return 0.0, 1j * sign * p, 0.0
-    raise DomainError(f"primitive has no free-variable profile: {prim!r}")
+def _free_form(f: tuple, g: tuple, kernel: KernelSpec) -> QuadForm:
+    """Canonical form of two free factors from their `Basis.split` keys, g conjugated."""
+    (f_kind, s_f, lin_f, const_f), (g_kind, s_g, lin_g, const_g) = f, g
+    _free_pair_margin(f_kind, s_f, g_kind, s_g, kernel)
+    conf, pair = kernel_coefficients(kernel)
+    d = len(lin_f)
+    eye = np.eye(d)
+    a = np.zeros((2 * d, 2 * d), dtype=complex)
+    a[:d, :d] = 2.0 * (conf + pair + s_f) * eye
+    a[d:, d:] = 2.0 * (conf + pair + s_g) * eye
+    a[:d, d:] = -2.0 * pair * eye
+    a[d:, :d] = -2.0 * pair * eye
+    b = np.concatenate([lin_f, lin_g]).astype(complex)
+    return QuadForm(a, b, complex(const_f + const_g))
 
 
 def compile_pair(f: Primitive, g: Primitive, kernel: KernelSpec) -> QuadForm:
@@ -250,7 +433,6 @@ def compile_pair(f: Primitive, g: Primitive, kernel: KernelSpec) -> QuadForm:
         raise DomainError(f"dimension mismatch between {f!r} and {g!r}")
     d = f.dimension
     conf, pair = kernel_coefficients(kernel)
-    eye = np.eye(d)
 
     if isinstance(f, Delta) and isinstance(g, Delta):
         u = np.array(f.center)
@@ -259,28 +441,16 @@ def compile_pair(f: Primitive, g: Primitive, kernel: KernelSpec) -> QuadForm:
         c = -conf * float(np.dot(u, u) + np.dot(v, v)) - pair * float(np.dot(du, du))
         return QuadForm(np.empty((0, 0), dtype=complex), np.empty(0, dtype=complex), complex(c))
 
-    if isinstance(f, Delta) or isinstance(g, Delta):
-        if isinstance(f, Delta):
-            anchor = np.array(f.center)
-            s, lin, const = _profile(g, conjugate=True)
-        else:
-            anchor = np.array(g.center)
-            s, lin, const = _profile(f, conjugate=False)
-        a = 2.0 * (conf + pair + s) * eye
+    keys = [None if isinstance(p, Delta) else Basis.of([p]).split(conj)[3][0]
+            for p, conj in ((f, False), (g, True))]
+    if None in keys:
+        anchor = np.array((f if keys[0] is None else g).center)
+        _, s, lin, const = keys[0] or keys[1]
+        a = 2.0 * (conf + pair + s) * np.eye(d)
         b = 2.0 * pair * anchor + lin
         c = -(conf + pair) * float(np.dot(anchor, anchor)) + const
         return QuadForm(a.astype(complex), b.astype(complex), complex(c))
-
-    s_f, lin_f, const_f = _profile(f, conjugate=False)
-    s_g, lin_g, const_g = _profile(g, conjugate=True)
-    _free_pair_margin(type(f).__name__, s_f, type(g).__name__, s_g, kernel)
-    a = np.zeros((2 * d, 2 * d), dtype=complex)
-    a[:d, :d] = 2.0 * (conf + pair + s_f) * eye
-    a[d:, d:] = 2.0 * (conf + pair + s_g) * eye
-    a[:d, d:] = -2.0 * pair * eye
-    a[d:, :d] = -2.0 * pair * eye
-    b = np.concatenate([lin_f, lin_g]).astype(complex)
-    return QuadForm(a, b, complex(const_f + const_g))
+    return _free_form(*keys, kernel)
 
 
 def _delta_delta(u: np.ndarray, v: np.ndarray, conf: float, pair: float) -> np.ndarray:
@@ -293,16 +463,15 @@ def _delta_delta(u: np.ndarray, v: np.ndarray, conf: float, pair: float) -> np.n
     return np.exp(c)
 
 
-def _delta_free(anchors: np.ndarray, free, conjugate: bool, conf: float,
-                pair: float) -> np.ndarray:
-    """Overlaps of deltas at `anchors` (rows) with free primitives (columns).
+def _delta_free(anchors: np.ndarray, profile, conf: float, pair: float) -> np.ndarray:
+    """Overlaps of deltas at `anchors` (rows) with free primitives (columns) of
+    `Basis.split` profile (s, linear vectors, constants).
 
     The form `compile_pair` builds is A = m I_d with m = 2 (conf + pair + s)
     > 0, so the integral is (2 pi / m)^(d/2) exp(b.b / (2 m) + c) and can
-    neither fail nor need the eigen/solve route.  `conjugate` says the free
-    primitives are the conjugated (right) side.
+    neither fail nor need the eigen/solve route.
     """
-    s, lin, const = map(np.array, zip(*(_profile(p, conjugate) for p in free)))
+    s, lin, const = profile
     m = 2.0 * (conf + pair + s)
     b = 2.0 * pair * anchors[:, None, :] + lin
     c = -(conf + pair) * (anchors * anchors).sum(axis=1)[:, None] + const
@@ -311,16 +480,17 @@ def _delta_free(anchors: np.ndarray, free, conjugate: bool, conf: float,
 
 
 @functools.lru_cache(maxsize=256)
-def _free_overlap(f: Primitive, g: Primitive, kernel: KernelSpec) -> complex:
-    """<f, g> for two free primitives through the general integral; a
-    bounded memo, since states repeat the same few primitives.  Errors are
-    raised again on every call, not stored."""
-    return gaussian_integral(compile_pair(f, g, kernel))
+def _free_overlap(f: tuple, g: tuple, kernel: KernelSpec) -> complex:
+    """<f, g> for two free primitives, given by `Basis.split` keys, through the
+    general integral; a bounded memo, since states repeat the same few
+    primitives.  Errors are raised again on every call, not stored."""
+    return gaussian_integral(_free_form(f, g, kernel))
 
 
 def overlap_matrix(fs, gs, kernel: KernelSpec) -> np.ndarray:
     """Matrix of primitive overlaps <f_i, g_j> under the kernel, linear in f
-    and conjugate-linear in g, as a complex (len(fs), len(gs)) array.
+    and conjugate-linear in g, as a complex (len(fs), len(gs)) array; fs and
+    gs are each a `Basis` or a sequence of primitives.
 
     Delta-delta entries (`_delta_delta`) and delta-free entries
     (`_delta_free`) are closed forms, each block in one broadcast pass.
@@ -328,30 +498,27 @@ def overlap_matrix(fs, gs, kernel: KernelSpec) -> np.ndarray:
     `gaussian_integral(compile_pair(f, g, kernel))`, memoised per distinct
     pair, and raise what it raises.
     """
-    fs, gs = tuple(fs), tuple(gs)
-    if len({p.dimension for p in fs} | {p.dimension for p in gs}) > 1:
-        bad = next(((f, g) for f in fs for g in gs if f.dimension != g.dimension), None)
-        if bad is not None:
-            raise DomainError(f"dimension mismatch between {bad[0]!r} and {bad[1]!r}")
+    fs, gs = (b if isinstance(b, Basis) else tuple(b) for b in (fs, gs))
+    if not (len(fs) and len(gs)):
+        return np.empty((len(fs), len(gs)), dtype=complex)
+    fs, gs = (b if isinstance(b, Basis) else Basis.of(b) for b in (fs, gs))
+    if fs.dimension != gs.dimension:
+        raise DomainError(f"dimension mismatch between {fs.dimension}-d and "
+                          f"{gs.dimension}-d primitives")
     conf, pair = kernel_coefficients(kernel)
-    f_delta = [i for i, f in enumerate(fs) if isinstance(f, Delta)]
-    g_delta = [j for j, g in enumerate(gs) if isinstance(g, Delta)]
-    f_free = [i for i, f in enumerate(fs) if not isinstance(f, Delta)]
-    g_free = [j for j, g in enumerate(gs) if not isinstance(g, Delta)]
-    u = np.array([fs[i].center for i in f_delta])
-    v = np.array([gs[j].center for j in g_delta])
+    (f_delta, f_free, f_profile, f_keys), (g_delta, g_free, g_profile, g_keys) = (
+        fs.split(False), gs.split(True))
+    u, v = fs.center[f_delta], gs.center[g_delta]
     blocks = []  # (rows, columns, entries)
-    if f_delta and g_delta:
+    if len(f_delta) and len(g_delta):
         blocks.append((f_delta, g_delta, _delta_delta(u, v, conf, pair)))
-    if f_delta and g_free:
-        blocks.append((f_delta, g_free,
-                       _delta_free(u, [gs[j] for j in g_free], True, conf, pair)))
-    if f_free and g_delta:
-        blocks.append((f_free, g_delta,
-                       _delta_free(v, [fs[i] for i in f_free], False, conf, pair).T))
-    if f_free and g_free:
-        blocks.append((f_free, g_free, [[_free_overlap(fs[i], gs[j], kernel) for j in g_free]
-                                         for i in f_free]))
+    if len(f_delta) and len(g_free):
+        blocks.append((f_delta, g_free, _delta_free(u, g_profile, conf, pair)))
+    if len(f_free) and len(g_delta):
+        blocks.append((f_free, g_delta, _delta_free(v, f_profile, conf, pair).T))
+    if len(f_free) and len(g_free):
+        blocks.append((f_free, g_free, [[_free_overlap(f, g, kernel) for g in g_keys]
+                                         for f in f_keys]))
     if len(blocks) == 1:  # no scatter: its fixed cost shows on 1-3 term states
         return np.asarray(blocks[0][2], dtype=complex)
     out = np.empty((len(fs), len(gs)), dtype=complex)
@@ -381,23 +548,22 @@ def _clamp_norm(total: complex) -> complex:
 
 def _slot_matrices(phi: StateExpr, psi: StateExpr, pair_matrix):
     """Weights outer(c, conj(d)) of two validated states and, per slot k,
-    pair_matrix(slot-k primitives of phi, slot-k primitives of psi)."""
+    pair_matrix(slot-k basis of phi, slot-k basis of psi) at the term rows."""
     if not isinstance(phi, StateExpr) or not isinstance(psi, StateExpr):
         raise DomainError("inner products need two state expressions")
     if phi.arity != psi.arity:
         raise DomainError(f"states have different arities ({phi.arity} and {psi.arity})")
     if phi.dimension != psi.dimension:
         raise DomainError("states have different dimensions")
-    c = np.array([t[0] for t in phi.terms])
-    d = np.array([t[0] for t in psi.terms])
-    slots = [pair_matrix([t[k] for t in phi.terms], [t[k] for t in psi.terms])
-             for k in range(1, phi.arity + 1)]
-    return c[:, None] * d.conj(), slots
+    slots = [pair_matrix(fs, gs)[ia][:, ib]
+             for fs, ia, gs, ib in zip(phi.bases, phi.indices, psi.bases, psi.indices)]
+    return phi.coeffs[:, None] * psi.coeffs.conj(), slots
 
 
-def _pairwise(fs, gs, pair) -> np.ndarray:
-    """Matrix of pair(f, g) over the primitives fs (rows) and gs (columns)."""
-    return np.array([[pair(f, g) for g in gs] for f in fs])
+def _pairwise(fs: Basis, gs: Basis, pair) -> np.ndarray:
+    """Matrix of pair(f, g) over the primitives of fs (rows) and gs (columns)."""
+    gs = gs.primitives()
+    return np.array([[pair(f, g) for g in gs] for f in fs.primitives()])
 
 
 def _sum_terms(phi: StateExpr, psi: StateExpr, pair_matrix) -> complex:
@@ -432,11 +598,10 @@ def hilbert_norm(expr: StateExpr, kernel: KernelSpec) -> float:
 
 
 def _l2_pair(f: Packet, g: Packet) -> complex:
-    s_f, lin_f, const_f = _profile(f, conjugate=False)
-    s_g, lin_g, const_g = _profile(g, conjugate=True)
-    d = f.dimension
-    a = 2.0 * (s_f + s_g) * np.eye(d, dtype=complex)
-    return gaussian_integral(QuadForm(a, lin_f + lin_g, complex(const_f + const_g)))
+    (_, s_f, lin_f, const_f), (_, s_g, lin_g, const_g) = (
+        Basis.of([p]).split(conj)[3][0] for p, conj in ((f, False), (g, True)))
+    a = 2.0 * (s_f + s_g) * np.eye(f.dimension, dtype=complex)
+    return gaussian_integral(QuadForm(a, np.add(lin_f, lin_g), complex(const_f + const_g)))
 
 
 def l2_inner_product(phi: StateExpr, psi: StateExpr) -> complex:
@@ -444,7 +609,8 @@ def l2_inner_product(phi: StateExpr, psi: StateExpr) -> complex:
 
     Deltas and plane waves are rejected since they are not square-integrable.
     """
-    for prim in (p for expr in (phi, psi) for term in expr.terms for p in term[1:]):
-        if not isinstance(prim, Packet):
-            raise DomainError(f"L2 inner product requires packets only, got {type(prim).__name__}")
+    for basis in (*phi.bases, *psi.bases):
+        if (basis.kind != 2).any():
+            raise DomainError("L2 inner product requires packets only, got "
+                              f"{KINDS[basis.kind[basis.kind != 2][0]].__name__}")
     return _sum_terms(phi, psi, lambda fs, gs: _pairwise(fs, gs, _l2_pair))

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .algebra import Delta, Packet, PlaneWave, StateExpr, primitive_overlap
 from .errors import DomainError, NumericalFailureError, StateSphereError
-from .experiments import (MAX_DISCRETIZATION, EPRConfig, SlitConfig,
+from .experiments import (MAX_DISCRETIZATION, MAX_POINTS, EPRConfig, SlitConfig,
                           build_double_slit_trajectory, build_epr_state,
                           momentum_collapse, momentum_correlation_profile,
                           position_collapse)
@@ -35,9 +35,6 @@ from .oracle import QuadratureSpec, quad_pair_overlap
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 1234
-# Bound on the grid points, samples, scanned pairs or random cases one
-# command evaluates, so an oversized count fails as bad input.
-MAX_POINTS = 100_000
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import Delta, Packet, StateExpr, _clamp_norm, _finite_complex, overlap_matrix
+from .algebra import Basis, Delta, Packet, StateExpr, _clamp_norm, _finite_complex, overlap_matrix
 from .errors import DomainError
 from .geometry import (GeodesicPath, SphereState, _alignment, _arc, _slerp_weights,
                        _unit_scale, collapse_time, geodesic_between, normalize)
@@ -32,6 +32,9 @@ from .manifolds import (ManifoldId, ManifoldOverlap, embed_pair_momentum,
 # --------------------------------------------------------------------------
 
 SEGMENT_SAMPLES = 9  # states sampled along each trajectory segment
+# Bound on the grid points, samples, scanned pairs or random cases one
+# computation evaluates, so an oversized count fails as bad input.
+MAX_POINTS = 100_000
 _SLIT_KERNEL = TranslationKernel(1.0)
 
 
@@ -71,7 +74,8 @@ class SlitConfig:
         lo, hi = _finite(lo, "detector_grid"), _finite(hi, "detector_grid")
         if not lo < hi:
             raise DomainError(f"detector_grid needs lo < hi, got {self.detector_grid!r}")
-        object.__setattr__(self, "detector_grid", (lo, hi, _integer(count, "detector_grid count", 2)))
+        object.__setattr__(self, "detector_grid",
+                           (lo, hi, _integer(count, "detector_grid count", 2, MAX_POINTS)))
         _formed(lambda: self.detector_envelope_width,
                 "detector_envelope_width of packet_width, wavenumber and screen_to_detector")
 
@@ -266,11 +270,11 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     curve = detector_intensity(cfg)
     detected = curve.detected_point
     box = (min(x1, x2, detected) - 6.0 * w - 2.0, max(x1, x2, detected) + 6.0 * w + 2.0)
-    packets = [Packet((x,), w) for x in (cfg.arrival_center, x1, x2,
-                                         curve.which_path_slit if cfg.which_path else detected)]
-    basis = list(dict.fromkeys(packets))
-    gram = overlap_matrix(basis, basis, _SLIT_KERNEL)
-    arrival, slit1, slit2, target = (((1.0 + 0j,), (basis.index(p),)) for p in packets)
+    centers = [cfg.arrival_center, x1, x2, curve.which_path_slit if cfg.which_path else detected]
+    xs = list(dict.fromkeys(centers))  # the frame: one packet per distinct center
+    frame = Basis(Packet, [[x] for x in xs], w)
+    gram = overlap_matrix(frame, frame, _SLIT_KERNEL)
+    arrival, slit1, slit2, target = (((1.0 + 0j,), (xs.index(x),)) for x in centers)
     ts = np.linspace(0.0, 1.0, n)[1:-1]
 
     def normalized(rows):  # `normalize` on rows: (unit row, raw norm) of each
@@ -294,8 +298,8 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     slot = {}  # distinct (row, raw norm) states in first-use order: equal rows, equal states
     order = [[slot.setdefault(state, len(slot)) for state in states] for _, states in legs]
     rows = [row for row, _ in slot]
-    distinct = [SphereState(StateExpr(tuple(zip(coeffs, map(basis.__getitem__, idx)))),
-                            _SLIT_KERNEL, norm) for (coeffs, idx), norm in slot]
+    distinct = [SphereState(StateExpr.from_arrays(coeffs, [frame], [idx]), _SLIT_KERNEL, norm)
+                for (coeffs, idx), norm in slot]
     steps = list(dict.fromkeys((a, b) for ks in order for a, b in zip(ks, ks[1:])))
     overlaps = _overlaps(gram, [(rows[a], rows[b]) for a, b in steps])
     angles = {step: _arc(ov.real) for step, ov in zip(steps, overlaps)}
@@ -378,9 +382,8 @@ def build_epr_state(cfg: EPRConfig,
     weights[0] *= 0.5
     weights[-1] *= 0.5
     coeffs = weights * np.exp(-(u**2) / (2.0 * width**2))
-    terms = tuple((complex(c), Delta((float(uj),)), Delta((float(cfg.x0 + uj),)))
-                  for c, uj in zip(coeffs, u))
-    return normalize(StateExpr(terms), kernel)
+    bases = [Basis(Delta, u[:, None]), Basis(Delta, (cfg.x0 + u)[:, None])]
+    return normalize(StateExpr.from_arrays(coeffs, bases, [np.arange(n)] * 2), kernel)
 
 
 def position_correlation_profile(state: SphereState, a: float,

@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (Delta, PlaneWave, StateExpr, _check_form_matrix, _free_pair_margin,
-                      _profile, overlap_matrix)
+from .algebra import (Basis, Delta, PlaneWave, StateExpr, _check_form_matrix,
+                      _free_pair_margin, _stacked, overlap_matrix)
 from .errors import DomainError
 from .geometry import SphereState, normalize
 from .kernels import KernelSpec, _finite, _integer, as_vec, kernel_coefficients
@@ -68,7 +68,8 @@ def gram_matrix(points, kernel: KernelSpec) -> np.ndarray:
     deltas = [Delta(p) for p in points]
     if len(set(deltas)) != len(deltas):
         raise DomainError("points must be pairwise distinct")
-    return overlap_matrix(deltas, deltas, kernel).real
+    basis = Basis.of(deltas)
+    return overlap_matrix(basis, basis, kernel).real
 
 
 def gram_min_eigenvalue(points, kernel: KernelSpec) -> float:
@@ -107,8 +108,8 @@ def _normalize_box(box, axes: int):
     return out
 
 
-def _slot_exponents(prims, target: type, kernel: KernelSpec, margins: dict):
-    """Per primitive of one particle slot, (alpha, beta, gamma) with
+def _slot_exponents(basis: Basis, target: type, kernel: KernelSpec, margins: dict):
+    """Per primitive of one slot basis, (alpha, beta, gamma) with
     log(<prim, m(t)> / ||m(t)||) = alpha + beta.t + gamma |t|^2 for a delta or
     plane-wave target m(t): the closed forms of `compile_pair` and
     `gaussian_integral`, the deltas and the free primitives each in one
@@ -116,15 +117,13 @@ def _slot_exponents(prims, target: type, kernel: KernelSpec, margins: dict):
     `margins` maps each free (kind, s) to its checked det(M) / 4 against a
     plane wave, the target norm's to ("PlaneWave", 0.0)."""
     conf, pair = kernel_coefficients(kernel)
-    n, d = len(prims), prims[0].dimension
-    deltas = [i for i, p in enumerate(prims) if isinstance(p, Delta)]
-    free = [i for i, p in enumerate(prims) if not isinstance(p, Delta)]
+    (n, d), (deltas, free, (s, lin, const), keys) = basis.center.shape, basis.split(False)
     alpha, beta, gamma = np.empty(n, dtype=complex), np.empty((n, d), dtype=complex), np.empty(n)
     if target is PlaneWave:  # log ||w_t|| = norm_alpha + norm_gamma |t|^2
         norm_alpha = 0.25 * d * math.log(math.pi**2 / margins["PlaneWave", 0.0])
         norm_gamma = -1.0 / (4.0 * (conf + 2.0 * pair))
-    if deltas:
-        u = np.array([prims[i].center for i in deltas])
+    if len(deltas):
+        u = basis.center[deltas]
         uu = (u * u).sum(axis=1)
         if target is Delta:
             alpha[deltas], beta[deltas], gamma[deltas] = -(conf + pair) * uu, 2.0 * pair * u, -pair
@@ -133,8 +132,7 @@ def _slot_exponents(prims, target: type, kernel: KernelSpec, margins: dict):
                              - conf * (conf + 2.0 * pair) / (conf + pair) * uu - norm_alpha)
             beta[deltas] = -1j * pair / (conf + pair) * u
             gamma[deltas] = -1.0 / (4.0 * (conf + pair)) - norm_gamma
-    if free:
-        s, lin, const = map(np.array, zip(*(_profile(prims[i], conjugate=False) for i in free)))
+    if len(free):
         lin_sq = (lin * lin).sum(axis=1)
         if target is Delta:
             m = 2.0 * (conf + pair + s)
@@ -142,7 +140,7 @@ def _slot_exponents(prims, target: type, kernel: KernelSpec, margins: dict):
             beta[free] = (2.0 * pair / m)[:, None] * lin
             gamma[free] = -pair * (conf + s) / (conf + pair + s)
         else:
-            margin = np.array([margins[type(prims[i]).__name__, s_i] for i, s_i in zip(free, s)])
+            margin = np.array([margins[kind, s_i] for kind, s_i, *_ in keys])
             alpha[free] = (0.5 * d * np.log(math.pi**2 / margin)
                            + (conf + pair) * lin_sq / (4.0 * margin) + const - norm_alpha)
             beta[free] = (-0.5j * pair / margin)[:, None] * lin
@@ -156,8 +154,8 @@ class ManifoldOverlap:
     or (p, q) for a pair, whose targets are products of one-particle factors.
 
     `exprs` is one state expression, or a sequence of them of one arity and
-    dimension (values then per state and point); their distinct primitive
-    objects compile once per slot (`_slot_exponents`) to quadratic exponents
+    dimension (values then per state and point); their distinct bases of
+    each slot compile in one stack (`_slot_exponents`) to quadratic exponents
     in theta, the target norm folded in.  A (states, width) table indexes the
     terms, padding shorter states with a term of exact weight 0, so a batch is
     one complex exp over (states, points, width) per _CHUNK (state, point)
@@ -174,31 +172,33 @@ class ManifoldOverlap:
         if manifold.is_pair != (arity == 2) or len({(e.arity, e.dimension) for e in exprs}) > 1:
             raise DomainError(f"the states must share one dimension and the {manifold.value} "
                               "manifold's arity")
-        coeffs, keys = zip(*((t[0], t[1:]) for e in exprs for t in e.terms))
-        column = {}  # distinct primitive tuples, by identity (cheap to hash), in first use order
-        own = [column.setdefault(tuple(map(id, key)), (len(column), key))[0] for key in keys]
-        slots = list(zip(*(key for _, key in column.values())))
+        # per slot: the distinct bases (by identity) stacked into one, and the terms' rows in it
+        bases = [list(dict.fromkeys(e.bases[k] for e in exprs)) for k in range(arity)]
+        starts = [dict(zip(slot, np.cumsum([0] + [len(b) for b in slot]))) for slot in bases]
+        rows = [np.concatenate([start[e.bases[k]] + e.indices[k] for e in exprs])
+                for k, start in enumerate(starts)]
+        bases = [slot[0] if len(slot) == 1 else _stacked(slot) for slot in bases]
         margins = {}
         if manifold.primitive is PlaneWave:
             conf, pair = kernel_coefficients(kernel)
-            free = [(type(p).__name__, _profile(p, conjugate=False)[0])
-                    for slot in slots for p in slot if not isinstance(p, Delta)]
+            free = [key[:2] for basis in bases for key in basis.split(False)[3]]
             for kind, s in dict.fromkeys(free + [("PlaneWave", 0.0)]):
                 margins[kind, s] = _free_pair_margin(kind, s, "PlaneWave", 0.0, kernel)
                 _check_form_matrix(2.0 * np.array([[conf + pair + s, -pair],
                                                    [-pair, conf + pair]]))
-        alphas, betas, gammas = zip(*(_slot_exponents(slot, manifold.primitive, kernel, margins)
-                                      for slot in slots))
+        alphas, betas, gammas = zip(*([x[r] for x in _slot_exponents(
+            basis, manifold.primitive, kernel, margins)] for basis, r in zip(bases, rows)))
         self.axes = arity * dimension
         # a last term, alpha = -inf and beta = gamma = 0, pads each state with exact zeros
         # to the width, at least 2: numpy rounds a one-column product on another path
-        zero, count = np.zeros((self.axes, 1)), np.array([len(e.terms) for e in exprs])
-        self._alpha = np.append(np.log(np.array(coeffs)) + sum(alphas)[own], -np.inf)
-        self._beta = np.concatenate([np.concatenate(betas, axis=1).T[:, own], zero], axis=1)
-        self._gamma = np.concatenate([np.repeat(gammas, dimension, axis=0)[:, own], zero], axis=1)
+        zero, count = np.zeros((self.axes, 1)), np.array([len(e.coeffs) for e in exprs])
+        coeffs = np.concatenate([e.coeffs for e in exprs])
+        self._alpha = np.append(np.log(coeffs) + sum(alphas), -np.inf)
+        self._beta = np.concatenate([np.concatenate(betas, axis=1).T, zero], axis=1)
+        self._gamma = np.concatenate([np.repeat(gammas, dimension, axis=0), zero], axis=1)
         slot = np.arange(max(2, count.max()))
         self._table = np.where(slot < count[:, None], (np.cumsum(count) - count)[:, None] + slot,
-                               len(own))  # (states, width): term indices
+                               len(coeffs))  # (states, width): term indices
         self._chunk = max(1, _CHUNK // len(exprs))  # points per evaluation
 
     def _terms(self, states, theta: np.ndarray):

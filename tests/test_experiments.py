@@ -18,7 +18,7 @@ from statesphere import (DivergenceError, DomainError,
                          nearest_classical_points, normalize,
                          position_collapse, position_correlation_profile,
                          sphere_angle)
-from statesphere.experiments import SEGMENT_SAMPLES
+from statesphere.experiments import MAX_POINTS, SEGMENT_SAMPLES
 
 PLANCK_TIME = UnitSystem().planck_time_s
 
@@ -40,6 +40,14 @@ class TestSlitConfig:
             with pytest.raises(DomainError, match="detector_grid"):
                 SlitConfig(detector_grid=(-30.0, 30.0, count))
         assert len(detector_intensity(SlitConfig(detector_grid=(-30.0, 30.0, 101))).points) == 101
+
+    def test_detector_grid_count_is_bounded(self):
+        # an unbounded count constructed, then np.linspace failed with a bare ValueError
+        with pytest.raises(DomainError, match="detector_grid count"):
+            SlitConfig(detector_grid=(-30.0, 30.0, 10**20))
+        with pytest.raises(DomainError, match="detector_grid count"):
+            SlitConfig(detector_grid=(-30.0, 30.0, MAX_POINTS + 1))
+        assert SlitConfig(detector_grid=(-30.0, 30.0, MAX_POINTS)).detector_grid[2] == MAX_POINTS
 
     def test_rejects_non_finite_scalars(self):
         for field in ("packet_width", "wavenumber", "screen_to_detector"):
