@@ -155,7 +155,10 @@ class Basis:
     def of(cls, prims) -> "Basis":
         if len({p.dimension for p in prims}) > 1:
             raise DomainError("all primitives in a state must share one dimension")
-        zero = (0.0,) * prims[0].dimension
+        n, zero = len(prims), (0.0,) * prims[0].dimension
+        if all(type(p) is Delta for p in prims):  # the common all-delta slot, without row tuples
+            return object.__new__(cls)._set(np.zeros(n, int), np.array([p.center for p in prims]),
+                                            np.zeros(n), np.zeros((n, len(zero))))
         return object.__new__(cls)._set(*map(np.array, zip(*(_ROWS[type(p)](p, zero)
                                                               for p in prims))))
 
@@ -575,7 +578,8 @@ def _sum_terms(phi: StateExpr, psi: StateExpr, pair_matrix) -> complex:
     """
     weights, matrices = _slot_matrices(phi, psi, pair_matrix)
     total = complex(math.prod(matrices, start=weights).sum())
-    if phi == psi:
+    # the clamp leaves a real total >= 0 with imaginary part +0.0 as it is: skip comparing then
+    if (total.real < 0.0 or math.copysign(1.0, total.imag) < 0.0 or total.imag) and phi == psi:
         total = _clamp_norm(total)
     return total
 
