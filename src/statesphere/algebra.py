@@ -248,10 +248,10 @@ class StateExpr:
     describes one particle, arity 2 a particle pair in the tensor-product
     space.  All terms share one arity and one dimension.  Terms with a zero
     coefficient are validated, then dropped.  A state is stored as arrays:
-    `coeffs`, and per slot k the `Basis` `bases[k]` of the primitives its
-    terms use and `indices[k]`, each term's row in it; `from_arrays` takes
-    these directly, and `.terms` is built from them on first read.  Equality
-    and hashing go by the terms' values.
+    `coeffs`, and per slot k a `Basis` `bases[k]` of primitives and
+    `indices[k]`, each term's row in it; `from_arrays` takes these directly,
+    and `.terms` is built from them on first read.  Equality and hashing go
+    by the terms' values.
     """
 
     def __init__(self, terms):
@@ -270,19 +270,24 @@ class StateExpr:
     def from_arrays(cls, coeffs, bases, indices) -> "StateExpr":
         """State of coefficients `coeffs` and, per slot, the `Basis` `bases[k]` and
         the term rows `indices[k]` into it: for large states, or many states over
-        one basis.  Rows no kept term uses are cut from a basis."""
-        return object.__new__(cls)._set(*_checked(coeffs, bases, indices), cut=True)
+        one basis, which is kept whole: its rows no term uses are checked but take
+        no part in inner products."""
+        return object.__new__(cls)._set(*_checked(coeffs, bases, indices), whole=False)
 
-    def _set(self, coeffs, bases, indices, cut=False) -> "StateExpr":
-        """Store the arrays, zero terms dropped and the bases cut to the rest."""
+    def _set(self, coeffs, bases, indices, whole=True) -> "StateExpr":
+        """Store the arrays, zero terms dropped; `whole`: every basis row is a kept term's."""
         if not coeffs.all():
             if not coeffs.any():
                 raise DomainError("state expression must have a nonzero coefficient")
-            coeffs, indices, cut = coeffs[coeffs != 0], [i[coeffs != 0] for i in indices], True
-        if cut:
-            bases, indices = zip(*map(Basis.cut, bases, indices))
-        self.__dict__.update(coeffs=coeffs, bases=tuple(bases), indices=tuple(indices))
+            coeffs, indices, whole = coeffs[coeffs != 0], [i[coeffs != 0] for i in indices], False
+        self.__dict__.update(coeffs=coeffs, bases=tuple(bases), indices=tuple(indices),
+                             _whole=whole)
         return self
+
+    def _slots(self) -> list:
+        """Per slot, (basis, term rows), the basis cut to the rows the terms use."""
+        slots = zip(self.bases, self.indices)
+        return list(slots) if self._whole else [basis.cut(idx) for basis, idx in slots]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"StateExpr is immutable; cannot set {name!r}")
@@ -331,7 +336,7 @@ class StateExpr:
     def scaled(self, z) -> "StateExpr":
         z = _finite_complex(z, "scale")  # Python's complex product: numpy's may fuse a multiply-add
         return object.__new__(StateExpr)._set(np.array([c * z for c in self.coeffs.tolist()]),
-                                              self.bases, self.indices)
+                                              self.bases, self.indices, self._whole)
 
 
 def blend(wa, a: StateExpr, wb, b: StateExpr) -> StateExpr:
@@ -343,7 +348,7 @@ def blend(wa, a: StateExpr, wb, b: StateExpr) -> StateExpr:
         raise DomainError("all terms of a state must have the same arity and dimension")
     coeffs = [wa * c for c in a.coeffs.tolist()] + [wb * c for c in b.coeffs.tolist()]
     slots = zip(*map(_joined, a.bases, a.indices, b.bases, b.indices))
-    return object.__new__(StateExpr)._set(np.array(coeffs), *slots)
+    return object.__new__(StateExpr)._set(np.array(coeffs), *slots, a._whole and b._whole)
 
 
 @dataclass
@@ -559,7 +564,7 @@ def _slot_matrices(phi: StateExpr, psi: StateExpr, pair_matrix):
     if phi.dimension != psi.dimension:
         raise DomainError("states have different dimensions")
     slots = [pair_matrix(fs, gs)[ia][:, ib]
-             for fs, ia, gs, ib in zip(phi.bases, phi.indices, psi.bases, psi.indices)]
+             for (fs, ia), (gs, ib) in zip(phi._slots(), psi._slots())]
     return phi.coeffs[:, None] * psi.coeffs.conj(), slots
 
 

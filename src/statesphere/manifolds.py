@@ -155,7 +155,7 @@ class ManifoldOverlap:
 
     `exprs` is one state expression, or a sequence of them of one arity and
     dimension (values then per state and point); their distinct bases of
-    each slot compile in one stack (`_slot_exponents`) to quadratic exponents
+    each slot, whole, compile in one stack (`_slot_exponents`) to quadratic exponents
     in theta, the target norm folded in.  A (states, width) table indexes the
     terms, padding shorter states with a term of exact weight 0, so a batch is
     one complex exp over (states, points, width) per _CHUNK (state, point)

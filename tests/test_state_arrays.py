@@ -17,8 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from statesphere import (Basis, Delta, DomainError, EPRConfig, Packet, PlaneWave, StateExpr,
-                         StateSphereError, blend, build_epr_state, compile_pair,
-                         gaussian_integral, inner_product)
+                         StateSphereError, TranslationKernel, blend, build_epr_state,
+                         compile_pair, gaussian_integral, inner_product)
 from statesphere.algebra import KINDS
 from statesphere.cli import main
 
@@ -151,12 +151,15 @@ def test_array_constructor_checks_like_the_terms_path(by_terms, by_arrays):
     assert message(by_arrays) == message(by_terms)
 
 
-def test_array_constructor_drops_zero_terms_and_unused_rows():
+def test_array_constructor_drops_zero_terms_and_ignores_unused_rows():
     basis = Basis([0, 1, 2], [[0.0], [5.0], [1.0]], [0.0, 0.0, 0.8], [[0.0], [0.5], [0.3]])
-    assert StateExpr.from_arrays([2.0, 1j, 1.0], [basis], [[0, 2, 1]]).bases == (basis,)
     state = StateExpr.from_arrays([0.0, 2.0, 1j], [basis], [[1, 0, 2]])
     assert state.terms == ((2.0 + 0j, Delta((0.0,))), (1j, Packet((1.0,), 0.8, (0.3,))))
-    assert state.bases[0].kind.tolist() == [0, 2]  # the plane wave went with its term
+    # the plane wave's row stays in the basis but not in the overlaps, where it would diverge
+    assert state.bases == (basis,)
+    kernel = TranslationKernel(1.0)
+    assert inner_product(state, state, kernel) == inner_product(StateExpr(state.terms),
+                                                                StateExpr(state.terms), kernel)
     for bad in ([[3]], [[-1]], [[0.5]]):
         with pytest.raises(DomainError, match="rows"):
             StateExpr.from_arrays([1.0], [basis], bad)
