@@ -162,7 +162,8 @@ class ManifoldOverlap:
     pairs; padding can move the last bit of long or multi-axis rows only.
     Compiling raises the errors of the term-by-term `inner_product` and
     `hilbert_norm` in the same order: only a 2x2 M against a plane wave can
-    fail, checked once per distinct free (kind, s), the target norm's last.
+    fail, checked once per distinct free (kind, s), the target norm's last;
+    a basis row no term uses (see `StateExpr.from_arrays`) is checked too.
     """
 
     def __init__(self, exprs, kernel: KernelSpec, manifold: ManifoldId):
