@@ -96,71 +96,89 @@ class Packet:
 Primitive = Union[Delta, PlaneWave, Packet]
 KINDS = (Delta, PlaneWave, Packet)  # the kind codes of a `Basis`
 _FIELDS = ("kind", "center", "width", "momentum", "s")
-_ROWS = {Delta: lambda p, zero: (0, p.center, 0.0, zero),  # a primitive's first four fields
-         PlaneWave: lambda p, zero: (1, zero, 0.0, p.momentum),
-         Packet: lambda p, zero: (2, p.center, p.width, p.momentum)}
+_MEMO_SIZE = 64  # entries a basis keeps of what is derived from it
+
+
+def _reals(value, name: str) -> np.ndarray:
+    """A new float array of `value`, whose entries must be reals in floating-point range."""
+    try:
+        array = np.array(value)
+        if array.dtype.kind == "c":
+            raise TypeError
+        return array.astype(float)
+    except OverflowError:
+        raise DomainError(f"{name} is out of floating-point range") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be arrays of reals") from None
+
+
+def _store(memo: dict, key, value):
+    """memo[key] = value, emptying the memo first once it holds _MEMO_SIZE entries."""
+    if len(memo) >= _MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 class Basis:
-    """The distinct primitives of one particle slot as a struct of arrays:
-    `kind` (codes into KINDS, or one KINDS class for all), `center` (n, d),
-    `width`, `s` = 1/(4 width^2) and `momentum` (n, d), 0 where a kind lacks
-    the field.  The constructor checks each array once, with the messages
-    of the primitives' own checks; `of` takes primitive objects.  `deltas`
-    and `free` number the rows of each sort, and `_memo` keeps what is
+    """The distinct primitives of one particle slot as read-only arrays: `kind`
+    (codes into KINDS), `center` (n, d), `width`, `s` = 1/(4 width^2) and
+    `momentum` (n, d), 0 where a kind lacks the field.  The constructor takes
+    arrays, or one value (one KINDS class for `kind`) for every row, and checks
+    them at once; a bad row raises the message its primitive raises.  `of`
+    takes primitive objects.  `_memo` keeps, up to _MEMO_SIZE entries, what is
     derived from a basis: its `split` per side, its `cut` per index array and
     its join with each partner basis."""
 
-    __slots__ = (*_FIELDS, "deltas", "free", "_memo")
+    __slots__ = (*_FIELDS, "_memo")
 
     def __init__(self, kind, center, width=0.0, momentum=0.0):
-        try:
-            center = np.asarray(center, dtype=float)
-        except (TypeError, ValueError):
-            raise DomainError("basis centers must be an (n, d) array of reals") from None
+        center, width, momentum = map(_reals, (center, width, momentum),
+                                      ("coordinates", "packet width", "coordinates"))
         if center.ndim != 2 or not 0 < center.shape[1] <= MAX_DIMENSION:
             raise DomainError(f"dimension must be an integer from 1 to {MAX_DIMENSION}, "
                               f"got centers of shape {center.shape}")
-        fields = [np.empty(shape, dtype) for shape, dtype
-                  in ((center.shape[:1], int), (center.shape[:1], float), (center.shape, float))]
+        kind = np.array(KINDS.index(kind) if isinstance(kind, type) and kind in KINDS else kind)
+        bad = kind.ravel() if kind.dtype.kind not in "iu" else kind[(kind < 0) | (kind > 2)]
+        if bad.size:
+            raise DomainError(f"not a primitive: kind {bad.tolist()[0]!r}")
+        fields = np.empty(len(center), int), np.empty(len(center)), np.empty(center.shape)
         try:  # each field takes its array, or one value for every row
-            for field, value in zip(fields, (KINDS.index(kind) if isinstance(kind, type) else kind,
-                                             width, momentum)):
+            for field, value in zip(fields, (kind, width, momentum)):
                 field[...] = value
-        except (TypeError, ValueError):
-            raise DomainError(f"the arrays of a basis need {center.shape} rows") from None
-        kind, width, momentum = fields
-        if ((kind < 0) | (kind > 2)).any():
-            raise DomainError(f"not a primitive: kind {kind[(kind < 0) | (kind > 2)][0]!r}")
-        center, momentum = (np.where(absent[:, None], 0.0, v) for absent, v
-                            in ((kind == 1, center), (kind == 0, momentum)))
-        for vectors in (center, momentum):
-            if not np.isfinite(vectors).all():
-                bad = vectors[~np.isfinite(vectors).all(axis=1)][0]
-                raise DomainError(f"non-finite component in {tuple(bad.tolist())!r}")
-        for w in width[kind == 2].tolist():
-            _formed(lambda: 1.0 / (4.0 * _positive(w, "packet width")**2),
-                    "1/(4 width^2) of the packet width")
-        self._set(kind, center, np.where(kind == 2, width, 0.0), momentum)
+        except ValueError:
+            raise DomainError(f"the arrays of a basis need {len(center)} rows") from None
+        self.kind, width, momentum = fields
+        packet = self.kind == 2
+        self.center, self.momentum = (np.where(absent[:, None], 0.0, vectors) for absent, vectors
+                                      in ((self.kind == 1, center), (self.kind == 0, momentum)))
+        self.width, fine = np.where(packet, width, 0.0), True
+        if packet.any():  # as Packet checks them: width > 0 and 0 < 1/(4 width^2) < inf
+            with np.errstate(all="ignore"):
+                s = 1.0 / (4.0 * width[packet]**2)
+            fine = ((width[packet] > 0.0) & (s > 0.0) & (s < math.inf)).all()
+        if not (fine and np.isfinite(self.center).all() and np.isfinite(self.momentum).all()):
+            self.primitives()  # raises the first bad row's message
+        self._set(self.kind, self.center, self.width, self.momentum)
 
     def _set(self, kind, center, width, momentum, s=None) -> "Basis":
-        if s is None:  # as Packet checks it, in Python floats
+        if s is None:  # as Packet forms it, in Python floats
             s = np.array([1.0 / (4.0 * w**2) if w else 0.0 for w in width.tolist()]
                          if width.any() else np.zeros(len(width)))
-        self.kind, self.center, self.width, self.momentum, self.s = kind, center, width, momentum, s
-        self.deltas, self.free, self._memo = (kind == 0).nonzero()[0], kind.nonzero()[0], {}
+        for name, field in zip(_FIELDS, (kind, center, width, momentum, s)):
+            field.setflags(write=False)
+            setattr(self, name, field)
+        self._memo = {}
         return self
 
     @classmethod
     def of(cls, prims) -> "Basis":
         if len({p.dimension for p in prims}) > 1:
             raise DomainError("all primitives in a state must share one dimension")
-        n, zero = len(prims), (0.0,) * prims[0].dimension
-        if all(type(p) is Delta for p in prims):  # the common all-delta slot, without row tuples
-            return object.__new__(cls)._set(np.zeros(n, int), np.array([p.center for p in prims]),
-                                            np.zeros(n), np.zeros((n, len(zero))))
-        return object.__new__(cls)._set(*map(np.array, zip(*(_ROWS[type(p)](p, zero)
-                                                              for p in prims))))
+        zero = (0.0,) * prims[0].dimension
+        rows = [(KINDS.index(type(p)), getattr(p, "center", zero), getattr(p, "width", 0.0),
+                 getattr(p, "momentum", zero)) for p in prims]
+        return object.__new__(cls)._set(*map(np.array, zip(*rows)))
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -180,7 +198,7 @@ class Basis:
         constant), the conjugated side's if `conjugate`; once per basis and side.
         A packet's are (s, 2 s mu +- i p, -s |mu|^2), a plane wave's (0, +- i p, 0)."""
         if conjugate not in self._memo:
-            free, profile, keys = self.free, (None,) * 3, []
+            free, profile, keys = self.kind.nonzero()[0], (None,) * 3, []
             if len(free):
                 s, mu, packet = self.s[free], self.center[free], self.kind[free] == 2
                 wave = 1j * (-1.0 if conjugate else 1.0) * self.momentum[free]
@@ -189,7 +207,7 @@ class Basis:
                 profile = s, lin, const
                 keys = list(zip([KINDS[k].__name__ for k in self.kind[free].tolist()], s.tolist(),
                                 map(tuple, lin.tolist()), const.tolist()))
-            self._memo[conjugate] = self.deltas, free, profile, keys
+            _store(self._memo, conjugate, ((self.kind == 0).nonzero()[0], free, profile, keys))
         return self._memo[conjugate]
 
     def cut(self, idx: np.ndarray):
@@ -197,8 +215,8 @@ class Basis:
         key = idx.tobytes()
         if key not in self._memo:
             used = np.bincount(idx, minlength=len(self)) > 0
-            self._memo[key] = None if used.all() else (object.__new__(Basis)._set(
-                *(getattr(self, name)[used] for name in _FIELDS)), (np.cumsum(used) - 1)[idx])
+            _store(self._memo, key, None if used.all() else (object.__new__(Basis)._set(
+                *(getattr(self, name)[used] for name in _FIELDS)), (np.cumsum(used) - 1)[idx]))
         return self._memo[key] or (self, idx)
 
 
@@ -213,15 +231,16 @@ def _joined(a: Basis, ia, b: Basis, ib):
     if a is b:
         return a, np.concatenate([ia, ib])
     if b not in a._memo:
-        a._memo[b] = _stacked([a, b])
+        _store(a._memo, b, _stacked([a, b]))
     return a._memo[b], np.concatenate([ia, ib + len(a)])
 
 
 def _checked(coeffs, bases, indices) -> tuple:
-    """A state's arrays, checked once each with the messages of the term-by-term checks."""
+    """Copies of a state's arrays, checked once each with the messages of the term-by-term
+    checks."""
     try:
-        coeffs, indices = np.asarray(coeffs, dtype=complex), [np.asarray(i) for i in indices]
-    except (TypeError, ValueError):
+        coeffs, indices = np.array(coeffs, dtype=complex), [np.array(i) for i in indices]
+    except (TypeError, ValueError, OverflowError):
         raise DomainError("a state needs complex coefficients and integer row arrays") from None
     if coeffs.ndim != 1 or not len(coeffs):
         raise DomainError("state expression needs at least one term")
@@ -275,11 +294,14 @@ class StateExpr:
         return object.__new__(cls)._set(*_checked(coeffs, bases, indices), whole=False)
 
     def _set(self, coeffs, bases, indices, whole=True) -> "StateExpr":
-        """Store the arrays, zero terms dropped; `whole`: every basis row is a kept term's."""
+        """Store the arrays read-only, zero terms dropped; `whole`: every basis row is a
+        kept term's."""
         if not coeffs.all():
             if not coeffs.any():
                 raise DomainError("state expression must have a nonzero coefficient")
             coeffs, indices, whole = coeffs[coeffs != 0], [i[coeffs != 0] for i in indices], False
+        for array in (coeffs, *indices):
+            array.setflags(write=False)
         self.__dict__.update(coeffs=coeffs, bases=tuple(bases), indices=tuple(indices),
                              _whole=whole)
         return self
@@ -317,11 +339,7 @@ class StateExpr:
     def __eq__(self, other):
         if not isinstance(other, StateExpr):
             return NotImplemented
-        return self is other or (  # cheap mismatches first
-            self.coeffs.tolist() == other.coeffs.tolist()
-            and all(a.center[i].tolist() == b.center[j].tolist() for a, i, b, j
-                    in zip(self.bases, self.indices, other.bases, other.indices))
-            and self._key == other._key)
+        return self is other or self._key == other._key
 
     def __hash__(self):
         return hash(self._key)
@@ -568,12 +586,6 @@ def _slot_matrices(phi: StateExpr, psi: StateExpr, pair_matrix):
     return phi.coeffs[:, None] * psi.coeffs.conj(), slots
 
 
-def _pairwise(fs: Basis, gs: Basis, pair) -> np.ndarray:
-    """Matrix of pair(f, g) over the primitives of fs (rows) and gs (columns)."""
-    gs = gs.primitives()
-    return np.array([[pair(f, g) for g in gs] for f in fs.primitives()])
-
-
 def _sum_terms(phi: StateExpr, psi: StateExpr, pair_matrix) -> complex:
     """Sum over term pairs of c_i conj(d_j) times the product, particle by
     particle, of the primitive overlaps: the one array reduction
@@ -606,11 +618,13 @@ def hilbert_norm(expr: StateExpr, kernel: KernelSpec) -> float:
     return math.sqrt(norm_sq(expr, kernel))
 
 
-def _l2_pair(f: Packet, g: Packet) -> complex:
-    (_, s_f, lin_f, const_f), (_, s_g, lin_g, const_g) = (
-        Basis.of([p]).split(conj)[3][0] for p, conj in ((f, False), (g, True)))
-    a = 2.0 * (s_f + s_g) * np.eye(f.dimension, dtype=complex)
-    return gaussian_integral(QuadForm(a, np.add(lin_f, lin_g), complex(const_f + const_g)))
+def _l2_matrix(fs: Basis, gs: Basis) -> np.ndarray:
+    """L2 overlaps of the packets of fs (rows) and gs (columns), each by `gaussian_integral`."""
+    eye = np.eye(fs.dimension, dtype=complex)
+    return np.array([[gaussian_integral(QuadForm(2.0 * (s_f + s_g) * eye, np.add(lin_f, lin_g),
+                                                 complex(const_f + const_g)))
+                      for _, s_g, lin_g, const_g in gs.split(True)[3]]
+                     for _, s_f, lin_f, const_f in fs.split(False)[3]])
 
 
 def l2_inner_product(phi: StateExpr, psi: StateExpr) -> complex:
@@ -618,8 +632,8 @@ def l2_inner_product(phi: StateExpr, psi: StateExpr) -> complex:
 
     Deltas and plane waves are rejected since they are not square-integrable.
     """
-    for basis in (*phi.bases, *psi.bases):
+    for basis, _ in (*phi._slots(), *psi._slots()):  # the rows the terms use
         if (basis.kind != 2).any():
             raise DomainError("L2 inner product requires packets only, got "
                               f"{KINDS[basis.kind[basis.kind != 2][0]].__name__}")
-    return _sum_terms(phi, psi, lambda fs, gs: _pairwise(fs, gs, _l2_pair))
+    return _sum_terms(phi, psi, _l2_matrix)

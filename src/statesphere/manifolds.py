@@ -68,7 +68,7 @@ def gram_matrix(points, kernel: KernelSpec) -> np.ndarray:
     deltas = [Delta(p) for p in points]
     if len(set(deltas)) != len(deltas):
         raise DomainError("points must be pairwise distinct")
-    basis = Basis.of(deltas)
+    basis = Basis.of(deltas) if deltas else ()
     return overlap_matrix(basis, basis, kernel).real
 
 

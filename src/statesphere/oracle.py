@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Delta, Packet, Primitive, StateExpr, _pairwise, _slot_matrices
+from .algebra import Delta, Packet, Primitive, StateExpr, _slot_matrices
 from .errors import BoxTooSmallError, DomainError, NumericalFailureError
 from .kernels import KernelSpec, _integer, _positive, kernel_coefficients
 
@@ -187,8 +187,9 @@ def quad_inner_product(phi: StateExpr, psi: StateExpr, kernel: KernelSpec,
     matrices of `quad_pair_overlap` values V_k and estimates E_k; the
     estimate is sum(|outer(c, conj(d))| * sum_k E_k prod_{j != k} |V_j|).
     """
-    weights, slots = _slot_matrices(phi, psi, lambda fs, gs: _pairwise(
-        fs, gs, lambda f, g: quad_pair_overlap(f, g, kernel, spec)))
+    weights, slots = _slot_matrices(phi, psi, lambda fs, gs: np.array(
+        [[quad_pair_overlap(f, g, kernel, spec) for g in gs.primitives()]
+         for f in fs.primitives()]))
     values = [slot[..., 0] for slot in slots]
     sizes = [np.abs(v) for v in values]
     spread = sum(slot[..., 1].real * math.prod(sizes[:k] + sizes[k + 1:])

@@ -128,6 +128,9 @@ class TestGram:
         with pytest.raises(DomainError):
             gram_matrix([(0.0,), (1.0, 2.0)], K1)
 
+    def test_no_points_give_an_empty_matrix(self):
+        assert gram_matrix([], K1).shape == (0, 0)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_entries_match_kernel_value(self, data):

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from statesphere import (Basis, Delta, DomainError, EPRConfig, Packet, PlaneWave, StateExpr,
                          StateSphereError, TranslationKernel, blend, build_epr_state,
-                         compile_pair, gaussian_integral, inner_product)
-from statesphere.algebra import KINDS
+                         compile_pair, gaussian_integral, inner_product, l2_inner_product,
+                         norm_ratio)
+from statesphere.algebra import _MEMO_SIZE, KINDS
 from statesphere.cli import main
 
 from helpers import kernels, primitives
@@ -133,6 +134,9 @@ B1 = Basis(Delta, [[0.0], [1.0]])
     (lambda: Packet((0.0,), 1.0, (float("inf"),)),
      lambda: Basis(Packet, [[0.0]], 1.0, [[float("inf")]])),
     (lambda: Packet((0.0,), -1.0), lambda: Basis(Packet, [[0.0]], -1.0)),
+    (lambda: Delta((10**400,)), lambda: Basis(Delta, [[10**400]])),
+    (lambda: Packet((0.0,), 10**400), lambda: Basis(Packet, [[0.0]], 10**400)),
+    (lambda: Packet((0.0,), 1e160), lambda: Basis([0, 2], [[0.0], [0.0]], [0.0, 1e160])),
     (lambda: StateExpr(((complex("nan"), D0),)),
      lambda: StateExpr.from_arrays([complex("nan")], [B1], [[0]])),
     (lambda: StateExpr(((1.0, D0, D1), (1.0, D0))),
@@ -145,7 +149,8 @@ B1 = Basis(Delta, [[0.0], [1.0]])
      lambda: StateExpr.from_arrays([0.0, 0j], [B1], [[0, 1]])),
     (lambda: StateExpr(()), lambda: StateExpr.from_arrays([], [B1], [[]])),
     (lambda: StateExpr(((1.0,),)), lambda: StateExpr.from_arrays([1.0], [], [])),
-], ids=["center", "momentum", "width", "coefficient", "lengths", "arity", "dimension",
+], ids=["center", "momentum", "width", "huge-center", "huge-width", "formed-width",
+        "coefficient", "lengths", "arity", "dimension",
         "all-zero", "empty", "no-slot"])
 def test_array_constructor_checks_like_the_terms_path(by_terms, by_arrays):
     assert message(by_arrays) == message(by_terms)
@@ -163,8 +168,52 @@ def test_array_constructor_drops_zero_terms_and_ignores_unused_rows():
     for bad in ([[3]], [[-1]], [[0.5]]):
         with pytest.raises(DomainError, match="rows"):
             StateExpr.from_arrays([1.0], [basis], bad)
-    with pytest.raises(DomainError):
-        Basis([3], [[0.0]])
+    for kind in ([3], [2.7], [True], int, "Delta"):
+        with pytest.raises(DomainError, match="not a primitive"):
+            Basis(kind, [[0.0]], 1.0)
+
+
+def test_l2_reads_only_the_rows_terms_use():
+    """A delta kept in a basis only by a zero term, a zero weight or an unused
+    row is not square-integrable, but no term uses it."""
+    packet = StateExpr.single(Packet((0.0,), 1.0))
+    with_deltas = StateExpr(((1.0, Delta((0.0,))), (1.0, Packet((1.0,), 0.5))))
+    both = Basis([0, 2], [[0.0], [0.0]], [0.0, 1.0])
+    for state in (StateExpr(((0.0, Delta((0.0,))), (1.0, Packet((0.0,), 1.0)))),
+                  blend(0.0, with_deltas, 1.0, packet),
+                  StateExpr.from_arrays([1.0], [both], [[1]])):
+        assert l2_inner_product(state, state) == l2_inner_product(packet, packet)
+        assert norm_ratio(state, TranslationKernel(1.0)) == norm_ratio(packet,
+                                                                       TranslationKernel(1.0))
+    with pytest.raises(DomainError, match="packets only"):
+        l2_inner_product(with_deltas, packet)
+
+
+def test_arrays_are_read_only_copies():
+    coeffs, rows, centers = np.array([1.0, 2.0]), np.array([0, 1]), np.array([[0.0], [1.0]])
+    basis = Basis(Delta, centers)
+    state = StateExpr.from_arrays(coeffs, [basis], [rows])
+    before = (state.terms, hash(state))
+    coeffs[0], rows[0], centers[0, 0] = 5.0, 1, 7.0
+    assert (state.terms, hash(state)) == before == (StateExpr(state.terms).terms, hash(state))
+    for array in (state.coeffs, *state.indices, *(getattr(basis, name) for name in
+                                                   ("kind", "center", "width", "s", "momentum"))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def test_basis_memo_is_bounded():
+    """Blends with many partners, and cuts to many row sets, keep at most
+    _MEMO_SIZE entries on a long-lived basis."""
+    a = StateExpr.single(Packet((0.0,), 1.0))
+    for k in range(3 * _MEMO_SIZE):
+        inner_product(blend(1.0, a, 1.0, StateExpr.single(Packet((k + 1.0,), 1.0))), a,
+                      TranslationKernel(1.0))
+    basis = Basis(Delta, [[float(k)] for k in range(8)])
+    for k in range(3 * _MEMO_SIZE):
+        state = StateExpr.from_arrays([1.0, 1.0], [basis], [[k % 8, (k // 8) % 8]])
+        inner_product(state, state, TranslationKernel(1.0))
+    assert len(a.bases[0]._memo) <= _MEMO_SIZE and len(basis._memo) <= _MEMO_SIZE
 
 
 def test_blend_and_scaled_keep_the_bases():
