@@ -339,7 +339,8 @@ class StateExpr:
     def __eq__(self, other):
         if not isinstance(other, StateExpr):
             return NotImplemented
-        return self is other or self._key == other._key
+        # term counts first, since a key is a pass over every term
+        return self is other or (len(self.coeffs) == len(other.coeffs) and self._key == other._key)
 
     def __hash__(self):
         return hash(self._key)
