@@ -175,10 +175,14 @@ class Basis:
     def of(cls, prims) -> "Basis":
         if len({p.dimension for p in prims}) > 1:
             raise DomainError("all primitives in a state must share one dimension")
-        zero = (0.0,) * prims[0].dimension
-        rows = [(KINDS.index(type(p)), getattr(p, "center", zero), getattr(p, "width", 0.0),
-                 getattr(p, "momentum", zero)) for p in prims]
-        return object.__new__(cls)._set(*map(np.array, zip(*rows)))
+        kind, zero = np.array([KINDS.index(type(p)) for p in prims]), (0.0,) * prims[0].dimension
+        width, momentum = np.zeros(len(prims)), np.zeros((len(prims), len(zero)))
+        free = [p for p in prims if type(p) is not Delta]
+        if free:  # a delta has neither field
+            width[kind != 0] = [getattr(p, "width", 0.0) for p in free]
+            momentum[kind != 0] = [p.momentum for p in free]
+        return object.__new__(cls)._set(
+            kind, np.array([getattr(p, "center", zero) for p in prims]), width, momentum)
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -195,19 +199,23 @@ class Basis:
     def split(self, conjugate: bool):
         """Delta rows, free rows, and the free rows' (s, linear vector, constant)
         of exp(...) and `_free_overlap` keys (kind name, s, linear vector,
-        constant), the conjugated side's if `conjugate`; once per basis and side.
-        A packet's are (s, 2 s mu +- i p, -s |mu|^2), a plane wave's (0, +- i p, 0)."""
+        constant), the conjugated side's if `conjugate`; both sides at once, once
+        per basis.  A packet's are (s, 2 s mu +- i p, -s |mu|^2), a plane wave's
+        (0, +- i p, 0)."""
         if conjugate not in self._memo:
-            free, profile, keys = self.kind.nonzero()[0], (None,) * 3, []
+            deltas, free = (self.kind == 0).nonzero()[0], self.kind.nonzero()[0]
+            sides = {False: ((None,) * 3, []), True: ((None,) * 3, [])}
             if len(free):
                 s, mu, packet = self.s[free], self.center[free], self.kind[free] == 2
-                wave = 1j * (-1.0 if conjugate else 1.0) * self.momentum[free]
-                lin = np.where(packet[:, None], (2.0 * s)[:, None] * mu + wave, wave)
                 const = np.where(packet, -s * (mu[:, None, :] @ mu[:, :, None])[:, 0, 0], 0.0)
-                profile = s, lin, const
-                keys = list(zip([KINDS[k].__name__ for k in self.kind[free].tolist()], s.tolist(),
-                                map(tuple, lin.tolist()), const.tolist()))
-            _store(self._memo, conjugate, ((self.kind == 0).nonzero()[0], free, profile, keys))
+                names = [KINDS[k].__name__ for k in self.kind[free].tolist()]
+                for side in sides:  # 1j * -1.0 is -1j, signed zero and all
+                    wave = (-1j if side else 1j) * self.momentum[free]
+                    lin = np.where(packet[:, None], (2.0 * s)[:, None] * mu + wave, wave)
+                    sides[side] = (s, lin, const), list(zip(names, s.tolist(), map(
+                        tuple, lin.tolist()), const.tolist()))
+            for side, (profile, keys) in sides.items():
+                _store(self._memo, side, (deltas, free, profile, keys))
         return self._memo[conjugate]
 
     def cut(self, idx: np.ndarray):
