@@ -199,23 +199,27 @@ class Basis:
     def split(self, conjugate: bool):
         """Delta rows, free rows, and the free rows' (s, linear vector, constant)
         of exp(...) and `_free_overlap` keys (kind name, s, linear vector,
-        constant), the conjugated side's if `conjugate`; both sides at once, once
-        per basis.  A packet's are (s, 2 s mu +- i p, -s |mu|^2), a plane wave's
-        (0, +- i p, 0)."""
+        constant), the conjugated side's if `conjugate`; once per basis and side,
+        from the parts both sides share (memo key None).  A packet's are
+        (s, 2 s mu +- i p, -s |mu|^2), a plane wave's (0, +- i p, 0)."""
         if conjugate not in self._memo:
-            deltas, free = (self.kind == 0).nonzero()[0], self.kind.nonzero()[0]
-            sides = {False: ((None,) * 3, []), True: ((None,) * 3, [])}
+            if None not in self._memo:
+                free = self.kind.nonzero()[0]
+                shared = (self.kind == 0).nonzero()[0], free
+                if len(free):
+                    s, mu, kind = self.s[free], self.center[free], self.kind[free]
+                    const = np.where(kind == 2, -s * (mu[:, None, :] @ mu[:, :, None])[:, 0, 0], 0.0)
+                    shared += s, mu, kind == 2, const, [KINDS[k].__name__ for k in kind.tolist()]
+                _store(self._memo, None, shared)
+            deltas, free, *shared = self._memo[None]
+            profile, keys = (None,) * 3, []
             if len(free):
-                s, mu, packet = self.s[free], self.center[free], self.kind[free] == 2
-                const = np.where(packet, -s * (mu[:, None, :] @ mu[:, :, None])[:, 0, 0], 0.0)
-                names = [KINDS[k].__name__ for k in self.kind[free].tolist()]
-                for side in sides:  # 1j * -1.0 is -1j, signed zero and all
-                    wave = (-1j if side else 1j) * self.momentum[free]
-                    lin = np.where(packet[:, None], (2.0 * s)[:, None] * mu + wave, wave)
-                    sides[side] = (s, lin, const), list(zip(names, s.tolist(), map(
-                        tuple, lin.tolist()), const.tolist()))
-            for side, (profile, keys) in sides.items():
-                _store(self._memo, side, (deltas, free, profile, keys))
+                s, mu, packet, const, names = shared
+                wave = 1j * (-1.0 if conjugate else 1.0) * self.momentum[free]
+                lin = np.where(packet[:, None], (2.0 * s)[:, None] * mu + wave, wave)
+                profile = s, lin, const
+                keys = list(zip(names, s.tolist(), map(tuple, lin.tolist()), const.tolist()))
+            _store(self._memo, conjugate, (deltas, free, profile, keys))
         return self._memo[conjugate]
 
     def cut(self, idx: np.ndarray):
