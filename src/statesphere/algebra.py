@@ -10,8 +10,8 @@ canonical complex Gaussian integral
 where A is complex symmetric with positive-definite real part.  Dirac deltas
 are substituted exactly, which lowers the integration dimension instead of
 approximating a spike.  `overlap_matrix` evaluates the integrals of every
-pair of primitives of two states at once: the ones with a delta in closed
-form, broadcast over blocks of pairs.
+pair of primitives of two states at once, block by block: the ones with a
+delta in closed form, broadcast, the rest as one stack of forms.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ def _reals(value, name: str) -> np.ndarray:
         raise DomainError(f"{name} must be arrays of reals") from None
 
 
-def _store(memo: dict, key, value):
-    """memo[key] = value, emptying the memo first once it holds _MEMO_SIZE entries."""
-    if len(memo) >= _MEMO_SIZE:
+def _store(memo: dict, key, value, size: int = _MEMO_SIZE):
+    """memo[key] = value, emptying the memo first once it holds `size` entries."""
+    if len(memo) >= size:
         memo.clear()
     memo[key] = value
     return value
@@ -197,10 +197,10 @@ class Basis:
                                       self.width.tolist(), self.momentum.tolist())]
 
     def split(self, conjugate: bool):
-        """Delta rows, free rows, and the free rows' (s, linear vector, constant)
-        of exp(...) and `_free_overlap` keys (kind name, s, linear vector,
-        constant), the conjugated side's if `conjugate`; once per basis and side,
-        from the parts both sides share (memo key None).  A packet's are
+        """Delta rows, free rows, and the free rows' profile (s, linear vector,
+        constant) of exp(...), their s as floats and the profile's bytes (a key
+        by value), the conjugated side's if `conjugate`; once per basis and side,
+        from the parts both sides share (memo key None).  A packet's profile is
         (s, 2 s mu +- i p, -s |mu|^2), a plane wave's (0, +- i p, 0)."""
         if conjugate not in self._memo:
             if None not in self._memo:
@@ -209,17 +209,16 @@ class Basis:
                 if len(free):
                     s, mu, kind = self.s[free], self.center[free], self.kind[free]
                     const = np.where(kind == 2, -s * (mu[:, None, :] @ mu[:, :, None])[:, 0, 0], 0.0)
-                    shared += s, mu, kind == 2, const, [KINDS[k].__name__ for k in kind.tolist()]
+                    shared += s, mu, kind == 2, const, s.tolist()
                 _store(self._memo, None, shared)
             deltas, free, *shared = self._memo[None]
-            profile, keys = (None,) * 3, []
+            profile, keys, tag = (None,) * 3, [], None
             if len(free):
-                s, mu, packet, const, names = shared
+                s, mu, packet, const, keys = shared
                 wave = 1j * (-1.0 if conjugate else 1.0) * self.momentum[free]
                 lin = np.where(packet[:, None], (2.0 * s)[:, None] * mu + wave, wave)
-                profile = s, lin, const
-                keys = list(zip(names, s.tolist(), map(tuple, lin.tolist()), const.tolist()))
-            _store(self._memo, conjugate, (deltas, free, profile, keys))
+                profile, tag = (s, lin, const), (s.tobytes(), lin.tobytes(), const.tobytes())
+            _store(self._memo, conjugate, (deltas, free, profile, keys, tag))
         return self._memo[conjugate]
 
     def cut(self, idx: np.ndarray):
@@ -370,16 +369,22 @@ class StateExpr:
                                               self.bases, self.indices, self._whole)
 
 
-def blend(wa, a: StateExpr, wb, b: StateExpr) -> StateExpr:
-    """Linear combination wa*a + wb*b of two expressions of equal arity and
-    dimension, each slot's bases joined; a mismatch is rejected."""
-    wa = _finite_complex(wa, "weight")
-    wb = _finite_complex(wb, "weight")
+def _joined_slots(a: StateExpr, b: StateExpr) -> tuple:
+    """Per slot the bases of a and b joined and the rows of a's terms, then b's, in
+    them, with whether both states are whole: what `blend` shares across weights."""
     if (a.arity, a.dimension) != (b.arity, b.dimension):
         raise DomainError("all terms of a state must have the same arity and dimension")
+    return (*zip(*map(_joined, a.bases, a.indices, b.bases, b.indices)), a._whole and b._whole)
+
+
+def blend(wa, a: StateExpr, wb, b: StateExpr, slots: tuple | None = None) -> StateExpr:
+    """Linear combination wa*a + wb*b of two expressions of equal arity and
+    dimension, each slot's bases joined: `slots`, if given, is the
+    `_joined_slots(a, b)` of many blends.  A mismatch is rejected."""
+    wa = _finite_complex(wa, "weight")
+    wb = _finite_complex(wb, "weight")
     coeffs = [wa * c for c in a.coeffs.tolist()] + [wb * c for c in b.coeffs.tolist()]
-    slots = zip(*map(_joined, a.bases, a.indices, b.bases, b.indices))
-    return object.__new__(StateExpr)._set(np.array(coeffs), *slots, a._whole and b._whole)
+    return object.__new__(StateExpr)._set(np.array(coeffs), *(slots or _joined_slots(a, b)))
 
 
 @dataclass
@@ -407,21 +412,44 @@ def _check_form_matrix(a: np.ndarray):
             f"quadratic form is near singular (condition number above {CONDITION_CAP:g})")
 
 
-def _free_pair_margin(f_kind: str, s_f: float, g_kind: str, s_g: float,
-                      kernel: KernelSpec) -> float:
-    """det(M) / 4 = (conf + pair + s_f)(conf + pair + s_g) - pair^2 of the
-    per-axis matrix M of two free factors, formed without cancellation (0 for
-    two plane waves under a translation kernel); `DivergenceError` unless > 0."""
+def _free_pair_margin(s_f: float, s_g: float, kernel: KernelSpec) -> float:
+    """det(M) / 4 = (conf + pair + s_f)(conf + pair + s_g) - pair^2 of the per-axis
+    matrix M of two free factors (s = 0 for a plane wave), formed without cancellation
+    (0 for two plane waves under a translation kernel); `DivergenceError` unless > 0."""
     conf, pair = kernel_coefficients(kernel)
     margin = (conf + s_f) * (conf + pair + s_g) + pair * (conf + s_g)
     if margin <= 0.0:
+        f_kind, g_kind = ("Packet" if s else "PlaneWave" for s in (s_f, s_g))
         raise DivergenceError(f"inner product of {f_kind} and {g_kind} diverges "
                               f"under {type(kernel).__name__}")
     return margin
 
 
+def _integrals(a: np.ndarray, b: np.ndarray, c: list, prior=None) -> list:
+    """`gaussian_integral` of a stack of forms, complex A (m, n, n) and b (m, n), n > 0,
+    and constants c, each with its lone form's bits: LAPACK runs form by form, matmul
+    dots as np.dot, math.prod from 1 multiplies as np.prod.  The first failing form
+    raises, after `prior(k)`, if given: an earlier check of form k."""
+    try:
+        eigenvalues = np.linalg.eigvalsh(a.real).tolist()  # ascending
+        real = not np.count_nonzero(a.imag)  # a complex A's condition takes an SVD
+    except np.linalg.LinAlgError:  # a non-finite form
+        eigenvalues, real = [[1.0]] * len(a), False
+    for k, values in enumerate(eigenvalues):
+        if prior:
+            prior(k)
+        if not (real and values[0] > 0.0 and values[-1] / values[0] <= CONDITION_CAP):
+            _check_form_matrix(a[k])  # raises, unless a complex form passes
+    roots = np.sqrt(np.linalg.eigvals(a)).tolist()
+    dots = (b[:, None, :] @ np.linalg.solve(a, b[:, :, None])).ravel().tolist()
+    scale = (2.0 * math.pi) ** (b.shape[1] / 2.0)
+    return [complex(scale / math.prod(r, start=1 + 0j) * np.exp(0.5 * dot + ci))
+            for r, dot, ci in zip(roots, dots, c)]
+
+
 def gaussian_integral(form: QuadForm) -> complex:
-    """Closed-form value of the canonical Gaussian integral.
+    """Closed-form value of the canonical Gaussian integral: the one-form case of
+    `_integrals`.
 
     The determinant square root multiplies the principal square roots of the
     eigenvalues of A.  With Re(A) positive definite every eigenvalue lies in
@@ -434,32 +462,29 @@ def gaussian_integral(form: QuadForm) -> complex:
     NumericalFailureError
         If the condition number of A exceeds CONDITION_CAP.
     """
-    n = form.n
-    if n == 0:
+    if form.n == 0:
         return complex(np.exp(form.constant))
     a = np.asarray(form.matrix, dtype=complex)
-    b = np.asarray(form.linear, dtype=complex)
-    _check_form_matrix(a)
-    sqrt_det = complex(np.prod(np.sqrt(np.linalg.eigvals(a))))
-    x = np.linalg.solve(a, b)
-    exponent = 0.5 * complex(np.dot(b, x)) + form.constant
-    return complex((2.0 * math.pi) ** (n / 2.0) / sqrt_det * np.exp(exponent))
+    return _integrals(a[None], np.asarray(form.linear, dtype=complex)[None], [form.constant])[0]
 
 
-def _free_form(f: tuple, g: tuple, kernel: KernelSpec) -> QuadForm:
-    """Canonical form of two free factors from their `Basis.split` keys, g conjugated."""
-    (f_kind, s_f, lin_f, const_f), (g_kind, s_g, lin_g, const_g) = f, g
-    _free_pair_margin(f_kind, s_f, g_kind, s_g, kernel)
-    conf, pair = kernel_coefficients(kernel)
-    d = len(lin_f)
-    eye = np.eye(d)
-    a = np.zeros((2 * d, 2 * d), dtype=complex)
-    a[:d, :d] = 2.0 * (conf + pair + s_f) * eye
-    a[d:, d:] = 2.0 * (conf + pair + s_g) * eye
-    a[:d, d:] = -2.0 * pair * eye
-    a[d:, :d] = -2.0 * pair * eye
-    b = np.concatenate([lin_f, lin_g]).astype(complex)
-    return QuadForm(a, b, complex(const_f + const_g))
+def _free_forms(f_profile, g_profile, conf: float, pair: float):
+    """Forms of the free factors of `Basis.split` profiles f_profile (rows) and g_profile
+    (columns, conjugated), row by row: A = M (x) I_d, M = 2 [[conf + pair + s_f, -pair],
+    [-pair, conf + pair + s_g]], zeros signed as M_ij I_d's; b (m, 2d); c, a list."""
+    (s_f, lin_f, const_f), (s_g, lin_g, const_g) = f_profile, g_profile
+    nf, (ng, d), n = len(s_f), lin_g.shape, 2 * lin_g.shape[1]
+    a = np.zeros((nf, ng, n, n), dtype=complex)
+    if d > 1:  # the zeros off the diagonals of the -2 pair I_d blocks
+        a[..., :d, d:] = a[..., d:, :d] = -0.0
+    flat = a.reshape(nf, ng, -1)  # a view: its diagonals are strided slices
+    flat[..., :d * (n + 1):n + 1] = (2.0 * (conf + pair + s_f))[:, None, None]
+    flat[..., d * (n + 1)::n + 1] = (2.0 * (conf + pair + s_g))[:, None]
+    flat[..., d:d * n:n + 1] = flat[..., d * n::n + 1] = -2.0 * pair
+    b = np.empty((nf, ng, n), dtype=complex)
+    b[..., :d], b[..., d:] = lin_f[:, None], lin_g
+    c = [complex(x + y) for x in const_f.tolist() for y in const_g.tolist()]
+    return a.reshape(-1, n, n), b.reshape(-1, n), c
 
 
 def compile_pair(f: Primitive, g: Primitive, kernel: KernelSpec) -> QuadForm:
@@ -480,16 +505,18 @@ def compile_pair(f: Primitive, g: Primitive, kernel: KernelSpec) -> QuadForm:
         c = -conf * float(np.dot(u, u) + np.dot(v, v)) - pair * float(np.dot(du, du))
         return QuadForm(np.empty((0, 0), dtype=complex), np.empty(0, dtype=complex), complex(c))
 
-    keys = [None if isinstance(p, Delta) else Basis.of([p]).split(conj)[3][0]
-            for p, conj in ((f, False), (g, True))]
-    if None in keys:
-        anchor = np.array((f if keys[0] is None else g).center)
-        _, s, lin, const = keys[0] or keys[1]
-        a = 2.0 * (conf + pair + s) * np.eye(d)
-        b = 2.0 * pair * anchor + lin
-        c = -(conf + pair) * float(np.dot(anchor, anchor)) + const
+    sides = [None if isinstance(p, Delta) else Basis.of([p]).split(conj)
+             for p, conj in ((f, False), (g, True))]
+    if None in sides:
+        anchor = np.array((f if sides[0] is None else g).center)
+        s, lin, const = (sides[0] or sides[1])[2]
+        a = 2.0 * (conf + pair + s[0]) * np.eye(d)
+        b = 2.0 * pair * anchor + lin[0]
+        c = -(conf + pair) * float(np.dot(anchor, anchor)) + const[0]
         return QuadForm(a.astype(complex), b.astype(complex), complex(c))
-    return _free_form(*keys, kernel)
+    _free_pair_margin(sides[0][3][0], sides[1][3][0], kernel)
+    a, b, c = _free_forms(sides[0][2], sides[1][2], conf, pair)
+    return QuadForm(a[0], b[0], c[0])
 
 
 def _delta_delta(u: np.ndarray, v: np.ndarray, conf: float, pair: float) -> np.ndarray:
@@ -518,12 +545,26 @@ def _delta_free(anchors: np.ndarray, profile, conf: float, pair: float) -> np.nd
     return (2.0 * math.pi / m) ** (d / 2.0) * np.exp((b * b).sum(axis=-1) / (2.0 * m) + c)
 
 
-@functools.lru_cache(maxsize=256)
-def _free_overlap(f: tuple, g: tuple, kernel: KernelSpec) -> complex:
-    """<f, g> for two free primitives, given by `Basis.split` keys, through the
-    general integral; a bounded memo, since states repeat the same few
-    primitives.  Errors are raised again on every call, not stored."""
-    return gaussian_integral(_free_form(f, g, kernel))
+_BLOCK_MEMO_SIZE = 256  # free-free blocks `_free_block` keeps, emptied when full
+_blocks: dict = {}
+
+
+def _free_block(f_split, g_split, kernel: KernelSpec) -> np.ndarray:
+    """Free-free overlaps of two `Basis.split`s, the forms of `compile_pair` in one
+    `_integrals` stack: its bits, and the first failing pair's error, row by row.
+    Memoised by value, a copy returned; errors are raised again on every call."""
+    conf, pair = kernel_coefficients(kernel)
+    (f_profile, f_keys, f_tag), (g_profile, g_keys, g_tag) = f_split[2:], g_split[2:]
+    key = f_tag, g_tag, conf, pair
+    entries = _blocks.get(key)
+    if entries is None:
+        columns = len(g_keys)
+        entries = np.array(_integrals(
+            *_free_forms(f_profile, g_profile, conf, pair),
+            lambda k: _free_pair_margin(f_keys[k // columns], g_keys[k % columns], kernel)
+        )).reshape(-1, columns)
+        _store(_blocks, key, entries, _BLOCK_MEMO_SIZE)
+    return entries.copy()
 
 
 def overlap_matrix(fs, gs, kernel: KernelSpec) -> np.ndarray:
@@ -534,20 +575,23 @@ def overlap_matrix(fs, gs, kernel: KernelSpec) -> np.ndarray:
     Delta-delta entries (`_delta_delta`) and delta-free entries
     (`_delta_free`) are closed forms, each block in one broadcast pass.
     Free-free entries (packets and plane waves) are
-    `gaussian_integral(compile_pair(f, g, kernel))`, memoised per distinct
-    pair, and raise what it raises.
+    `gaussian_integral(compile_pair(f, g, kernel))`, in one memoised stack of
+    forms per block (`_free_block`), and raise what it raises.
     """
-    fs, gs = (b if isinstance(b, Basis) else tuple(b) for b in (fs, gs))
+    if not (isinstance(fs, Basis) and isinstance(gs, Basis)):  # skipped: its cost shows on 1x1
+        fs, gs = (b if isinstance(b, Basis) else tuple(b) for b in (fs, gs))
+        if len(fs) and len(gs):
+            fs, gs = (b if isinstance(b, Basis) else Basis.of(b) for b in (fs, gs))
     if not (len(fs) and len(gs)):
         return np.empty((len(fs), len(gs)), dtype=complex)
-    fs, gs = (b if isinstance(b, Basis) else Basis.of(b) for b in (fs, gs))
     if fs.dimension != gs.dimension:
         raise DomainError(f"dimension mismatch between {fs.dimension}-d and "
                           f"{gs.dimension}-d primitives")
     conf, pair = kernel_coefficients(kernel)
-    (f_delta, f_free, f_profile, f_keys), (g_delta, g_free, g_profile, g_keys) = (
-        fs.split(False), gs.split(True))
-    u, v = fs.center[f_delta], gs.center[g_delta]
+    f_split, g_split = fs.split(False), gs.split(True)
+    (f_delta, f_free, f_profile, *_), (g_delta, g_free, g_profile, *_) = f_split, g_split
+    u = fs.center[f_delta] if len(f_delta) else None  # an empty index costs as much as a row
+    v = gs.center[g_delta] if len(g_delta) else None
     blocks = []  # (rows, columns, entries)
     if len(f_delta) and len(g_delta):
         blocks.append((f_delta, g_delta, _delta_delta(u, v, conf, pair)))
@@ -556,13 +600,12 @@ def overlap_matrix(fs, gs, kernel: KernelSpec) -> np.ndarray:
     if len(f_free) and len(g_delta):
         blocks.append((f_free, g_delta, _delta_free(v, f_profile, conf, pair).T))
     if len(f_free) and len(g_free):
-        blocks.append((f_free, g_free, [[_free_overlap(f, g, kernel) for g in g_keys]
-                                         for f in f_keys]))
+        blocks.append((f_free, g_free, _free_block(f_split, g_split, kernel)))
     if len(blocks) == 1:  # no scatter: its fixed cost shows on 1-3 term states
         return np.asarray(blocks[0][2], dtype=complex)
     out = np.empty((len(fs), len(gs)), dtype=complex)
     for rows, columns, entries in blocks:
-        out[np.ix_(rows, columns)] = entries
+        out[rows[:, None], columns] = entries
     return out
 
 
@@ -632,12 +675,13 @@ def hilbert_norm(expr: StateExpr, kernel: KernelSpec) -> float:
 
 
 def _l2_matrix(fs: Basis, gs: Basis) -> np.ndarray:
-    """L2 overlaps of the packets of fs (rows) and gs (columns), each by `gaussian_integral`."""
-    eye = np.eye(fs.dimension, dtype=complex)
-    return np.array([[gaussian_integral(QuadForm(2.0 * (s_f + s_g) * eye, np.add(lin_f, lin_g),
-                                                 complex(const_f + const_g)))
-                      for _, s_g, lin_g, const_g in gs.split(True)[3]]
-                     for _, s_f, lin_f, const_f in fs.split(False)[3]])
+    """L2 overlaps of the packets of fs (rows) and gs (columns): the forms
+    (2 (s_f + s_g) I, lin_f + lin_g, const_f + const_g) in one `_integrals` stack."""
+    (s_f, lin_f, const_f), (s_g, lin_g, const_g) = fs.split(False)[2], gs.split(True)[2]
+    d = fs.dimension
+    a = (2.0 * (s_f[:, None] + s_g)).reshape(-1, 1, 1) * np.eye(d, dtype=complex)
+    c = [complex(x + y) for x in const_f.tolist() for y in const_g.tolist()]
+    return np.array(_integrals(a, (lin_f[:, None] + lin_g).reshape(-1, d), c)).reshape(-1, len(s_g))
 
 
 def l2_inner_product(phi: StateExpr, psi: StateExpr) -> complex:

@@ -9,10 +9,11 @@ speed takes theta * (Planck length) / speed seconds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .algebra import StateExpr, blend, inner_product, norm_sq
+from .algebra import StateExpr, _joined_slots, blend, inner_product, norm_sq
 from .errors import DomainError, GeodesicUndeterminedError
 from .kernels import KernelSpec, _positive, as_vec
 
@@ -106,6 +107,11 @@ class GeodesicPath:
     theta: float
     alignment_phase: float
 
+    @functools.cached_property
+    def _slots(self) -> tuple:
+        """The endpoints' bases joined, once per path: every `geodesic_at` sample's."""
+        return _joined_slots(self.start.expr, self.end_aligned.expr)
+
 
 def _alignment(ov: complex) -> tuple[float, float, complex]:
     """Angle, alignment phase and phase factor of a geodesic whose endpoints overlap
@@ -146,7 +152,7 @@ def geodesic_at(path: GeodesicPath, t: float) -> SphereState:
     weights = _slerp_weights(path.theta, t)
     if weights is None:
         return path.start
-    mixed = blend(weights[0], path.start.expr, weights[1], path.end_aligned.expr)
+    mixed = blend(weights[0], path.start.expr, weights[1], path.end_aligned.expr, path._slots)
     return SphereState(mixed, path.start.kernel, raw_norm=1.0)
 
 

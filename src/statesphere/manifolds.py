@@ -64,18 +64,27 @@ def embed_pair_momentum(p, q) -> StateExpr:
 
 
 def gram_matrix(points, kernel: KernelSpec) -> np.ndarray:
-    """Gram matrix of embedded delta states at the given points."""
-    deltas = [Delta(p) for p in points]
-    if len(set(deltas)) != len(deltas):
+    """Gram matrix of embedded delta states at the given points, from one checked
+    `Basis` of the point array; a bad point raises its own message, as a `Delta`."""
+    try:
+        basis = Basis(Delta, points)
+        rows = basis.center.tolist()
+    except DomainError:  # the first bad point's message, else mixed dimensions below
+        basis, rows = None, [Delta(p).center for p in points]
+    if len(set(map(tuple, rows))) != len(rows):  # tuples of floats: 0.0 == -0.0
         raise DomainError("points must be pairwise distinct")
-    basis = Basis.of(deltas) if deltas else ()
+    if basis is None:
+        basis = Basis.of([Delta(row) for row in rows]) if rows else ()
     return overlap_matrix(basis, basis, kernel).real
 
 
 def gram_min_eigenvalue(points, kernel: KernelSpec) -> float:
     """Smallest eigenvalue of the delta Gram matrix; positive iff the embedded
     states are linearly independent."""
-    return float(np.linalg.eigvalsh(gram_matrix(points, kernel)).min())
+    gram = gram_matrix(points, kernel)
+    if not len(gram):
+        raise DomainError("the smallest Gram eigenvalue needs at least one point")
+    return float(np.linalg.eigvalsh(gram).min())
 
 
 @dataclass(frozen=True)
@@ -113,14 +122,14 @@ def _slot_exponents(basis: Basis, target: type, kernel: KernelSpec, margins: dic
     log(<prim, m(t)> / ||m(t)||) = alpha + beta.t + gamma |t|^2 for a delta or
     plane-wave target m(t): the closed forms of `compile_pair` and
     `gaussian_integral`, the deltas and the free primitives each in one
-    broadcast, since the per-axis matrix M depends on the kind and s alone.
-    `margins` maps each free (kind, s) to its checked det(M) / 4 against a
-    plane wave, the target norm's to ("PlaneWave", 0.0)."""
+    broadcast, since the per-axis matrix M depends on s alone (0 a plane wave's).
+    `margins` maps each free s to its checked det(M) / 4 against a plane wave,
+    the target norm's to 0.0."""
     conf, pair = kernel_coefficients(kernel)
-    (n, d), (deltas, free, (s, lin, const), keys) = basis.center.shape, basis.split(False)
+    (n, d), (deltas, free, (s, lin, const), keys, _) = basis.center.shape, basis.split(False)
     alpha, beta, gamma = np.empty(n, dtype=complex), np.empty((n, d), dtype=complex), np.empty(n)
     if target is PlaneWave:  # log ||w_t|| = norm_alpha + norm_gamma |t|^2
-        norm_alpha = 0.25 * d * math.log(math.pi**2 / margins["PlaneWave", 0.0])
+        norm_alpha = 0.25 * d * math.log(math.pi**2 / margins[0.0])
         norm_gamma = -1.0 / (4.0 * (conf + 2.0 * pair))
     if len(deltas):
         u = basis.center[deltas]
@@ -140,7 +149,7 @@ def _slot_exponents(basis: Basis, target: type, kernel: KernelSpec, margins: dic
             beta[free] = (2.0 * pair / m)[:, None] * lin
             gamma[free] = -pair * (conf + s) / (conf + pair + s)
         else:
-            margin = np.array([margins[kind, s_i] for kind, s_i, *_ in keys])
+            margin = np.array([margins[key] for key in keys])
             alpha[free] = (0.5 * d * np.log(math.pi**2 / margin)
                            + (conf + pair) * lin_sq / (4.0 * margin) + const - norm_alpha)
             beta[free] = (-0.5j * pair / margin)[:, None] * lin
@@ -162,7 +171,7 @@ class ManifoldOverlap:
     pairs; padding can move the last bit of long or multi-axis rows only.
     Compiling raises the errors of the term-by-term `inner_product` and
     `hilbert_norm` in the same order: only a 2x2 M against a plane wave can
-    fail, checked once per distinct free (kind, s), the target norm's last;
+    fail, checked once per distinct free s, the target norm's last;
     a basis row no term uses (see `StateExpr.from_arrays`) is checked too.
     """
 
@@ -182,9 +191,9 @@ class ManifoldOverlap:
         margins = {}
         if manifold.primitive is PlaneWave:
             conf, pair = kernel_coefficients(kernel)
-            free = [key[:2] for basis in bases for key in basis.split(False)[3]]
-            for kind, s in dict.fromkeys(free + [("PlaneWave", 0.0)]):
-                margins[kind, s] = _free_pair_margin(kind, s, "PlaneWave", 0.0, kernel)
+            free = [s for basis in bases for s in basis.split(False)[3]]
+            for s in dict.fromkeys(free + [0.0]):
+                margins[s] = _free_pair_margin(s, 0.0, kernel)
                 _check_form_matrix(2.0 * np.array([[conf + pair + s, -pair],
                                                    [-pair, conf + pair]]))
         alphas, betas, gammas = zip(*([x[r] for x in _slot_exponents(

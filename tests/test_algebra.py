@@ -1,6 +1,7 @@
 """Tests for the closed-form Gaussian-integral engine and inner products."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
                          QuadForm, StateExpr, StateSphereError,
                          TranslationKernel, blend, build_epr_state,
                          gaussian_integral, inner_product, l2_inner_product,
-                         overlap_matrix, primitive_overlap, compile_pair)
+                         normalize, overlap_matrix, primitive_overlap, compile_pair)
 from statesphere import ManifoldId, algebra
 from statesphere.manifolds import ManifoldOverlap
 from statesphere.oracle import QuadratureSpec, quad_inner_product, quad_pair_overlap
@@ -407,25 +408,91 @@ class TestOverlapMatrix:
             assert abs(got - want) <= 1e-13 * abs(want)
 
 
-class TestFreeOverlapCache:
-    def test_hit_returns_identical_value(self):
-        f, g = Packet((0.25,), 0.6, (0.5,)), PlaneWave((-0.75,))
-        first = overlap_matrix([f], [g], KC)[0, 0]
-        hits = algebra._free_overlap.cache_info().hits
-        second = overlap_matrix([f], [g], KC)[0, 0]
-        assert algebra._free_overlap.cache_info().hits == hits + 1
-        assert second == first
-        assert second == reference_overlap(f, g, KC)
+@st.composite
+def free_blocks(draw):
+    """1x1 to 4x4 blocks of packets and plane waves, rows drawn from small pools so
+    that they repeat, under either kernel family."""
+    d = draw(st.integers(1, 3))
+    pools = [draw(st.lists(primitives(d, ("packet", "wave")), min_size=1, max_size=3))
+             for _ in range(2)]
+    fs, gs = (draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)) for pool in pools)
+    return fs, gs, draw(kernels)
+
+
+class TestFreeBlock:
+    """Free-free blocks go through one stacked integral: the bits and the errors of
+    the per-pair route, `gaussian_integral(compile_pair(f, g, kernel))`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(free_blocks())
+    def test_entries_are_the_per_pair_bits(self, case):
+        fs, gs, kernel = case
+        for f in fs:
+            for g in gs:
+                try:
+                    reference_overlap(f, g, kernel)
+                except StateSphereError as exc:  # the first failing pair, row by row
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        overlap_matrix(fs, gs, kernel)
+                    return
+        for _ in range(2):  # a miss, then a memo hit
+            got = overlap_matrix(fs, gs, kernel)
+            for i, f in enumerate(fs):
+                for j, g in enumerate(gs):
+                    want = reference_overlap(f, g, kernel)
+                    assert ((got[i, j].real.hex(), got[i, j].imag.hex())
+                            == (want.real.hex(), want.imag.hex()))
+
+    def test_first_failing_pair_raises_in_row_order(self):
+        # under K1 two plane waves diverge; a packet this wide against a plane wave
+        # has a per-axis condition number near 4 pair / s ~ 8e12, above the cap
+        wave, wide, other = PlaneWave((0.5,)), Packet((0.0,), 1e6), PlaneWave((-0.25,))
+        with pytest.raises(DivergenceError):
+            reference_overlap(wave, other, K1)
+        with pytest.raises(NumericalFailureError):
+            reference_overlap(wide, other, K1)
+        with pytest.raises(DivergenceError):
+            overlap_matrix([wave, wide], [other], K1)
+        with pytest.raises(NumericalFailureError):
+            overlap_matrix([wide, wave], [other], K1)
+
+
+class TestFreeBlockMemo:
+    def test_hit_returns_identical_values(self, monkeypatch):
+        fs = [Packet((0.25,), 0.6, (0.5,)), PlaneWave((-0.75,))]
+        gs = [PlaneWave((0.3,)), Packet((-1.0,), 1.2, (0.1,))]
+        first = overlap_matrix(fs, gs, KC)
+        calls = []
+        monkeypatch.setattr(algebra, "_integrals", lambda *args: calls.append(args))
+        second = overlap_matrix(list(fs), list(gs), KC)  # other bases, the same values
+        assert not calls
+        assert second.tobytes() == first.tobytes()
+        second[0, 0] = 0.0  # a copy: the memo keeps its block
+        assert overlap_matrix(fs, gs, KC).tobytes() == first.tobytes()
+        monkeypatch.undo()
+        assert all(first[i, j] == reference_overlap(f, g, KC)
+                   for i, f in enumerate(fs) for j, g in enumerate(gs))
 
     def test_size_is_bounded(self):
-        maxsize = algebra._free_overlap.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 1024
+        assert 0 < algebra._BLOCK_MEMO_SIZE <= 1024
+        for k in range(algebra._BLOCK_MEMO_SIZE + 8):
+            overlap_matrix([Packet((0.0,), 1.0 + k / 64)], [PlaneWave((0.5,))], KC)
+        assert len(algebra._blocks) <= algebra._BLOCK_MEMO_SIZE
 
     def test_diverging_pair_raises_every_time(self):
         wave = PlaneWave((0.5,))
         for _ in range(2):
             with pytest.raises(DivergenceError):
                 overlap_matrix([wave], [wave], K1)
+
+    def test_normalize_makes_one_eigvals_call(self, monkeypatch):
+        # three packets: one 3x3 block, one stacked call (it was one per pair, nine)
+        eigvals, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        monkeypatch.setattr(algebra, "_blocks", {})
+        state = StateExpr(tuple((1.0, Packet((x,), 0.5 + x, (0.1 * x,))) for x in (0.3, 1.1, 2.4)))
+        normalize(state, K1)
+        assert calls == [(9, 2, 2)]
 
 
 class TestL2InnerProduct:

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from statesphere import (ConfinedKernel, Delta, DomainError, GeodesicUndeterminedError,
-                         StateExpr, TranslationKernel, UnitSystem, blend,
+                         StateExpr, StateSphereError, TranslationKernel, UnitSystem, blend,
                          classical_path_length, collapse_time, fs_angle,
                          geodesic_at, geodesic_between, induced_metric,
                          normalize, sphere_angle, state_overlap)
 
-from helpers import diff_norm, random_pair_state, random_state
+from statesphere.geometry import _slerp_weights
+
+from helpers import diff_norm, kernels, primitives, random_pair_state, random_state
 
 K1 = TranslationKernel(1.0)
 
@@ -110,7 +114,43 @@ class TestAngles:
             sphere_angle(a, b)
 
 
+@st.composite
+def endpoint_states(draw):
+    """A kernel and two 1-3 term states of one dimension; plane waves only under a
+    confined kernel."""
+    kernel, d = draw(kernels), draw(st.integers(1, 3))
+    kinds = ("delta", "packet") + (("wave",) if isinstance(kernel, ConfinedKernel) else ())
+    coeffs = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False,
+                                allow_infinity=False)
+    states = [StateExpr(tuple(draw(st.lists(st.tuples(coeffs, primitives(d, kinds)),
+                                            min_size=1, max_size=3))))
+              for _ in range(2)]
+    return kernel, *states
+
+
 class TestGeodesic:
+    @settings(max_examples=150, deadline=None)
+    @given(endpoint_states(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    def test_samples_are_blends(self, case, ts):
+        # the path joins its endpoints once; each sample stays blend's state, bit for bit
+        kernel, a, b = case
+        try:
+            path = geodesic_between(normalize(a, kernel), normalize(b, kernel))
+        except StateSphereError:
+            assume(False)
+        for t in ts:
+            weights = _slerp_weights(path.theta, t)
+            assume(weights is not None)
+            got = geodesic_at(path, t).expr
+            want = blend(weights[0], path.start.expr, weights[1], path.end_aligned.expr)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got._whole == want._whole
+            for got_basis, want_basis, got_rows, want_rows in zip(
+                    got.bases, want.bases, got.indices, want.indices):
+                assert got_rows.tobytes() == want_rows.tobytes()
+                assert all(getattr(got_basis, name).tobytes() == getattr(want_basis, name).tobytes()
+                           for name in ("kind", "center", "width", "momentum", "s"))
+
     def test_endpoints_reproduced_exactly(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -131,6 +131,31 @@ class TestGram:
     def test_no_points_give_an_empty_matrix(self):
         assert gram_matrix([], K1).shape == (0, 0)
 
+    def test_no_points_have_no_smallest_eigenvalue(self):
+        with pytest.raises(DomainError, match="at least one point"):
+            gram_min_eigenvalue([], K1)
+
+    @pytest.mark.parametrize("points, message", [
+        ([(0.0,), (math.nan,)], "non-finite component in (nan,)"),
+        ([(1.0, 2.0, 3.0, 4.0)], "dimension must be an integer from 1 to 3, got 4"),
+        ([(0.0,), (1.0, 2.0)], "all primitives in a state must share one dimension"),
+        ([(1 + 2j,)], "coordinates must be reals, got (1+2j)"),
+        ([(0.0,), (0.0,)], "points must be pairwise distinct"),
+        ([(0.0, 1.0), (-0.0, 1.0)], "points must be pairwise distinct"),
+        ([(0.0,), (0.0,), (1.0, 2.0)], "points must be pairwise distinct"),
+    ], ids=["non-finite", "4-d", "mixed-dimension", "complex", "repeated", "signed-zero",
+            "repeated-before-mixed"])
+    def test_bad_points_keep_their_message(self, points, message):
+        with pytest.raises(DomainError) as info:
+            gram_matrix(points, K1)
+        assert str(info.value) == message
+
+    def test_points_read_as_the_primitives_read_them(self):
+        # a scalar is a 1-d point, as Delta reads it; arrays and lists agree
+        want = gram_matrix([(1.0,), (2.5,)], K1)
+        assert gram_matrix([1.0, 2.5], K1).tobytes() == want.tobytes()
+        assert gram_matrix(np.array([[1.0], [2.5]]), K1).tobytes() == want.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_entries_match_kernel_value(self, data):
