@@ -8,11 +8,11 @@ path, so the check stays independent.  One routine builds every block from
 two sides: a free primitive is Gauss-Legendre nodes on a box, a delta one
 node at its coordinate (substituted exactly, never a discretized spike).
 
-|integrand| is sampled pointwise into real row strips built in place in one
-reused buffer, a strip of about 512 KB at any level; the unit-modulus phases
-e^{+-i p t} ride on the weights.  Each free side's box is centered on the
-real-part maximum of the quadratic exponent in its variable and sized from
-its curvature, so the integrand decays below 1e-16 of its peak at the edges.
+|integrand| = exp(env_f(x)) exp(env_g(y) - pair (x - y)^2): the y factor fills
+real row strips in one reused buffer of about 512 KB, the x factor scales rows
+and the phases e^{+-i p t} ride on the weights.  Each free side's box is
+centered on the real-part maximum of the quadratic exponent in its variable and
+sized from its curvature, so the integrand decays below 1e-16 of its peak at its edges.
 """
 
 from __future__ import annotations
@@ -109,36 +109,39 @@ def _side(prim: Primitive, other: Primitive, kernel, axis: int, n: int, conjugat
 
 
 def _quad_block(f: Primitive, g: Primitive, kernel, axis: int, n: int) -> complex:
-    """u @ K @ v on one axis, K = exp(env_f(x) - pair (x - y)^2 + env_g(y)),
-    built in row strips; raises unless K decays at every box edge."""
+    """u @ K @ v on one axis, K = exp(env_f(x)) exp(env_g(y) - pair (x - y)^2): the y
+    factor in row strips, the x factor a row scale on their products and maxima;
+    raises unless K decays at every box edge."""
     _, pair = kernel_coefficients(kernel)
     x, u, env_x = _side(f, g, kernel, axis, n, conjugate=False)
     y, v, env_y = _side(g, f, kernel, axis, n, conjugate=True)
+    scale = np.exp(env_x)  # envelopes are <= 0: a factor underflows only where K does
     rows = max(1, _STRIP_BYTES // (8 * len(y)))
     buffer = np.empty((min(rows, len(x)), len(y)))
-    mv = np.empty((len(x), 2))
+    mv, top = np.empty((len(x), 2)), np.empty(len(x))
     v = v.view(float).reshape(-1, 2)  # columns Re v, Im v: a real product
-    peak = edge = 0.0
+    edge = 0.0
     for lo in range(0, len(x), rows):
         hi = min(lo + rows, len(x))
         strip = buffer[:hi - lo]
-        # |integrand| in place; x^2 + y^2 - 2xy would cancel
-        np.subtract.outer(x[lo:hi], y, out=strip)
+        strip[:] = y  # (y - x)^2 has the bits of (x - y)^2; x^2 + y^2 - 2xy would cancel
+        strip -= x[lo:hi, None]
         np.square(strip, out=strip)
         strip *= -pair
-        strip += env_x[lo:hi, None]
         strip += env_y
         np.exp(strip, out=strip)
         np.matmul(strip, v, out=mv[lo:hi])
-        peak = max(peak, strip.max())
+        strip.max(axis=1, out=top[lo:hi])
         if len(y) > 1:  # first and last column
-            edge = max(edge, strip[:, 0].max(), strip[:, -1].max())
-        if len(x) > 1:  # first and last row, in the strips that hold them
-            edge = max([edge, *(strip[i - lo].max() for i in (0, len(x) - 1) if lo <= i < hi)])
+            edge = max(edge, (strip[:, [0, -1]] * scale[lo:hi, None]).max())
+    top *= scale
+    if len(x) > 1:  # first and last row
+        edge = max(edge, top[0], top[-1])
+    peak = top.max()
     if peak > 0.0 and edge > BOUNDARY_DECAY * peak:
         raise BoxTooSmallError(
             f"integrand at box edge is {edge / peak:.2e} of its peak; enlarge the box")
-    return complex(u @ mv.view(complex)[:, 0])
+    return complex((u * scale) @ mv.view(complex)[:, 0])
 
 
 def _quad_pair_level(f: Primitive, g: Primitive, kernel, n: int) -> complex:
@@ -170,12 +173,14 @@ def quad_pair_overlap(f: Primitive, g: Primitive, kernel: KernelSpec,
                       spec: QuadratureSpec = QuadratureSpec()) -> tuple[complex, float]:
     """<f, g> under the kernel by tensor-grid quadrature, with an error estimate.
 
-    A delta is substituted exactly, as a one-node side; a delta pair takes the
-    same value at every level, so its estimate is 0.
+    A delta is substituted exactly, as a one-node side; a delta pair has no
+    nodes, so it is integrated once for every level and its estimate is 0.
     """
     if f.dimension != g.dimension:
         raise DomainError("dimension mismatch")
-    value, estimate, _ = _refine(lambda n: _quad_pair_level(f, g, kernel, n), spec)
+    level = functools.cache(lambda n: _quad_pair_level(f, g, kernel, n))
+    delta_pair = isinstance(f, Delta) and isinstance(g, Delta)
+    value, estimate, _ = _refine(lambda n: level(1 if delta_pair else n), spec)
     return value, estimate
 
 

@@ -3,10 +3,11 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import run_python
@@ -14,11 +15,12 @@ from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError, M
                          Packet, PlaneWave, StateExpr, TranslationKernel,
                          induced_metric, inner_product, kernel_value, overlap_matrix,
                          primitive_overlap)
-from statesphere.kernels import _metric_reference
+from statesphere.cli import _random_convergent_pair
+from statesphere.kernels import _metric_reference, kernel_coefficients
 from statesphere.manifolds import ManifoldOverlap
-from statesphere.oracle import (_STRIP_BYTES, QuadratureSpec, _box, _gauss_legendre, _nodes,
-                                _quad_pair_level, _refine, finite_difference,
-                                quad_inner_product, quad_pair_overlap)
+from statesphere.oracle import (_STRIP_BYTES, BOUNDARY_DECAY, QuadratureSpec, _box,
+                                _gauss_legendre, _nodes, _quad_block, _quad_pair_level, _refine,
+                                _side, finite_difference, quad_inner_product, quad_pair_overlap)
 
 K1 = TranslationKernel(1.0)
 KC = ConfinedKernel(0.1, 1.0)
@@ -105,6 +107,24 @@ class TestQuadPairOverlap:
         closed = primitive_overlap(f, g, K1)
         value, _ = quad_pair_overlap(f, g, K1, QuadratureSpec(nodes_per_axis=129))
         np.testing.assert_allclose(value, closed, rtol=1e-7)
+
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_delta_pair_is_integrated_once(self, monkeypatch, levels):
+        # a delta pair has no nodes: one block per axis for the whole ladder, and the
+        # value of any one level, bit for bit
+        f, g = KINDS["delta"](3), Delta((0.2, 0.5, -0.9))
+        want = _quad_pair_level(f, g, KC, 257)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _quad_block(*args)
+
+        monkeypatch.setattr("statesphere.oracle._quad_block", counted)
+        value, estimate = quad_pair_overlap(f, g, KC, QuadratureSpec(257, levels))
+        assert len(calls) == 3
+        assert value == want
+        assert estimate == (0.0 if levels > 1 else math.inf)
 
     def test_undersized_box_raises(self, monkeypatch):
         monkeypatch.setattr("statesphere.oracle._PAD", 1.0)
@@ -247,6 +267,105 @@ class TestQuadratureBlocks:
         monkeypatch.setattr("statesphere.oracle._box", moved_box)
         with pytest.raises(BoxTooSmallError, match="of its peak; enlarge the box"):
             _quad_pair_level(f, g, K1, 257)
+
+
+def _dense_block(f, g, kernel, n):
+    """The whole block at once: u @ K @ v, the bound on its distance from the
+    strips' value, and K's edge/peak ratio."""
+    _, pair = kernel_coefficients(kernel)
+    x, u, env_x = _side(f, g, kernel, 0, n, conjugate=False)
+    y, v, env_y = _side(g, f, kernel, 0, n, conjugate=True)
+    big_k = np.exp(env_x[:, None] - pair * (x[:, None] - y) ** 2 + env_y)
+    edges = [big_k[:, [0, -1]].max() if len(y) > 1 else 0.0,
+             big_k[[0, -1]].max() if len(x) > 1 else 0.0]
+    peak = big_k.max()
+    # plus one subnormal spacing per row and entry: below 2.2e-308 neither K nor
+    # the row scale carries 53 bits
+    floor = np.finfo(float).smallest_subnormal * (n + np.abs(u).sum()) * np.abs(v).sum()
+    bound = 1e-13 * (np.abs(u) @ big_k @ np.abs(v)) + floor
+    return u @ big_k @ v, bound, max(edges) / peak if peak else 0.0
+
+
+def _coordinates(reach):
+    return st.floats(-reach, reach, allow_nan=False, allow_infinity=False)
+
+
+# near the origin, or far enough for boxes where exp(env_x) underflows in part
+_centers = st.one_of(_coordinates(10.0), _coordinates(120.0))
+
+
+def _primitive(kind):
+    if kind == "delta":
+        return st.builds(lambda c: Delta((c,)), _centers)
+    if kind == "wave":
+        return st.builds(lambda p: PlaneWave((p,)), _coordinates(1.5))
+    return st.builds(lambda c, w, p: Packet((c,), w, (p,)),
+                     _centers, st.floats(0.1, 1.5), _coordinates(1.5))
+
+
+# a wide packet far from its partner: exp(env_x) underflows on part of the box, which
+# happens only where K's peak is itself within about e^-50 of underflow
+FAR_BOXES = [
+    (Packet((80.0,), 1.5), Packet((-3.0,), 0.3), ConfinedKernel(0.01, 2.0)),
+    (Packet((80.0,), 1.5), Packet((-3.0,), 0.3), TranslationKernel(0.5)),
+    (Packet((89.0,), 1.5), Delta((0.0,)), ConfinedKernel(0.02, 0.5)),
+]
+
+
+def _check_against_dense(f, g, kernel, n):
+    """Check one block; False, checking nothing, within 1% of the edge threshold."""
+    value, bound, ratio = _dense_block(f, g, kernel, n)
+    if abs(ratio / BOUNDARY_DECAY - 1.0) <= 0.01:
+        return False
+    if ratio > BOUNDARY_DECAY:
+        with pytest.raises(BoxTooSmallError):
+            _quad_block(f, g, kernel, 0, n)
+    else:
+        assert abs(_quad_block(f, g, kernel, 0, n) - value) <= bound
+    return True
+
+
+class TestBlockAgainstDense:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_strips_match_the_dense_block(self, data):
+        # the row scale, the in-place differences and the strip maxima against the
+        # whole K at once; a drawn box pad makes both sides of the edge check occur
+        kernel = data.draw(st.one_of(
+            st.builds(TranslationKernel, st.floats(0.3, 3.0)),
+            st.builds(ConfinedKernel, st.floats(0.01, 1.0), st.floats(0.2, 3.0))))
+        kinds = data.draw(st.tuples(*[st.sampled_from(sorted(KINDS))] * 2))
+        assume(isinstance(kernel, ConfinedKernel) or kinds != ("wave", "wave"))
+        f, g = (data.draw(_primitive(kind)) for kind in kinds)
+        n = data.draw(st.integers(16, 128)) * 2 + 1
+        with mock.patch("statesphere.oracle._PAD", data.draw(st.floats(3.0, 12.0))):
+            assume(_check_against_dense(f, g, kernel, n))
+
+    @pytest.mark.parametrize("f, g, kernel", FAR_BOXES)
+    def test_far_box_underflows_the_row_scale(self, f, g, kernel):
+        _, _, env_x = _side(f, g, kernel, 0, 257, conjugate=False)
+        scale = np.exp(env_x)
+        assert scale.min() == 0.0 < scale.max()
+        assert _check_against_dense(f, g, kernel, 257)
+
+
+# median and maximum of |quad - closed| / |quad| over run_oracle_verify's draws at
+# seeds 0-99, recorded from the quadrature that added the x envelope in each strip
+_REFEREE_ERRORS = (6.690416055749331e-14, 6.8114998154748594e-12)
+
+
+class TestRefereeAccuracy:
+    def test_errors_stay_within_twice_the_recorded(self):
+        errors = []
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            for kernel in (K1, KC):  # drawn as run_oracle_verify draws them
+                f, g = _random_convergent_pair(rng, kernel)
+                quad, _ = quad_pair_overlap(f, g, kernel)
+                errors.append(abs(quad - primitive_overlap(f, g, kernel)) / abs(quad))
+        median, worst = _REFEREE_ERRORS
+        assert np.median(errors) <= 2.0 * median
+        assert max(errors) <= 2.0 * worst
 
 
 class TestGaussLegendreCache:
