@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericalFailureError
-from .kernels import (MAX_DIMENSION, KernelSpec, Vec, _formed, _positive, as_vec,
+from .kernels import (MAX_DIMENSION, KernelSpec, Vec, _formed, _positive, _shown, as_vec,
                       kernel_coefficients)
 
 IMAG_RESIDUE_TOL = 1e-10
@@ -32,7 +32,13 @@ CONDITION_CAP = 1e12
 
 
 def _finite_complex(z, name: str) -> complex:
-    z = complex(z)
+    """complex(z) if finite; a value complex() rejects is a DomainError, as in `_real`."""
+    try:
+        z = complex(z)
+    except OverflowError:
+        raise DomainError(f"{name} is out of floating-point range") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a complex number, got {_shown(z)}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"{name} must be finite, got {z!r}")
     return z
@@ -127,8 +133,7 @@ class Basis:
     arrays, or one value (one KINDS class for `kind`) for every row, and checks
     them at once; a bad row raises the message its primitive raises.  `of`
     takes primitive objects.  `_memo` keeps, up to _MEMO_SIZE entries, what is
-    derived from a basis: its `split` per side, its `cut` per index array and
-    its join with each partner basis."""
+    derived from a basis: its `split` per side and its `cut` per index array."""
 
     __slots__ = (*_FIELDS, "_memo")
 
@@ -238,12 +243,10 @@ def _stacked(bases) -> Basis:
 
 
 def _joined(a: Basis, ia, b: Basis, ib):
-    """One basis of `a` and `b` (`a` if they are one; one join per pair), and the rows into it."""
+    """One basis of `a` and `b` (`a` if they are one), and the rows into it."""
     if a is b:
         return a, np.concatenate([ia, ib])
-    if b not in a._memo:
-        _store(a._memo, b, _stacked([a, b]))
-    return a._memo[b], np.concatenate([ia, ib + len(a)])
+    return _stacked([a, b]), np.concatenate([ia, ib + len(a)])
 
 
 def _checked(coeffs, bases, indices) -> tuple:
@@ -471,12 +474,10 @@ def gaussian_integral(form: QuadForm) -> complex:
 def _free_forms(f_profile, g_profile, conf: float, pair: float):
     """Forms of the free factors of `Basis.split` profiles f_profile (rows) and g_profile
     (columns, conjugated), row by row: A = M (x) I_d, M = 2 [[conf + pair + s_f, -pair],
-    [-pair, conf + pair + s_g]], zeros signed as M_ij I_d's; b (m, 2d); c, a list."""
+    [-pair, conf + pair + s_g]]; b (m, 2d); c, a list."""
     (s_f, lin_f, const_f), (s_g, lin_g, const_g) = f_profile, g_profile
     nf, (ng, d), n = len(s_f), lin_g.shape, 2 * lin_g.shape[1]
     a = np.zeros((nf, ng, n, n), dtype=complex)
-    if d > 1:  # the zeros off the diagonals of the -2 pair I_d blocks
-        a[..., :d, d:] = a[..., d:, :d] = -0.0
     flat = a.reshape(nf, ng, -1)  # a view: its diagonals are strided slices
     flat[..., :d * (n + 1):n + 1] = (2.0 * (conf + pair + s_f))[:, None, None]
     flat[..., d * (n + 1)::n + 1] = (2.0 * (conf + pair + s_g))[:, None]
@@ -529,20 +530,25 @@ def _delta_delta(u: np.ndarray, v: np.ndarray, conf: float, pair: float) -> np.n
     return np.exp(c)
 
 
+def _isotropic(m, b: np.ndarray, c) -> np.ndarray:
+    """The integral of exp(-m |z|^2 / 2 + b.z + c) over R^d, d = b.shape[-1], m > 0."""
+    d = b.shape[-1]
+    return (2.0 * math.pi / m) ** (d / 2.0) * np.exp((b * b).sum(axis=-1) / (2.0 * m) + c)
+
+
 def _delta_free(anchors: np.ndarray, profile, conf: float, pair: float) -> np.ndarray:
     """Overlaps of deltas at `anchors` (rows) with free primitives (columns) of
     `Basis.split` profile (s, linear vectors, constants).
 
     The form `compile_pair` builds is A = m I_d with m = 2 (conf + pair + s)
-    > 0, so the integral is (2 pi / m)^(d/2) exp(b.b / (2 m) + c) and can
-    neither fail nor need the eigen/solve route.
+    > 0, so the integral is `_isotropic` and can neither fail nor need the
+    eigen/solve route.
     """
     s, lin, const = profile
     m = 2.0 * (conf + pair + s)
     b = 2.0 * pair * anchors[:, None, :] + lin
     c = -(conf + pair) * (anchors * anchors).sum(axis=1)[:, None] + const
-    d = anchors.shape[1]
-    return (2.0 * math.pi / m) ** (d / 2.0) * np.exp((b * b).sum(axis=-1) / (2.0 * m) + c)
+    return _isotropic(m, b, c)
 
 
 _BLOCK_MEMO_SIZE = 256  # free-free blocks `_free_block` keeps, emptied when full
@@ -676,12 +682,10 @@ def hilbert_norm(expr: StateExpr, kernel: KernelSpec) -> float:
 
 def _l2_matrix(fs: Basis, gs: Basis) -> np.ndarray:
     """L2 overlaps of the packets of fs (rows) and gs (columns): the forms
-    (2 (s_f + s_g) I, lin_f + lin_g, const_f + const_g) in one `_integrals` stack."""
+    (2 (s_f + s_g) I, lin_f + lin_g, const_f + const_g), in closed form."""
     (s_f, lin_f, const_f), (s_g, lin_g, const_g) = fs.split(False)[2], gs.split(True)[2]
-    d = fs.dimension
-    a = (2.0 * (s_f[:, None] + s_g)).reshape(-1, 1, 1) * np.eye(d, dtype=complex)
-    c = [complex(x + y) for x in const_f.tolist() for y in const_g.tolist()]
-    return np.array(_integrals(a, (lin_f[:, None] + lin_g).reshape(-1, d), c)).reshape(-1, len(s_g))
+    return _isotropic(2.0 * (s_f[:, None] + s_g), lin_f[:, None] + lin_g,
+                      const_f[:, None] + const_g)
 
 
 def l2_inner_product(phi: StateExpr, psi: StateExpr) -> complex:

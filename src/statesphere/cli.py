@@ -21,16 +21,16 @@ import numpy as np
 
 from . import __version__
 from .algebra import Delta, Packet, PlaneWave, StateExpr, primitive_overlap
-from .errors import DomainError, NumericalFailureError, StateSphereError
+from .errors import DomainError, StateSphereError
 from .experiments import (MAX_DISCRETIZATION, MAX_POINTS, EPRConfig, SlitConfig,
                           build_double_slit_trajectory, build_epr_state,
-                          momentum_collapse, momentum_correlation_profile,
-                          position_collapse)
+                          correlation_rows, momentum_collapse,
+                          momentum_correlation_profile, position_collapse)
 from .geometry import (UnitSystem, collapse_time, fs_angle, geodesic_between,
                        normalize, sphere_angle, state_overlap)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
                       _integer, _metric_step, _positive, induced_metric)
-from .manifolds import ManifoldId, ManifoldOverlap, gram_min_eigenvalue
+from .manifolds import ManifoldId, gram_min_eigenvalue
 from .oracle import QuadratureSpec, quad_pair_overlap
 
 SCHEMA_VERSION = 1
@@ -238,20 +238,6 @@ def _ridge_grid(lo: float, hi: float, count: int, center: float) -> np.ndarray:
     return grid
 
 
-def _ridge_rows(state, manifold: ManifoldId, firsts, grids) -> list[np.ndarray]:
-    """Overlaps of `state` with the pair manifold along each row (first, grid),
-    from one compiled overlap; a non-finite value fails."""
-    with np.errstate(over="ignore", invalid="ignore"):  # far-out exponents, caught below
-        overlap = ManifoldOverlap(state.expr, state.kernel, manifold)
-        values = [overlap(np.column_stack([np.full(len(grid), first), grid]))
-                  for first, grid in zip(firsts, grids)]
-    for first, row in zip(firsts, values):
-        if not np.isfinite(row).all():
-            raise NumericalFailureError(f"the overlap along the ridge row at {first!r} is not "
-                                        "finite; --x0 or --grid is too large")
-    return values
-
-
 def run_epr(config: dict):
     cfg = EPRConfig(
         x0=config["x0"],
@@ -273,8 +259,8 @@ def run_epr(config: dict):
     state_under = functools.cache(lambda kernel: build_epr_state(cfg, kernel))
     if config["profile"] == "position":
         grids = [_ridge_grid(lo, hi, count, cfg.x0 + a) for a in config["a_values"]]
-        values = _ridge_rows(state_under(cfg.position_kernel), ManifoldId.POSITION_PAIR,
-                             config["a_values"], grids)
+        values = correlation_rows(state_under(cfg.position_kernel), ManifoldId.POSITION_PAIR,
+                                  config["a_values"], grids)
         results["position_ridge"] = [
             {"a": a, "argmax_b": float(grid[row.real.argmax()]), "expected_b": cfg.x0 + a,
              "grid_step": float(grid[1] - grid[0])}
@@ -294,8 +280,8 @@ def run_epr(config: dict):
         state = state_under(cfg.momentum_kernel)
         qs = _ridge_grid(lo, hi, count, 0.0)
         # one row (q1, qs) each, so q1 need not be a grid point
-        values = _ridge_rows(state, ManifoldId.MOMENTUM_PAIR, config["a_values"],
-                             [qs] * len(config["a_values"]))
+        values = correlation_rows(state, ManifoldId.MOMENTUM_PAIR, config["a_values"],
+                                  [qs] * len(config["a_values"]))
         results["momentum_ridge"] = [
             {"q1": q1, "argmax_q2": float(qs[np.abs(row).argmax()]), "expected_q2": -q1,
              "grid_step": float(qs[1] - qs[0])}

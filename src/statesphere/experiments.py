@@ -17,10 +17,11 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import Basis, Delta, Packet, StateExpr, _clamp_norm, _finite_complex, overlap_matrix
-from .errors import DomainError
-from .geometry import (GeodesicPath, SphereState, _alignment, _arc, _slerp_weights,
-                       _unit_scale, collapse_time, geodesic_between, normalize)
+from .algebra import (Basis, Delta, Packet, StateExpr, _clamp_norm, _finite_complex, blend,
+                      overlap_matrix)
+from .errors import DomainError, NumericalFailureError
+from .geometry import (GeodesicPath, SphereState, _alignment, _arc, _unit_scale, collapse_time,
+                       geodesic_at, geodesic_between, normalize)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
                       _formed, _integer, _positive)
 from .manifolds import (ManifoldId, ManifoldOverlap, embed_pair_momentum,
@@ -230,25 +231,18 @@ class Trajectory:
         return sum(seg.arc_length for seg in self.segments)
 
 
-def _combine(*parts) -> tuple[tuple, tuple]:
-    """`blend` on (coefficients, basis indices) rows, in Python complex, zero terms dropped."""
-    terms = [(complex(w) * c, i) for w, (coeffs, idx) in parts for c, i in zip(coeffs, idx)]
-    return tuple(zip(*(term for term in terms if term[0] != 0)))
-
-
 def _overlaps(gram: np.ndarray, pairs) -> list[complex]:
-    """<a, b> of row pairs as `inner_product` forms them, a norm clamped; one unpadded
-    stack per shape, weights per pair: numpy rounds a stacked 1x1 product otherwise."""
+    """<a, b> of state pairs over the frame of `gram` as `inner_product` forms them, a norm
+    (a is b) clamped; one stack per shape: numpy rounds a stacked 1x1 product otherwise."""
     values, shapes = {}, {}
     for k, (a, b) in enumerate(pairs):
-        shapes.setdefault((len(a[1]), len(b[1])), []).append(k)
+        shapes.setdefault((len(a.coeffs), len(b.coeffs)), []).append(k)
     for ks in shapes.values():
-        weights = np.stack([np.array(pairs[k][0][0])[:, None] * np.array(pairs[k][1][0]).conj()
-                            for k in ks])
-        ia, ib = (np.array([pairs[k][side][1] for k in ks]) for side in (0, 1))
+        weights = np.stack([pairs[k][0].coeffs[:, None] * pairs[k][1].coeffs.conj() for k in ks])
+        ia, ib = (np.array([pairs[k][side].indices[0] for k in ks]) for side in (0, 1))
         totals = (weights * gram[ia[:, :, None], ib[:, None, :]]).sum(axis=(1, 2))
         values.update(zip(ks, totals.tolist()))
-    return [_clamp_norm(values[k]) if a == b else values[k] for k, (a, b) in enumerate(pairs)]
+    return [_clamp_norm(values[k]) if a is b else values[k] for k, (a, b) in enumerate(pairs)]
 
 
 def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
@@ -261,8 +255,9 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     detector, (4) geodesic collapse onto the packet at the detected point.
     A which-path measurement moves the collapse directly behind the split,
     targeting the slit the detector curve keeps, after which the single
-    surviving packet propagates to the detector.  States are rows over the
-    distinct packets' one Gram matrix, bit for bit the StateExpr geometry."""
+    surviving packet propagates to the detector.  Every state is a StateExpr
+    over one frame, the distinct packets, whose one Gram matrix gives each
+    norm and angle, bit for bit `normalize` and `sphere_angle`."""
     n = SEGMENT_SAMPLES
     w = cfg.packet_width
     x1, x2 = cfg.slit_positions
@@ -274,37 +269,39 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     xs = list(dict.fromkeys(centers))  # the frame: one packet per distinct center
     frame = Basis(Packet, [[x] for x in xs], w)
     gram = overlap_matrix(frame, frame, _SLIT_KERNEL)
-    arrival, slit1, slit2, target = (((1.0 + 0j,), (xs.index(x),)) for x in centers)
+    arrival, slit1, slit2, target = (StateExpr.from_arrays([1.0], [frame], [[xs.index(x)]])
+                                     for x in centers)
     ts = np.linspace(0.0, 1.0, n)[1:-1]
 
-    def normalized(rows):  # `normalize` on rows: (unit row, raw norm) of each
-        units = [_unit_scale(n2.real) for n2 in _overlaps(gram, [(row, row) for row in rows])]
-        return [(_combine((scale, row)), norm) for row, (norm, scale) in zip(rows, units)]
+    def normalized(exprs):  # `normalize` over the frame
+        units = [_unit_scale(n2.real) for n2 in _overlaps(gram, [(e, e) for e in exprs])]
+        return [SphereState(e.scaled(scale), _SLIT_KERNEL, norm)
+                for e, (norm, scale) in zip(exprs, units)]
 
-    arrived, split, aimed = normalized([arrival, _combine((c1, slit1), (c2, slit2)), target])
+    arrived, split, aimed = normalized([arrival, blend(c1, slit1, c2, slit2), target])
     # refraction: packet -> normalized two-slit superposition
-    refraction = [arrived, *normalized([_combine((1.0 - t, arrived[0]), (t, split[0]))
+    refraction = [arrived, *normalized([blend(1.0 - t, arrived.expr, t, split.expr)
                                         for t in ts]), split]
-    theta, phase, factor = _alignment(_overlaps(gram, [(split[0], aimed[0])])[0])
-    aligned = (_combine((factor, aimed[0])), aimed[1])
-    collapse = [split, *(split if ws is None else (_combine(*zip(ws, (split[0], aligned[0]))), 1.0)
-                         for ws in (_slerp_weights(theta, t) for t in ts)), aligned]
+    theta, phase, factor = _alignment(_overlaps(gram, [(split.expr, aimed.expr)])[0])
+    aligned = SphereState(aimed.expr.scaled(factor), _SLIT_KERNEL, aimed.raw_norm)
+    path = GeodesicPath(split, aligned, theta, phase)
+    collapse = [split, *(geodesic_at(path, t) for t in ts), aligned]
     legs = [(SegmentKind.PROPAGATION, [arrived] * n), (SegmentKind.REFRACTION_SPLIT, refraction)]
     if cfg.which_path:
         legs += [(SegmentKind.COLLAPSE, collapse), (SegmentKind.PROPAGATION, [aligned] * n)]
     else:
         legs += [(SegmentKind.PROPAGATION, [split] * n), (SegmentKind.COLLAPSE, collapse)]
 
-    slot = {}  # distinct (row, raw norm) states in first-use order: equal rows, equal states
-    order = [[slot.setdefault(state, len(slot)) for state in states] for _, states in legs]
-    rows = [row for row, _ in slot]
-    distinct = [SphereState(StateExpr.from_arrays(coeffs, [frame], [idx]), _SLIT_KERNEL, norm)
-                for (coeffs, idx), norm in slot]
+    slot = {}  # distinct states by value, in first-use order: the first stands for equal ones
+    order = [[slot.setdefault(((s.expr.coeffs + 0.0).tobytes(), s.expr.indices[0].tobytes(),
+                               s.raw_norm), (len(slot), s))[0] for s in states]
+             for _, states in legs]
+    distinct = [state for _, state in slot.values()]
     steps = list(dict.fromkeys((a, b) for ks in order for a, b in zip(ks, ks[1:])))
-    overlaps = _overlaps(gram, [(rows[a], rows[b]) for a, b in steps])
+    overlaps = _overlaps(gram, [(distinct[a].expr, distinct[b].expr) for a, b in steps])
     angles = {step: _arc(ov.real) for step, ov in zip(steps, overlaps)}
     projections = nearest_classical_points(distinct, ManifoldId.POSITION, box, coarse=41)
-    seconds = collapse_time(GeodesicPath(distinct[slot[split]], distinct[slot[aligned]], theta, phase))
+    seconds = collapse_time(path)
     segments = tuple(
         TrajectorySegment(kind=kind,
                           samples=tuple((offset + j / (n - 1), distinct[k]) for j, k in enumerate(ks)),
@@ -386,6 +383,20 @@ def build_epr_state(cfg: EPRConfig,
     return normalize(StateExpr.from_arrays(coeffs, bases, [np.arange(n)] * 2), kernel)
 
 
+def correlation_rows(state: SphereState, manifold: ManifoldId, firsts, grids) -> list[np.ndarray]:
+    """Overlaps of `state` with the pair manifold along each row (first, grid),
+    from one compiled overlap; a non-finite value raises NumericalFailureError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # far-out exponents, caught below
+        overlap = ManifoldOverlap(state.expr, state.kernel, manifold)
+        values = [overlap(np.column_stack([np.full(len(grid), first), grid]))
+                  for first, grid in zip(firsts, grids)]
+    for first, row in zip(firsts, values):
+        if not np.isfinite(row).all():
+            raise NumericalFailureError(f"the overlap along the ridge row at {first!r} is not "
+                                        "finite; --x0 or --grid is too large")
+    return values
+
+
 def position_correlation_profile(state: SphereState, a: float,
                                  b_grid) -> list[tuple[float, float]]:
     """Real overlap of the pair state with normalized point pairs (a, b).
@@ -395,8 +406,7 @@ def position_correlation_profile(state: SphereState, a: float,
     grids at least that coarse.
     """
     bs = np.asarray(b_grid, dtype=float)
-    overlap = ManifoldOverlap(state.expr, state.kernel, ManifoldId.POSITION_PAIR)
-    values = overlap(np.column_stack([np.full(len(bs), float(a)), bs]))
+    (values,) = correlation_rows(state, ManifoldId.POSITION_PAIR, [float(a)], [bs])
     return list(zip(bs.tolist(), values.real.tolist()))
 
 
@@ -425,6 +435,6 @@ def momentum_correlation_profile(state: SphereState,
     confined kernel, as `momentum_collapse` does.
     """
     qs = np.asarray(q_grid, dtype=float)
-    pairs = np.stack(np.meshgrid(qs, qs, indexing="ij"), axis=-1).reshape(-1, 2)
-    values = np.abs(ManifoldOverlap(state.expr, state.kernel, ManifoldId.MOMENTUM_PAIR)(pairs))
-    return [((q1, q2), v) for (q1, q2), v in zip(pairs.tolist(), values.tolist())]
+    q = qs.tolist()
+    rows = correlation_rows(state, ManifoldId.MOMENTUM_PAIR, q, [qs] * len(q))
+    return [((q1, q2), v) for q1, row in zip(q, rows) for q2, v in zip(q, np.abs(row).tolist())]

@@ -133,26 +133,21 @@ def geodesic_between(start: SphereState, end: SphereState) -> GeodesicPath:
     return GeodesicPath(start, aligned, theta, phase)
 
 
-def _slerp_weights(theta: float, t: float) -> tuple[float, float] | None:
-    """Weights of start and aligned end at t in [0, 1], None below _DEGENERATE_ANGLE."""
-    if not -1e-12 <= t <= 1.0 + 1e-12:
-        raise DomainError(f"path parameter must lie in [0, 1], got {t!r}")
-    if theta < _DEGENERATE_ANGLE:
-        return None
-    sin_theta = math.sin(theta)
-    return math.sin((1.0 - t) * theta) / sin_theta, math.sin(t * theta) / sin_theta
-
-
 def geodesic_at(path: GeodesicPath, t: float) -> SphereState:
     """State at parameter t in [0, 1] along the path.
 
     phi_t = [sin((1-t) theta) start + sin(t theta) end_aligned] / sin(theta);
-    unit norm holds because the aligned overlap equals cos(theta).
+    unit norm holds because the aligned overlap equals cos(theta).  Below
+    _DEGENERATE_ANGLE the path is the start state.
     """
-    weights = _slerp_weights(path.theta, t)
-    if weights is None:
+    if not -1e-12 <= t <= 1.0 + 1e-12:
+        raise DomainError(f"path parameter must lie in [0, 1], got {t!r}")
+    theta = path.theta
+    if theta < _DEGENERATE_ANGLE:
         return path.start
-    mixed = blend(weights[0], path.start.expr, weights[1], path.end_aligned.expr, path._slots)
+    sin_theta = math.sin(theta)
+    mixed = blend(math.sin((1.0 - t) * theta) / sin_theta, path.start.expr,
+                  math.sin(t * theta) / sin_theta, path.end_aligned.expr, path._slots)
     return SphereState(mixed, path.start.kernel, raw_norm=1.0)
 
 

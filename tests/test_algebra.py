@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
                          EPRConfig, NumericalFailureError, Packet, PlaneWave,
-                         QuadForm, StateExpr, StateSphereError,
+                         QuadForm, SlitConfig, StateExpr, StateSphereError,
                          TranslationKernel, blend, build_epr_state,
                          gaussian_integral, inner_product, l2_inner_product,
                          normalize, overlap_matrix, primitive_overlap, compile_pair)
@@ -39,6 +39,20 @@ class TestTypes:
             Packet((0.0,), 0.0)
         with pytest.raises(DomainError):
             Packet((0.0,), -1.0)
+
+    @pytest.mark.parametrize("bad", ["abc", None, 10**400], ids=["string", "none", "huge"])
+    @pytest.mark.parametrize("name, make", [
+        ("coefficient", lambda z: StateExpr(((z, Delta((0.0,))),))),
+        ("coefficient", lambda z: StateExpr.single(Delta((0.0,)), coeff=z)),
+        ("scale", lambda z: StateExpr.single(Delta((0.0,))).scaled(z)),
+        ("weight", lambda z: blend(1.0, StateExpr.single(Delta((0.0,))), z,
+                                   StateExpr.single(Delta((1.0,))))),
+        ("coefficients", lambda z: SlitConfig(coefficients=(1.0, z))),
+    ], ids=["terms", "single", "scaled", "blend", "slit-config"])
+    def test_rejects_non_numeric_coefficients(self, name, make, bad):
+        # complex() raised a bare ValueError, TypeError or OverflowError
+        with pytest.raises(DomainError, match=name):
+            make(bad)
 
     def test_rejects_empty_or_zero_state(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statesphere import (DivergenceError, DomainError,
-                         EPRConfig, ManifoldId, Packet, SegmentKind, SlitConfig, StateExpr,
+                         EPRConfig, NumericalFailureError, ManifoldId, Packet, SegmentKind, SlitConfig, StateExpr,
                          UnitSystem, blend, build_double_slit_trajectory,
                          build_epr_state, collapse_time, detector_intensity,
                          geodesic_at, geodesic_between,
@@ -349,6 +349,8 @@ class TestTrajectoryFrame:
     @given(slit_configs())
     def test_matches_the_stateexpr_geometry(self, cfg):
         trajectory = build_double_slit_trajectory(cfg)
+        frame = trajectory.segments[0].samples[0][1].expr.bases[0]
+        assert all(s.expr.bases[0] is frame for seg in trajectory.segments for _, s in seg.samples)
         for seg, (states, path) in zip(trajectory.segments, stateexpr_legs(cfg, trajectory),
                                        strict=True):
             assert [repr(s) for _, s in seg.samples] == [repr(s) for s in states]
@@ -362,6 +364,15 @@ class TestTrajectoryFrame:
                 None if seg.collapse_time_s is None else seg.collapse_time_s.hex())
                for seg in build_double_slit_trajectory(cfg).segments]
         assert got == record
+
+    @pytest.mark.parametrize("which_path", [False, True])
+    def test_checks_the_arrays_once_per_center(self, which_path, monkeypatch):
+        # each distinct state's arrays were checked: 16 times, 17 with which-path
+        import statesphere.algebra as algebra
+        checked, calls = algebra._checked, []
+        monkeypatch.setattr(algebra, "_checked", lambda *args: calls.append(args) or checked(*args))
+        build_double_slit_trajectory(SlitConfig(which_path=which_path))
+        assert len(calls) <= 4
 
     def test_one_gram_matrix_and_no_inner_product(self, monkeypatch):
         import statesphere.algebra as algebra
@@ -445,6 +456,13 @@ class TestEPRState:
         arcs = [position_collapse(build_epr_state(cfg), 0.0, cfg).theta
                 for cfg in (EPRConfig(x0=1.0), EPRConfig(x0=1e8))]
         assert arcs[0] == pytest.approx(arcs[1], abs=1e-9)
+
+    def test_non_finite_profile_fails(self):
+        # the cli's --grid=-1e307,1e307,5 case: the compiled overlap overflows, and the
+        # profile returned NaN at both grid ends, with an overflow warning, where the cli fails
+        grid = np.linspace(1.0 - 1e307, 1.0 + 1e307, 5)
+        with pytest.raises(NumericalFailureError, match="not finite"):
+            position_correlation_profile(build_epr_state(EPRConfig()), 0.0, grid)
 
     def test_symmetric_profile_at_origin(self):
         cfg = EPRConfig(x0=0.0)

@@ -13,7 +13,7 @@ from statesphere import (ConfinedKernel, Delta, DomainError, GeodesicUndetermine
                          geodesic_at, geodesic_between, induced_metric,
                          normalize, sphere_angle, state_overlap)
 
-from statesphere.geometry import _slerp_weights
+from statesphere.geometry import _DEGENERATE_ANGLE
 
 from helpers import diff_norm, kernels, primitives, random_pair_state, random_state
 
@@ -138,11 +138,12 @@ class TestGeodesic:
             path = geodesic_between(normalize(a, kernel), normalize(b, kernel))
         except StateSphereError:
             assume(False)
+        assume(path.theta >= _DEGENERATE_ANGLE)
+        sin_theta = math.sin(path.theta)
         for t in ts:
-            weights = _slerp_weights(path.theta, t)
-            assume(weights is not None)
             got = geodesic_at(path, t).expr
-            want = blend(weights[0], path.start.expr, weights[1], path.end_aligned.expr)
+            want = blend(math.sin((1.0 - t) * path.theta) / sin_theta, path.start.expr,
+                         math.sin(t * path.theta) / sin_theta, path.end_aligned.expr)
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
             assert got._whole == want._whole
             for got_basis, want_basis, got_rows, want_rows in zip(
