@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import Delta, Packet, PlaneWave, StateExpr, primitive_overlap
-from .errors import DomainError, StateSphereError
+from .errors import DomainError, NumericalFailureError, StateSphereError
 from .experiments import (MAX_DISCRETIZATION, MAX_POINTS, EPRConfig, SlitConfig,
                           build_double_slit_trajectory, build_epr_state,
                           correlation_rows, momentum_collapse,
@@ -238,6 +238,14 @@ def _ridge_grid(lo: float, hi: float, count: int, center: float) -> np.ndarray:
     return grid
 
 
+def _ridge_rows(*args) -> list:
+    """`correlation_rows`, a non-finite row's message naming the flags that cause it."""
+    try:
+        return correlation_rows(*args)
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(f"{exc}; --x0 or --grid is too large") from None
+
+
 def run_epr(config: dict):
     cfg = EPRConfig(
         x0=config["x0"],
@@ -259,8 +267,8 @@ def run_epr(config: dict):
     state_under = functools.cache(lambda kernel: build_epr_state(cfg, kernel))
     if config["profile"] == "position":
         grids = [_ridge_grid(lo, hi, count, cfg.x0 + a) for a in config["a_values"]]
-        values = correlation_rows(state_under(cfg.position_kernel), ManifoldId.POSITION_PAIR,
-                                  config["a_values"], grids)
+        values = _ridge_rows(state_under(cfg.position_kernel), ManifoldId.POSITION_PAIR,
+                             config["a_values"], grids)
         results["position_ridge"] = [
             {"a": a, "argmax_b": float(grid[row.real.argmax()]), "expected_b": cfg.x0 + a,
              "grid_step": float(grid[1] - grid[0])}
@@ -280,8 +288,8 @@ def run_epr(config: dict):
         state = state_under(cfg.momentum_kernel)
         qs = _ridge_grid(lo, hi, count, 0.0)
         # one row (q1, qs) each, so q1 need not be a grid point
-        values = correlation_rows(state, ManifoldId.MOMENTUM_PAIR, config["a_values"],
-                                  [qs] * len(config["a_values"]))
+        values = _ridge_rows(state, ManifoldId.MOMENTUM_PAIR, config["a_values"],
+                             [qs] * len(config["a_values"]))
         results["momentum_ridge"] = [
             {"q1": q1, "argmax_q2": float(qs[np.abs(row).argmax()]), "expected_q2": -q1,
              "grid_step": float(qs[1] - qs[0])}

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (Basis, Delta, Packet, StateExpr, _clamp_norm, _finite_complex, blend,
-                      overlap_matrix)
+from .algebra import (Basis, Delta, Packet, StateExpr, _clamp_norm, _finite_complex,
+                      _joined_slots, blend, overlap_matrix)
 from .errors import DomainError, NumericalFailureError
 from .geometry import (GeodesicPath, SphereState, _alignment, _arc, _unit_scale, collapse_time,
                        geodesic_at, geodesic_between, normalize)
@@ -279,8 +279,9 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
                 for e, (norm, scale) in zip(exprs, units)]
 
     arrived, split, aimed = normalized([arrival, blend(c1, slit1, c2, slit2), target])
-    # refraction: packet -> normalized two-slit superposition
-    refraction = [arrived, *normalized([blend(1.0 - t, arrived.expr, t, split.expr)
+    # refraction: packet -> normalized two-slit superposition, the endpoints' bases joined once
+    slots = _joined_slots(arrived.expr, split.expr)
+    refraction = [arrived, *normalized([blend(1.0 - t, arrived.expr, t, split.expr, slots)
                                         for t in ts]), split]
     theta, phase, factor = _alignment(_overlaps(gram, [(split.expr, aimed.expr)])[0])
     aligned = SphereState(aimed.expr.scaled(factor), _SLIT_KERNEL, aimed.raw_norm)
@@ -393,7 +394,7 @@ def correlation_rows(state: SphereState, manifold: ManifoldId, firsts, grids) ->
     for first, row in zip(firsts, values):
         if not np.isfinite(row).all():
             raise NumericalFailureError(f"the overlap along the ridge row at {first!r} is not "
-                                        "finite; --x0 or --grid is too large")
+                                        "finite")
     return values
 
 

@@ -165,10 +165,11 @@ class ManifoldOverlap:
     `exprs` is one state expression, or a sequence of them of one arity and
     dimension (values then per state and point); their distinct bases of
     each slot, whole, compile in one stack (`_slot_exponents`) to quadratic exponents
-    in theta, the target norm folded in.  A (states, width) table indexes the
-    terms, padding shorter states with a term of exact weight 0, so a batch is
-    one complex exp over (states, points, width) per _CHUNK (state, point)
-    pairs; padding can move the last bit of long or multi-axis rows only.
+    in theta, the target norm folded in.  Each state's terms are stored once as
+    dense arrays, alpha (states, width) and beta, gamma (states, axes, width),
+    shorter states padded with a term of exact weight 0, so a batch is one
+    complex exp over (states, points, width) per _CHUNK (state, point) pairs;
+    padding can move the last bit of long or multi-axis rows only.
     Compiling raises the errors of the term-by-term `inner_product` and
     `hilbert_norm` in the same order: only a 2x2 M against a plane wave can
     fail, checked once per distinct free s, the target norm's last;
@@ -203,40 +204,38 @@ class ManifoldOverlap:
         # to the width, at least 2: numpy rounds a one-column product on another path
         zero, count = np.zeros((self.axes, 1)), np.array([len(e.coeffs) for e in exprs])
         coeffs = np.concatenate([e.coeffs for e in exprs])
-        self._alpha = np.append(np.log(coeffs) + sum(alphas), -np.inf)
-        self._beta = np.concatenate([np.concatenate(betas, axis=1).T, zero], axis=1)
-        self._gamma = np.concatenate([np.repeat(gammas, dimension, axis=0), zero], axis=1)
         slot = np.arange(max(2, count.max()))
-        self._table = np.where(slot < count[:, None], (np.cumsum(count) - count)[:, None] + slot,
-                               len(coeffs))  # (states, width): term indices
+        table = np.where(slot < count[:, None], (np.cumsum(count) - count)[:, None] + slot,
+                         len(coeffs))  # (states, width): each state's terms, then the pad
+        # gathered once: alpha (states, width), beta and gamma (states, axes, width)
+        self._alpha = np.append(np.log(coeffs) + sum(alphas), -np.inf)[table]
+        self._beta, self._gamma = (np.concatenate([x, zero], axis=1)[:, table].transpose(1, 0, 2)
+                                   for x in (np.concatenate(betas, axis=1).T,
+                                             np.repeat(gammas, dimension, axis=0)))
         self._chunk = max(1, _CHUNK // len(exprs))  # points per evaluation
 
-    def _terms(self, states, theta: np.ndarray):
-        """Padded term weights of `states` at theta, with beta and gamma."""
-        terms = self._table[states]
-        beta = self._beta[:, terms].transpose(1, 0, 2)
-        gamma = self._gamma[:, terms].transpose(1, 0, 2)
-        return np.exp(self._alpha[terms][:, None] + theta @ beta + (theta * theta) @ gamma), \
-            beta, gamma
+    def _terms(self, theta: np.ndarray) -> np.ndarray:
+        """Padded term weights of every state at theta: (states, points, width)."""
+        return np.exp(self._alpha[:, None] + theta @ self._beta + (theta * theta) @ self._gamma)
 
     def __call__(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if theta.ndim != 2 or theta.shape[1] != self.axes:
             raise DomainError(f"manifold points need {self.axes} coordinates each")
-        values = np.empty((len(self._table), len(theta)), dtype=complex)
+        values = np.empty((len(self._alpha), len(theta)), dtype=complex)
         for start in range(0, len(theta), self._chunk):
             chunk = slice(start, start + self._chunk)
-            values[:, chunk] = self._terms(slice(None), theta[chunk])[0].sum(axis=2)
+            values[:, chunk] = self._terms(theta[chunk]).sum(axis=2)
         return values[0] if self._single else values
 
-    def _derivatives(self, rows: np.ndarray, theta: np.ndarray):
-        """Real part of the overlap of state rows[i] at theta[i], its gradient and Hessian."""
-        weights, beta, gamma = self._terms(rows, theta[:, None])
-        weights = weights[:, 0]
-        slopes = beta + 2.0 * theta[:, :, None] * gamma  # d exponent / d theta
+    def _derivatives(self, theta: np.ndarray):
+        """Real part of the overlap of state i at theta[i], its gradient and Hessian
+        (one state broadcasts over the rows of theta)."""
+        weights = self._terms(theta[:, None])[:, 0]
+        slopes = self._beta + 2.0 * theta[:, :, None] * self._gamma  # d exponent / d theta
         hessian = (slopes * weights[:, None]) @ slopes.transpose(0, 2, 1)
         diagonal = np.arange(self.axes)
-        hessian[:, diagonal, diagonal] += ((2.0 * gamma) @ weights[:, :, None])[:, :, 0]
+        hessian[:, diagonal, diagonal] += ((2.0 * self._gamma) @ weights[:, :, None])[:, :, 0]
         return weights.sum(axis=1).real, (slopes @ weights[:, :, None])[:, :, 0].real, hessian.real
 
     def grid(self, grids):
@@ -263,7 +262,9 @@ def nearest_classical_points(states, manifold: ManifoldId, box,
     overlap rises (lam - e where H is negative definite).  It stops after a
     step of at most _STEP_TOL (taken unless the overlap falls), when no shift
     rises, or after 100 steps.  `iterations` counts the points evaluated, grid
-    included.  The ascents run in lockstep, one `eigh` per round.
+    included.  The ascents run in lockstep on whole arrays: each round forms
+    the trial of every state, one `eigh` and one `_derivatives` call for all,
+    and discards the trials of stopped states through the `climbing` mask.
     """
     coarse, states = _integer(coarse, "coarse", 2), list(states)
     if not states:
@@ -287,45 +288,45 @@ def nearest_classical_points(states, manifold: ManifoldId, box,
         points[led] = theta[last[led]]
 
     lows, highs = np.array(intervals).T
-    value, gradient, hessian = overlap._derivatives(np.arange(count), points)
-    evals = np.full(count, coarse**axes + 1)
+    # contiguous copies, which the rounds update: matmul rounds a strided g differently at 6 axes
+    value, gradient, hessian = (x.copy() for x in overlap._derivatives(points))
+    climbing, evals = np.ones(count, dtype=bool), np.full(count, coarse**axes + 1)
     steps, tries = np.zeros((2, count), dtype=int)  # tries since the last step
-    climbing = np.ones(count, dtype=bool)
-    while climbing.any():
-        rows = np.flatnonzero(climbing)
-        g = gradient[rows]
-        free = ~(((points[rows] <= lows) & (g < 0.0)) | ((points[rows] >= highs) & (g > 0.0)))
-        g = np.where(free, g, 0.0)  # held: zero slope, zero Hessian row and column
-        eig, vec = np.linalg.eigh(np.where(free[:, None] & free[..., None], hessian[rows], 0.0))
+    while climbing.any():  # every state's trial, a stopped one's discarded
+        free = ~(((points <= lows) & (gradient < 0.0)) | ((points >= highs) & (gradient > 0.0)))
+        g, h, held = gradient, hessian, not free.all()
+        if held:  # zero slope, zero Hessian row and column
+            g, h = np.where(free, g, 0.0), np.where(free[:, None] & free[..., None], h, 0.0)
+        eig, vec = np.linalg.eigh(h)
         top = np.maximum(0.0, eig[:, -1])
-        go = g.any(axis=1) | (top > 0.0)  # else no slope and no upward curvature
-        climbing[rows[~go]] = False
-        rows, free, g, eig, vec, top = (x[go] for x in (rows, free, g, eig, vec, top))
+        climbing &= g.any(axis=1) | (top > 0.0)  # else no slope and no upward curvature
         along = (vec.transpose(0, 2, 1) @ g[:, :, None])[:, :, 0]
         scale = np.maximum(np.abs(eig).max(axis=1), np.abs(g).max(axis=1))
         up = top > 0.0  # no slope along upward curvature: a saddle, climb it
-        nudged = up & (np.abs(along[:, -1]) < 1e-12 * scale)  # a unit step, 4x shorter a retry
-        along[up, -1] = np.copysign(np.maximum(np.abs(along[up, -1]), 1e-12 * scale[up]),
-                                    along[up, -1])
+        if up.any():  # a unit step where nudged, 4x shorter a retry
+            nudged = up & (np.abs(along[:, -1]) < 1e-12 * scale)
+            along[up, -1] = np.copysign(np.maximum(np.abs(along[up, -1]), 1e-12 * scale[up]),
+                                        along[up, -1])
         # lam = top + 1e-12 scale, 4x per retry; where H is negative definite, lam - eig[-1]
         # grows 4x instead: lam alone starts near 0 there and would take ~20 retries to
         # shorten a step (a held coordinate's eigenvalue 0 keeps a row on the plain rule)
-        grow = 4.0 ** tries[rows]
+        grow = 4.0 ** tries
         shift = (top + 1e-12 * scale) * grow + (top - eig[:, -1]) * (grow - 1.0)
-        along /= shift[:, None] - eig  # after k tries, at most axes * 1e12 / 4**k
-        along[nudged, -1] = np.copysign(1.0 / grow[nudged], along[nudged, -1])
-        move = np.where(free, (vec @ along[:, :, None])[:, :, 0], 0.0)
-        trial = np.clip(points[rows] + move, lows, highs)
-        last = np.abs(trial - points[rows]).max(axis=1) <= _STEP_TOL
-        trial_value, *derivatives = overlap._derivatives(rows, trial)
-        evals[rows] += 1
-        rose = (trial_value > value[rows]) | (last & (trial_value >= value[rows]))
-        won = rows[rose]
-        points[won], value[won], gradient[won], hessian[won] = (
+        # after k tries, at most axes * 1e12 / 4**k; a stopped row (H = 0 and g = 0: 0 / 0) skips it
+        np.divide(along, shift[:, None] - eig, out=along, where=climbing[:, None])
+        if up.any():
+            along[nudged, -1] = np.copysign(1.0 / grow[nudged], along[nudged, -1])
+        move = (vec @ along[:, :, None])[:, :, 0]
+        trial = np.clip(points + (np.where(free, move, 0.0) if held else move), lows, highs)
+        last = np.abs(trial - points).max(axis=1) <= _STEP_TOL
+        trial_value, *derivatives = overlap._derivatives(trial)
+        evals += climbing
+        rose = climbing & ((trial_value > value) | (last & (trial_value >= value)))
+        points[rose], value[rose], gradient[rose], hessian[rose] = (
             x[rose] for x in (trial, trial_value, *derivatives))
-        steps[won] += 1
-        tries[rows] = np.where(rose, 0, tries[rows] + 1)
-        climbing[rows[last | (tries[rows] == 64) | (steps[rows] == 100)]] = False
+        steps += rose
+        tries = np.where(rose, 0, tries + climbing)
+        climbing &= ~(last | (tries == 64) | (steps == 100))
 
     d, final = states[0].expr.dimension, [min(1.0, max(0.0, v)) for v in value.tolist()]
     return [ProjectionResult(point=(tuple(p[:d]), tuple(p[d:])) if manifold.is_pair else tuple(p),

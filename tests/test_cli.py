@@ -217,6 +217,14 @@ def test_epr_non_finite_ridge_fails(capsys):
     assert json.loads(captured.err)["error"]["type"] == "NumericalFailureError"
 
 
+def test_epr_non_finite_ridge_names_the_flags(capsys):
+    # the library raises without flags; the cli adds them, stderr as before
+    assert main("epr --x0 1 --a-values=0 --grid=-1e307,1e307,5".split()) == 3
+    assert capsys.readouterr().err == (
+        '{"error": {"type": "NumericalFailureError", "message": "the overlap along the ridge '
+        'row at 0.0 is not finite; --x0 or --grid is too large"}}\n')
+
+
 @pytest.mark.parametrize("x0", ["1e15", "1e17"])
 def test_epr_partner_rounding_rejected(x0, capsys):
     # rounding x0 + u moved the partner points: arc_length 1.1253 at 1e15 and

@@ -464,6 +464,13 @@ class TestEPRState:
         with pytest.raises(NumericalFailureError, match="not finite"):
             position_correlation_profile(build_epr_state(EPRConfig()), 0.0, grid)
 
+    def test_non_finite_profile_names_no_flag(self):
+        # the library message named the cli's --x0 and --grid flags
+        grid = np.linspace(1.0 - 1e307, 1.0 + 1e307, 5)
+        with pytest.raises(NumericalFailureError) as info:
+            position_correlation_profile(build_epr_state(EPRConfig()), 0.0, grid)
+        assert str(info.value) == "the overlap along the ridge row at 0.0 is not finite"
+
     def test_symmetric_profile_at_origin(self):
         cfg = EPRConfig(x0=0.0)
         state = build_epr_state(cfg)

@@ -335,6 +335,40 @@ class TestNearestClassicalPoint:
             assert abs(got.residual_angle - want.residual_angle) <= 1e-12
             assert np.abs(np.subtract(got.point, want.point)).max() <= 1e-8  # the ascent's last step
 
+    @pytest.mark.parametrize("kernel, manifold, exprs", [
+        # the even-minimum saddle start, a delta on a grid point (at its peak from the
+        # start), a three-term climb, and a delta held on the u = 6 bound
+        (ConfinedKernel(0.5, 2.0), ManifoldId.POSITION, [
+            StateExpr(((1.0, PlaneWave((1.0,))), (-0.5, Delta((0.0,))))),
+            embed_position((3.0,)),
+            StateExpr(((1.0, Packet((0.7,), 0.4)), (0.6j, Packet((-1.1,), 0.9)),
+                       (-0.3, Delta((1.9,))))),
+            embed_position((7.5,))]),
+        # held on v = -6 and on u = 6 while the other coordinate climbs, a pair at its
+        # peak from the start, and a two-term climb
+        (TranslationKernel(1.5), ManifoldId.POSITION_PAIR, [
+            StateExpr(((-1.0, Delta((0.0,)), Delta((0.0,))),
+                       (-1.0, Delta((1.0,)), Packet((0.0,), 1.0, (3.0,))))),
+            embed_pair_position((3.0,), (0.0,)),
+            StateExpr(((1.0, Packet((0.7,), 0.4), Packet((-1.3,), 0.6)),
+                       (0.5j, Delta((1.1,)), Packet((0.2,), 1.2)))),
+            StateExpr(((1.0, Delta((9.0,)), Packet((0.35,), 0.5)),))]),
+    ])
+    def test_whole_array_rounds_match_one_state_calls(self, kernel, manifold, exprs):
+        # each round forms a trial for every state of the batch, and discards the
+        # trials of stopped ones: none may reach a result, all of whose fields equal
+        # the one-state call's (states of at most 3 terms keep their bits)
+        states = [normalize(e, kernel) for e in exprs]
+        alone = [nearest_classical_points([s], manifold, (-6.0, 6.0), coarse=5)[0]
+                 for s in states]
+        assert len({r.iterations for r in alone}) >= 3  # the states stop in different rounds
+        assert min(r.iterations for r in alone) == 5**len(alone[0].point) + 1
+        assert any(6.0 in np.abs(r.point) for r in alone)  # held on a bound
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]):
+            got = nearest_classical_points([states[k] for k in order], manifold, (-6.0, 6.0),
+                                           coarse=5)
+            assert got == [alone[k] for k in order]
+
     def test_batch_rejects_mixed_kernels(self):
         states = [normalize(embed_position((0.0,)), K1), normalize(embed_position((0.0,)), KC)]
         with pytest.raises(DomainError, match="kernel"):
@@ -457,11 +491,10 @@ class TestManifoldOverlap:
                                       kernel, manifold)
             theta = rng.uniform(-3.0, 3.0, (1, overlap.axes))
             step = h * np.eye(overlap.axes)
-            _, gradient, hessian = overlap._derivatives(np.zeros(1, int), theta)
-            rows = np.zeros(overlap.axes, int)
+            _, gradient, hessian = overlap._derivatives(theta)
             slopes = (overlap(theta + step).real - overlap(theta - step).real) / (2.0 * h)
-            curvatures = (overlap._derivatives(rows, theta + step)[1]
-                          - overlap._derivatives(rows, theta - step)[1]) / (2.0 * h)
+            curvatures = (overlap._derivatives(theta + step)[1]
+                          - overlap._derivatives(theta - step)[1]) / (2.0 * h)
             for want, got in ((gradient[0], slopes), (hessian[0], curvatures)):
                 assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), (i, manifold)
 

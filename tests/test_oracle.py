@@ -1,5 +1,6 @@
 """Tests for the quadrature oracle and finite differences."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -404,6 +405,49 @@ class TestGaussLegendreCache:
                               "print(o._gauss_legendre.cache_info().currsize)")
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "0"
+
+
+@functools.cache
+def _reference_rule(n: int, bits: int = 160):
+    """Gauss-Legendre nodes t >= 0 and weights of order n to 40 digits, as mpmath
+    numbers: Newton from numpy's nodes, P_{n-1} and P_n from the three-term
+    recurrence in 2**-bits fixed point over Python integers, the rest in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        scale = mpmath.mpf(2) ** bits
+        nodes = [mpmath.mpf(t) for t in np.polynomial.legendre.leggauss(n)[0][n // 2:]]
+        for step in range(3):  # nodes to about 1e-16, then 1e-30, then past 40 digits
+            x = np.array([int(t * scale) for t in nodes], dtype=object)
+            lower, upper = np.full(len(x), 1 << bits, dtype=object), x.copy()
+            for k in range(1, n):
+                lower, upper = upper, ((2 * k + 1) * ((x * upper) >> bits) - k * lower) // (k + 1)
+            below = [mpmath.mpf(q) / scale for q in lower]  # P_{n-1}
+            if step < 2:  # P_n / P_n' with P_n' = n (t P_n - P_{n-1}) / (t^2 - 1)
+                nodes = [t - p / scale * (t * t - 1) / (n * (t * p / scale - q))
+                         for t, p, q in zip(nodes, upper, below)]
+        return nodes, [2 * (1 - t * t) / (n * q) ** 2 for t, q in zip(nodes, below)]
+
+
+class TestGaussLegendreRule:
+    def test_reference_rule_is_exact(self):
+        # the reference itself: a weight sum of 2 and exact even moments to 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        nodes, weights = _reference_rule(1025)
+        with mpmath.workdps(40):
+            for k in (0, 1, 10, 500, 1024):
+                moment = 2 * mpmath.fsum(w * t ** (2 * k) for t, w in zip(nodes, weights))
+                moment -= weights[0] * nodes[0] ** (2 * k)  # t = 0 is counted once
+                assert abs(moment - mpmath.mpf(2) / (2 * k + 1)) <= mpmath.mpf(10) ** -30, k
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: numpy's leggauss weights are 1.0e-8 off at the "
+                       "end node; a better rule moves bench/golden bits")
+    def test_weights_match_a_40_digit_rule(self):
+        pytest.importorskip("mpmath")
+        w = _gauss_legendre(1025)[1]
+        half = np.array([float(v) for v in _reference_rule(1025)[1]])
+        want = np.concatenate([half[:0:-1], half])  # the rule is even
+        assert np.abs(w / want - 1.0).max() <= 1e-10
 
 
 class TestQuadInnerProduct:
