@@ -352,6 +352,8 @@ def run_oracle_verify(config: dict):
         closed = primitive_overlap(f, g, kernel)
         quad, _ = quad_pair_overlap(f, g, kernel, spec)
         rel = abs(closed - quad) / max(abs(quad), 1e-300)
+        if not math.isfinite(rel):  # max() would drop a NaN
+            raise NumericalFailureError(f"oracle error on pair {index} is not finite")
         worst = max(worst, rel)
         cases.append({"kinds": [type(f).__name__, type(g).__name__],
                       "kernel": type(kernel).__name__, "rel_error": rel})

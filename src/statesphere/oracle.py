@@ -13,10 +13,18 @@ real row strips in one reused buffer of about 512 KB, the x factor scales rows
 and the phases e^{+-i p t} ride on the weights.  Each free side's box is
 centered on the real-part maximum of the quadratic exponent in its variable and
 sized from its curvature, so the integrand decays below 1e-16 of its peak at its edges.
+
+Along a row, log K is a concave quadratic in y, so a strip exponentiates only the
+columns where one of its rows is within BAND_DECAY of the largest row maximum, one
+node wider.  A box makes sum|u| sum|v| max(K) (200/pi) / sqrt(1 - rho^2) times the
+|u| K |v| mass, rho the x-y correlation in K: the bands leave out under 6.4e-19 /
+sqrt(1 - rho^2) of the mass, below the sum's rounding unless rho^2 > 0.9999.  The edge
+rows, and every row's edge columns, are evaluated in full for the edge check.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -28,6 +36,7 @@ from .errors import BoxTooSmallError, DomainError, NumericalFailureError
 from .kernels import KernelSpec, _integer, _positive, kernel_coefficients
 
 BOUNDARY_DECAY = 1e-16
+BAND_DECAY = 1e-20  # share of K's peak below which entries are skipped (module docstring)
 MAX_NODES = 4097  # top refinement level: a strip of about 512 KB at any level
 _PAD = 10.0  # box half-extent in units of 1/sqrt(marginal curvature)
 _STRIP_BYTES = 65 * 8192  # 64 rows at 1025 nodes, a whole block at 257
@@ -108,35 +117,58 @@ def _side(prim: Primitive, other: Primitive, kernel, axis: int, n: int, conjugat
     return t, phased, -_quad_weight(prim) * (t - _real_anchor(prim, axis)) ** 2 - conf * t**2
 
 
+def _bands(x, env_x, y, g: Primitive, kernel, axis: int):
+    """Each row's columns [lo, hi) within log(BAND_DECAY) of the largest row maximum of
+    log K, one node wider each side; lo = len(y), hi = 0 on a row wholly below."""
+    conf, pair = kernel_coefficients(kernel)
+    s, c = _quad_weight(g), _real_anchor(g, axis)
+    peak = (s * c + pair * x) / (s + conf + pair)  # row maxima of a concave quadratic
+    top = env_x - s * (peak - c) ** 2 - conf * peak**2 - pair * (x - peak) ** 2
+    reach = top - top.max() - math.log(BAND_DECAY)
+    half = np.sqrt(np.maximum(reach, 0.0) / (s + conf + pair))
+    lo = np.maximum(np.searchsorted(y, peak - half) - 1, 0)
+    hi = np.minimum(np.searchsorted(y, peak + half, "right") + 1, len(y))
+    lo[reach < 0.0], hi[reach < 0.0] = len(y), 0
+    return lo, hi
+
+
 def _quad_block(f: Primitive, g: Primitive, kernel, axis: int, n: int) -> complex:
     """u @ K @ v on one axis, K = exp(env_f(x)) exp(env_g(y) - pair (x - y)^2): the y
-    factor in row strips, the x factor a row scale on their products and maxima;
-    raises unless K decays at every box edge."""
+    factor in row strips over their rows' bands, the x factor a row scale on their
+    products and maxima; raises unless K decays at every box edge."""
     _, pair = kernel_coefficients(kernel)
     x, u, env_x = _side(f, g, kernel, axis, n, conjugate=False)
     y, v, env_y = _side(g, f, kernel, axis, n, conjugate=True)
     scale = np.exp(env_x)  # envelopes are <= 0: a factor underflows only where K does
     rows = max(1, _STRIP_BYTES // (8 * len(y)))
-    buffer = np.empty((min(rows, len(x)), len(y)))
-    mv, top = np.empty((len(x), 2)), np.empty(len(x))
+    starts = np.arange(0, len(x), rows)
+    bands = np.zeros_like(starts), np.full_like(starts, len(y))
+    if len(x) > 1 and len(y) > 1:  # a one-row or one-column block is full width
+        first, stop = _bands(x, env_x, y, g, kernel, axis)
+        bands = np.minimum.reduceat(first, starts), np.maximum.reduceat(stop, starts)
+    buffer = np.empty(min(rows, len(x)) * len(y))
+    mv, top = np.zeros((len(x), 2)), np.zeros(len(x))
     v = v.view(float).reshape(-1, 2)  # columns Re v, Im v: a real product
-    edge = 0.0
-    for lo in range(0, len(x), rows):
+    for lo, c0, c1 in zip(starts, *bands):
+        if c0 >= c1:  # every row of the strip is below the band
+            continue
         hi = min(lo + rows, len(x))
-        strip = buffer[:hi - lo]
-        strip[:] = y  # (y - x)^2 has the bits of (x - y)^2; x^2 + y^2 - 2xy would cancel
+        strip = buffer[:(hi - lo) * (c1 - c0)].reshape(hi - lo, -1)
+        strip[:] = y[c0:c1]  # (y - x)^2 has the bits of (x - y)^2; x^2 + y^2 - 2xy would cancel
         strip -= x[lo:hi, None]
         np.square(strip, out=strip)
         strip *= -pair
-        strip += env_y
+        strip += env_y[c0:c1]
         np.exp(strip, out=strip)
-        np.matmul(strip, v, out=mv[lo:hi])
+        np.matmul(strip, v[c0:c1], out=mv[lo:hi])
         strip.max(axis=1, out=top[lo:hi])
-        if len(y) > 1:  # first and last column
-            edge = max(edge, (strip[:, [0, -1]] * scale[lo:hi, None]).max())
+    if len(x) > 1:  # first and last row, in full
+        top[[0, -1]] = np.exp(env_y - pair * (y - x[[0, -1], None]) ** 2).max(axis=1)
     top *= scale
-    if len(x) > 1:  # first and last row
-        edge = max(edge, top[0], top[-1])
+    edge = max(top[0], top[-1]) if len(x) > 1 else 0.0
+    if len(y) > 1:  # first and last column of every row, in full
+        ends = np.exp(env_y[[0, -1]] - pair * (y[[0, -1]] - x[:, None]) ** 2)
+        edge = max(edge, (ends * scale[:, None]).max())
     peak = top.max()
     if peak > 0.0 and edge > BOUNDARY_DECAY * peak:
         raise BoxTooSmallError(
@@ -155,6 +187,8 @@ def _refine(level_value, spec):
     n = spec.nodes_per_axis
     for _ in range(spec.refinement_levels):
         history.append(level_value(n))
+        if not cmath.isfinite(history[-1]):
+            raise NumericalFailureError(f"quadrature at {n} nodes per axis is not finite")
         n = 2 * n - 1
     if len(history) == 1:
         return history[0], math.inf, history

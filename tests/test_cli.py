@@ -333,6 +333,16 @@ def test_oracle_verify():
     assert record["results"]["max_rel_error"] <= 1e-6
 
 
+def test_oracle_verify_non_finite_error_fails(monkeypatch, capsys):
+    # max(0.0, nan) is 0.0: a NaN quadrature printed max_rel_error 0.0 and passed
+    monkeypatch.setattr(cli, "quad_pair_overlap", lambda *args: (complex("nan"), math.nan))
+    assert main("oracle-verify --count 2".split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "type": "NumericalFailureError", "message": "oracle error on pair 0 is not finite"}
+
+
 def test_round_trip_reproducibility():
     first = record_of(run_cli("gram", "--random", "10", "--seed", "42"))
     # re-run from the embedded config alone

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import run_python
 from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError, ManifoldId,
-                         Packet, PlaneWave, StateExpr, TranslationKernel,
+                         NumericalFailureError, Packet, PlaneWave, StateExpr, TranslationKernel,
                          induced_metric, inner_product, kernel_value, overlap_matrix,
                          primitive_overlap)
 from statesphere.cli import _random_convergent_pair
@@ -132,6 +132,12 @@ class TestQuadPairOverlap:
         for f in (Packet((0.0,), 1.0), Delta((0.0,))):  # two free sides, then a delta side
             with pytest.raises(BoxTooSmallError):
                 quad_pair_overlap(f, Packet((0.0,), 1.0), K1)
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(1.0, math.inf)])
+    def test_non_finite_level_raises(self, bad):
+        # NaN compares False with everything, so the ladder returned (nan, nan, ...)
+        with pytest.raises(NumericalFailureError, match="at 257 nodes per axis is not finite"):
+            _refine(lambda n: bad, QuadratureSpec())
 
     def test_refinement_estimates_decrease(self, monkeypatch):
         # a deliberately wide box (half-width 65 / sqrt(8/3) = 39.8) keeps the
@@ -270,12 +276,12 @@ class TestQuadratureBlocks:
             _quad_pair_level(f, g, K1, 257)
 
 
-def _dense_block(f, g, kernel, n):
+def _dense_block(f, g, kernel, n, axis=0):
     """The whole block at once: u @ K @ v, the bound on its distance from the
     strips' value, and K's edge/peak ratio."""
     _, pair = kernel_coefficients(kernel)
-    x, u, env_x = _side(f, g, kernel, 0, n, conjugate=False)
-    y, v, env_y = _side(g, f, kernel, 0, n, conjugate=True)
+    x, u, env_x = _side(f, g, kernel, axis, n, conjugate=False)
+    y, v, env_y = _side(g, f, kernel, axis, n, conjugate=True)
     big_k = np.exp(env_x[:, None] - pair * (x[:, None] - y) ** 2 + env_y)
     edges = [big_k[:, [0, -1]].max() if len(y) > 1 else 0.0,
              big_k[[0, -1]].max() if len(x) > 1 else 0.0]
@@ -348,6 +354,76 @@ class TestBlockAgainstDense:
         scale = np.exp(env_x)
         assert scale.min() == 0.0 < scale.max()
         assert _check_against_dense(f, g, kernel, 257)
+
+
+class _CountingExp:
+    """numpy, with a count of the entries np.exp is asked for."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, a, *args, **kwargs):
+        self.entries += np.size(a)
+        return np.exp(a, *args, **kwargs)
+
+
+_FREE_PAIRS = sorted(name for name, ((f, g, _), *_) in _HISTORIES.items()
+                     if not isinstance(f, Delta) and not isinstance(g, Delta))
+
+
+class TestBand:
+    # the top default level, where the strips evaluate only their rows' bands of K
+
+    @pytest.mark.parametrize("name", sorted(_HISTORIES))
+    def test_top_level_matches_the_dense_block(self, name):
+        (f, g, kernel), *_ = _HISTORIES[name]
+        for axis in range(f.dimension):
+            value, bound, ratio = _dense_block(f, g, kernel, 1025, axis)
+            assert ratio < BOUNDARY_DECAY
+            assert abs(_quad_block(f, g, kernel, axis, 1025) - value) <= bound
+
+    @pytest.mark.parametrize("f, g, kernel", FAR_BOXES)
+    def test_far_box_top_level_matches_the_dense_block(self, f, g, kernel):
+        assert _check_against_dense(f, g, kernel, 1025)
+
+    @pytest.mark.parametrize("by", [-0.5, 0.5], ids=["last", "first"])
+    @pytest.mark.parametrize("moved", ["f", "g"], ids=["row", "column"])
+    def test_edges_are_read_outside_the_bands(self, monkeypatch, moved, by):
+        # one strip per row and bands that leave out the edge that the moved box
+        # cuts into the integrand: the edge check still reads it
+        f, g = Packet((0.3,), 0.7), Packet((-0.2,), 1.1)
+        side = f if moved == "f" else g
+
+        def moved_box(prim, other, kernel, axis):
+            lo, hi = _box(prim, other, kernel, axis)
+            shift = by * 0.5 * (hi - lo) if prim is side else 0.0
+            return lo + shift, hi + shift
+
+        def bands(x, env_x, y, *args):
+            lo, hi = np.ones(len(x), int), np.full(len(x), len(y) - 1)
+            if moved == "f":
+                lo[:], hi[:] = 0, len(y)
+                lo[[0, -1]], hi[[0, -1]] = len(y), 0
+            return lo, hi
+
+        monkeypatch.setattr("statesphere.oracle._STRIP_BYTES", 8 * 257)
+        monkeypatch.setattr("statesphere.oracle._bands", bands)
+        _quad_pair_level(f, g, K1, 257)  # the unmoved box passes
+        monkeypatch.setattr("statesphere.oracle._box", moved_box)
+        with pytest.raises(BoxTooSmallError, match="of its peak; enlarge the box"):
+            _quad_pair_level(f, g, K1, 257)
+
+    @pytest.mark.parametrize("name", _FREE_PAIRS)
+    def test_exponentiates_a_band(self, monkeypatch, name):
+        # the whole block would be d n^2 entries, plus O(n) for the sides and edges
+        (f, g, kernel), *_ = _HISTORIES[name]
+        counting = _CountingExp()
+        monkeypatch.setattr("statesphere.oracle.np", counting)
+        _quad_pair_level(f, g, kernel, 1025)
+        assert counting.entries <= 0.6 * f.dimension * 1025**2
 
 
 # median and maximum of |quad - closed| / |quad| over run_oracle_verify's draws at
