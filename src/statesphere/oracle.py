@@ -8,18 +8,18 @@ path, so the check stays independent.  One routine builds every block from
 two sides: a free primitive is Gauss-Legendre nodes on a box, a delta one
 node at its coordinate (substituted exactly, never a discretized spike).
 
-|integrand| = exp(env_f(x)) exp(env_g(y) - pair (x - y)^2): the y factor fills
-real row strips in one reused buffer of about 512 KB, the x factor scales rows
-and the phases e^{+-i p t} ride on the weights.  Each free side's box is
-centered on the real-part maximum of the quadratic exponent in its variable and
-sized from its curvature, so the integrand decays below 1e-16 of its peak at its edges.
+|integrand| = K = exp(env_f(x)) exp(-pair (y - x)^2) exp(env_g(y)): the middle factor
+fills real row strips in one reused buffer of about 512 KB, y - x as the product [1, -x] @
+[y; 1] (rounded once: products by 1 are exact); the outer factors and the phases
+e^{+-i p t} ride on the weights.  Each free side's box is centered on the real-part peak
+of the exponent in its variable and sized so K decays below 1e-16 of its peak at its edges.
 
 Along a row, log K is a concave quadratic in y, so a strip exponentiates only the
 columns where one of its rows is within BAND_DECAY of the largest row maximum, one
 node wider.  A box makes sum|u| sum|v| max(K) (200/pi) / sqrt(1 - rho^2) times the
 |u| K |v| mass, rho the x-y correlation in K: the bands leave out under 6.4e-19 /
-sqrt(1 - rho^2) of the mass, below the sum's rounding unless rho^2 > 0.9999.  The edge
-rows, and every row's edge columns, are evaluated in full for the edge check.
+sqrt(1 - rho^2) of the mass, below the sum's rounding unless rho^2 > 0.9999.  A row's
+largest node is one of the two either side of its maximum; the edge check reads K there.
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ class QuadratureSpec:
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n."""
     x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -118,8 +117,8 @@ def _side(prim: Primitive, other: Primitive, kernel, axis: int, n: int, conjugat
 
 
 def _bands(x, env_x, y, g: Primitive, kernel, axis: int):
-    """Each row's columns [lo, hi) within log(BAND_DECAY) of the largest row maximum of
-    log K, one node wider each side; lo = len(y), hi = 0 on a row wholly below."""
+    """Each row's maximum of log K in y, and its columns [lo, hi) within log(BAND_DECAY) of
+    the largest, one node wider each side; lo = len(y), hi = 0 on a row wholly below."""
     conf, pair = kernel_coefficients(kernel)
     s, c = _quad_weight(g), _real_anchor(g, axis)
     peak = (s * c + pair * x) / (s + conf + pair)  # row maxima of a concave quadratic
@@ -129,51 +128,58 @@ def _bands(x, env_x, y, g: Primitive, kernel, axis: int):
     lo = np.maximum(np.searchsorted(y, peak - half) - 1, 0)
     hi = np.minimum(np.searchsorted(y, peak + half, "right") + 1, len(y))
     lo[reach < 0.0], hi[reach < 0.0] = len(y), 0
-    return lo, hi
+    return lo, hi, peak
+
+
+def _rows(x, env_x, y, env_y, pair: float, peak=None):
+    """K on each row, evaluated as the whole block would be: every column or, given the
+    rows' maxima in y, the first, the two nodes either side of the maximum and the last."""
+    cols = (None, slice(None))
+    if peak is not None:  # log K is concave along a row: its largest node is one of the two
+        j = np.clip(np.searchsorted(y, peak), 1, len(y) - 1)[:, None]
+        cols = np.hstack([0 * j, j - 1, j, 0 * j + len(y) - 1])
+    return np.exp(env_x[:, None] - pair * (x[:, None] - y[cols]) ** 2 + env_y[cols])
+
+
+def _factors(x, y):
+    """[1, -x] and [y; 1], whose product is y - x rounded once: products by 1 are exact."""
+    return np.stack([np.ones_like(x), -x], axis=1), np.stack([y, np.ones_like(y)])
 
 
 def _quad_block(f: Primitive, g: Primitive, kernel, axis: int, n: int) -> complex:
-    """u @ K @ v on one axis, K = exp(env_f(x)) exp(env_g(y) - pair (x - y)^2): the y
-    factor in row strips over their rows' bands, the x factor a row scale on their
-    products and maxima; raises unless K decays at every box edge."""
+    """u @ K @ v on one axis: the middle factor of K in row strips over their rows' bands,
+    the outer ones on u and v, or K whole if one vector; raises unless K decays at its edges."""
     _, pair = kernel_coefficients(kernel)
     x, u, env_x = _side(f, g, kernel, axis, n, conjugate=False)
     y, v, env_y = _side(g, f, kernel, axis, n, conjugate=True)
-    scale = np.exp(env_x)  # envelopes are <= 0: a factor underflows only where K does
+    peak = None  # a one-node side: K is one vector, evaluated whole
+    if len(x) > 1 and len(y) > 1:
+        first, stop, peak = _bands(x, env_x, y, g, kernel, axis)
+    k = _rows(x, env_x, y, env_y, pair, peak)
+    top, most = k.max(axis=1), k.max()
+    edge = max(top[[0, -1]].max() * (len(x) > 1), k[:, [0, -1]].max() * (len(y) > 1))
+    if most > 0.0 and edge > BOUNDARY_DECAY * most:
+        raise BoxTooSmallError(
+            f"integrand at box edge is {edge / most:.2e} of its peak; enlarge the box")
+    if peak is None:
+        return complex(u @ k @ v)
     rows = max(1, _STRIP_BYTES // (8 * len(y)))
     starts = np.arange(0, len(x), rows)
-    bands = np.zeros_like(starts), np.full_like(starts, len(y))
-    if len(x) > 1 and len(y) > 1:  # a one-row or one-column block is full width
-        first, stop = _bands(x, env_x, y, g, kernel, axis)
-        bands = np.minimum.reduceat(first, starts), np.maximum.reduceat(stop, starts)
-    buffer = np.empty(min(rows, len(x)) * len(y))
-    mv, top = np.zeros((len(x), 2)), np.zeros(len(x))
-    v = v.view(float).reshape(-1, 2)  # columns Re v, Im v: a real product
-    for lo, c0, c1 in zip(starts, *bands):
+    left, right = _factors(x, y)
+    buffer, mv = np.empty(min(rows, len(x)) * len(y)), np.zeros((len(x), 2))
+    v = (v * np.exp(env_y)).view(float).reshape(-1, 2)  # columns Re v, Im v: a real product
+    for lo, c0, c1 in zip(starts, np.minimum.reduceat(first, starts),
+                          np.maximum.reduceat(stop, starts)):
         if c0 >= c1:  # every row of the strip is below the band
             continue
         hi = min(lo + rows, len(x))
         strip = buffer[:(hi - lo) * (c1 - c0)].reshape(hi - lo, -1)
-        strip[:] = y[c0:c1]  # (y - x)^2 has the bits of (x - y)^2; x^2 + y^2 - 2xy would cancel
-        strip -= x[lo:hi, None]
+        np.matmul(left[lo:hi], right[:, c0:c1], out=strip)  # y - x
         np.square(strip, out=strip)
         strip *= -pair
-        strip += env_y[c0:c1]
         np.exp(strip, out=strip)
         np.matmul(strip, v[c0:c1], out=mv[lo:hi])
-        strip.max(axis=1, out=top[lo:hi])
-    if len(x) > 1:  # first and last row, in full
-        top[[0, -1]] = np.exp(env_y - pair * (y - x[[0, -1], None]) ** 2).max(axis=1)
-    top *= scale
-    edge = max(top[0], top[-1]) if len(x) > 1 else 0.0
-    if len(y) > 1:  # first and last column of every row, in full
-        ends = np.exp(env_y[[0, -1]] - pair * (y[[0, -1]] - x[:, None]) ** 2)
-        edge = max(edge, (ends * scale[:, None]).max())
-    peak = top.max()
-    if peak > 0.0 and edge > BOUNDARY_DECAY * peak:
-        raise BoxTooSmallError(
-            f"integrand at box edge is {edge / peak:.2e} of its peak; enlarge the box")
-    return complex((u * scale) @ mv.view(complex)[:, 0])
+    return complex((u * np.exp(env_x)) @ mv.view(complex)[:, 0])
 
 
 def _quad_pair_level(f: Primitive, g: Primitive, kernel, n: int) -> complex:
@@ -183,8 +189,7 @@ def _quad_pair_level(f: Primitive, g: Primitive, kernel, n: int) -> complex:
 
 def _refine(level_value, spec):
     """Run the refinement ladder; returns (value, estimate, history)."""
-    history = []
-    n = spec.nodes_per_axis
+    history, n = [], spec.nodes_per_axis
     for _ in range(spec.refinement_levels):
         history.append(level_value(n))
         if not cmath.isfinite(history[-1]):
@@ -195,8 +200,7 @@ def _refine(level_value, spec):
     estimate = abs(history[-1] - history[-2])
     if len(history) >= 3:
         prev = abs(history[-2] - history[-3])
-        scale = max(abs(history[-1]), 1e-300)
-        if estimate > 10.0 * prev and estimate > 1e-6 * scale:
+        if estimate > 10.0 * prev and estimate > 1e-6 * max(abs(history[-1]), 1e-300):
             raise NumericalFailureError(
                 f"quadrature refinement is not converging "
                 f"(estimates {prev:.3e} -> {estimate:.3e})")
@@ -214,8 +218,7 @@ def quad_pair_overlap(f: Primitive, g: Primitive, kernel: KernelSpec,
         raise DomainError("dimension mismatch")
     level = functools.cache(lambda n: _quad_pair_level(f, g, kernel, n))
     delta_pair = isinstance(f, Delta) and isinstance(g, Delta)
-    value, estimate, _ = _refine(lambda n: level(1 if delta_pair else n), spec)
-    return value, estimate
+    return _refine(lambda n: level(1 if delta_pair else n), spec)[:2]
 
 
 def quad_inner_product(phi: StateExpr, psi: StateExpr, kernel: KernelSpec,
@@ -244,10 +247,7 @@ def finite_difference(f, at, directions: tuple[int, int], h: float) -> float:
     """
     h = _positive(h, "step")
     x0, y0 = (np.asarray(v, dtype=float) for v in at)
-    i, k = directions
-    ei = np.zeros_like(x0)
-    ek = np.zeros_like(y0)
-    ei[i] = h
-    ek[k] = h
+    ei, ek = np.zeros_like(x0), np.zeros_like(y0)
+    ei[directions[0]], ek[directions[1]] = h, h
     return (f(x0 + ei, y0 + ek) - f(x0 + ei, y0 - ek)
             - f(x0 - ei, y0 + ek) + f(x0 - ei, y0 - ek)) / (4.0 * h * h)

@@ -19,9 +19,10 @@ from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError, M
 from statesphere.cli import _random_convergent_pair
 from statesphere.kernels import _metric_reference, kernel_coefficients
 from statesphere.manifolds import ManifoldOverlap
-from statesphere.oracle import (_STRIP_BYTES, BOUNDARY_DECAY, QuadratureSpec, _box,
-                                _gauss_legendre, _nodes, _quad_block, _quad_pair_level, _refine,
-                                _side, finite_difference, quad_inner_product, quad_pair_overlap)
+from statesphere.oracle import (_STRIP_BYTES, BOUNDARY_DECAY, QuadratureSpec, _bands, _box,
+                                _factors, _gauss_legendre, _nodes, _quad_block, _quad_pair_level,
+                                _refine, _rows, _side, finite_difference, quad_inner_product,
+                                quad_pair_overlap)
 
 K1 = TranslationKernel(1.0)
 KC = ConfinedKernel(0.1, 1.0)
@@ -403,11 +404,12 @@ class TestBand:
             return lo + shift, hi + shift
 
         def bands(x, env_x, y, *args):
-            lo, hi = np.ones(len(x), int), np.full(len(x), len(y) - 1)
+            lo, hi, peak = _bands(x, env_x, y, *args)
+            lo[:], hi[:] = 1, len(y) - 1
             if moved == "f":
                 lo[:], hi[:] = 0, len(y)
                 lo[[0, -1]], hi[[0, -1]] = len(y), 0
-            return lo, hi
+            return lo, hi, peak
 
         monkeypatch.setattr("statesphere.oracle._STRIP_BYTES", 8 * 257)
         monkeypatch.setattr("statesphere.oracle._bands", bands)
@@ -424,6 +426,56 @@ class TestBand:
         monkeypatch.setattr("statesphere.oracle.np", counting)
         _quad_pair_level(f, g, kernel, 1025)
         assert counting.entries <= 0.6 * f.dimension * 1025**2
+
+
+# every axis of every recorded pair, and the boxes where the row scale underflows
+_ROW_CASES = [(f, g, kernel, axis) for (f, g, kernel), *_ in _HISTORIES.values()
+              for axis in range(f.dimension)] + [(f, g, kernel, 0) for f, g, kernel in FAR_BOXES]
+
+
+def _boxes(reach):
+    # node arrays as boxes place them: centres up to 120 from the origin, half-widths
+    # from 1e-3 to 50, with signed zeros mixed in
+    return st.tuples(_coordinates(reach), st.floats(1e-3, 50.0)).flatmap(
+        lambda box: st.lists(st.one_of(st.floats(box[0] - box[1], box[0] + box[1]),
+                                       st.sampled_from([0.0, -0.0])), min_size=2, max_size=40))
+
+
+class TestStripKernel:
+    @pytest.mark.parametrize("n", [257, 513, 1025])
+    def test_two_nodes_give_the_dense_row_maxima(self, n):
+        # the edge check reads each row's maximum from the two nodes either side of the
+        # row's maximum in y, and K on the edge columns: the bits of the whole K's row
+        # maxima and edge columns, so it reads the same edge and peak
+        for f, g, kernel, axis in _ROW_CASES:
+            _, pair = kernel_coefficients(kernel)
+            x, _, env_x = _side(f, g, kernel, axis, n, conjugate=False)
+            y, _, env_y = _side(g, f, kernel, axis, n, conjugate=True)
+            big_k = np.exp(env_x[:, None] - pair * (x[:, None] - y) ** 2 + env_y)  # as dense
+            free = len(x) > 1 and len(y) > 1
+            k = _rows(x, env_x, y, env_y, pair,
+                      _bands(x, env_x, y, g, kernel, axis)[2] if free else None)
+            np.testing.assert_array_equal(k.max(axis=1), big_k.max(axis=1))
+            np.testing.assert_array_equal(k[:, [0, -1]], big_k[:, [0, -1]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_boxes(120.0), _boxes(120.0), st.data())
+    def test_rank_two_product_is_the_difference(self, x, y, data):
+        # a strip's product [1, -x][lo:hi] @ [y; 1][:, c0:c1], as the block forms it, has the
+        # bits of y - x; + 0.0 maps -0 to +0 and nothing else, as the strip squares next,
+        # since a BLAS sum from +0 gives -0 - +0 as +0
+        x, y = np.array(x), np.array(y)
+        lo, hi = sorted(data.draw(st.lists(st.integers(0, len(x)), min_size=2, max_size=2,
+                                           unique=True)))
+        c0, c1 = sorted(data.draw(st.lists(st.integers(0, len(y)), min_size=2, max_size=2,
+                                           unique=True)))
+        left, right = _factors(x, y)
+        got = np.empty((hi - lo, c1 - c0))
+        np.matmul(left[lo:hi], right[:, c0:c1], out=got)
+        want = y[None, c0:c1] - x[lo:hi, None]
+        np.testing.assert_array_equal((got + 0.0).view(np.int64), (want + 0.0).view(np.int64))
+        np.testing.assert_array_equal(np.square(got).view(np.int64),
+                                      np.square(want).view(np.int64))
 
 
 # median and maximum of |quad - closed| / |quad| over run_oracle_verify's draws at
