@@ -29,6 +29,7 @@ from .kernels import (MAX_DIMENSION, KernelSpec, Vec, _formed, _positive, _shown
 
 IMAG_RESIDUE_TOL = 1e-10
 CONDITION_CAP = 1e12
+_NEAR_SINGULAR = f"quadratic form is near singular (condition number above {CONDITION_CAP:g})"
 
 
 def _finite_complex(z, name: str) -> complex:
@@ -374,16 +375,20 @@ class StateExpr:
 
 def _joined_slots(a: StateExpr, b: StateExpr) -> tuple:
     """Per slot the bases of a and b joined and the rows of a's terms, then b's, in
-    them, with whether both states are whole: what `blend` shares across weights."""
+    them, with whether both states are whole: what `_blended` shares across weights."""
     if (a.arity, a.dimension) != (b.arity, b.dimension):
         raise DomainError("all terms of a state must have the same arity and dimension")
     return (*zip(*map(_joined, a.bases, a.indices, b.bases, b.indices)), a._whole and b._whole)
 
 
-def blend(wa, a: StateExpr, wb, b: StateExpr, slots: tuple | None = None) -> StateExpr:
+def blend(wa, a: StateExpr, wb, b: StateExpr) -> StateExpr:
     """Linear combination wa*a + wb*b of two expressions of equal arity and
-    dimension, each slot's bases joined: `slots`, if given, is the
-    `_joined_slots(a, b)` of many blends.  A mismatch is rejected."""
+    dimension, each slot's bases joined.  A mismatch is rejected."""
+    return _blended(wa, a, wb, b)
+
+
+def _blended(wa, a: StateExpr, wb, b: StateExpr, slots: tuple | None = None) -> StateExpr:
+    """`blend` over `slots`, if given: the `_joined_slots(a, b)` of many blends."""
     wa = _finite_complex(wa, "weight")
     wb = _finite_complex(wb, "weight")
     coeffs = [wa * c for c in a.coeffs.tolist()] + [wb * c for c in b.coeffs.tolist()]
@@ -411,38 +416,36 @@ def _check_form_matrix(a: np.ndarray):
         raise DomainError("real part of the quadratic form is not positive definite")
     cond = np.linalg.cond(a) if np.count_nonzero(a.imag) else eigenvalues[-1] / eigenvalues[0]
     if cond > CONDITION_CAP:
-        raise NumericalFailureError(
-            f"quadratic form is near singular (condition number above {CONDITION_CAP:g})")
+        raise NumericalFailureError(_NEAR_SINGULAR)
 
 
-def _free_pair_margin(s_f: float, s_g: float, kernel: KernelSpec) -> float:
-    """det(M) / 4 = (conf + pair + s_f)(conf + pair + s_g) - pair^2 of the per-axis
-    matrix M of two free factors (s = 0 for a plane wave), formed without cancellation
-    (0 for two plane waves under a translation kernel); `DivergenceError` unless > 0."""
+def _check_free_pairs(s_f: list, s_g: list, kernel: KernelSpec):
+    """The one rule for whether free pairs' forms are usable: per distinct pair of the
+    floats `s_f` (rows) and `s_g` (columns; 0 a plane wave's), row by row, the per-axis
+    M = 2 [[conf + pair + s_f, -pair], [-pair, conf + pair + s_g]] needs det(M) / 4 =
+    (conf + s_f)(conf + pair + s_g) + pair (conf + s_g) > 0, formed without cancellation,
+    else `DivergenceError`, and cond(M) = lambda_max^2 / det(M) <= CONDITION_CAP, taken on
+    M over its largest entry so that no product overflows, else `NumericalFailureError`."""
     conf, pair = kernel_coefficients(kernel)
-    margin = (conf + s_f) * (conf + pair + s_g) + pair * (conf + s_g)
-    if margin <= 0.0:
-        f_kind, g_kind = ("Packet" if s else "PlaneWave" for s in (s_f, s_g))
-        raise DivergenceError(f"inner product of {f_kind} and {g_kind} diverges "
-                              f"under {type(kernel).__name__}")
-    return margin
+    for f in dict.fromkeys(s_f):
+        for g in dict.fromkeys(s_g):
+            if (conf + f) * (conf + pair + g) + pair * (conf + g) <= 0.0:
+                f_kind, g_kind = ("Packet" if s else "PlaneWave" for s in (f, g))
+                raise DivergenceError(f"inner product of {f_kind} and {g_kind} diverges "
+                                      f"under {type(kernel).__name__}")
+            a, b = conf + pair + f, conf + pair + g
+            top = max(a, b)
+            a, b, p = a / top, b / top, pair / top
+            det = (conf + f) / top * b + p * ((conf + g) / top)  # det(M / (2 top))
+            largest = 0.5 * (a + b) + math.hypot(0.5 * (a - b), p)
+            if largest * largest > CONDITION_CAP * det:
+                raise NumericalFailureError(_NEAR_SINGULAR)
 
 
-def _integrals(a: np.ndarray, b: np.ndarray, c: list, prior=None) -> list:
-    """`gaussian_integral` of a stack of forms, complex A (m, n, n) and b (m, n), n > 0,
-    and constants c, each with its lone form's bits: LAPACK runs form by form, matmul
-    dots as np.dot, math.prod from 1 multiplies as np.prod.  The first failing form
-    raises, after `prior(k)`, if given: an earlier check of form k."""
-    try:
-        eigenvalues = np.linalg.eigvalsh(a.real).tolist()  # ascending
-        real = not np.count_nonzero(a.imag)  # a complex A's condition takes an SVD
-    except np.linalg.LinAlgError:  # a non-finite form
-        eigenvalues, real = [[1.0]] * len(a), False
-    for k, values in enumerate(eigenvalues):
-        if prior:
-            prior(k)
-        if not (real and values[0] > 0.0 and values[-1] / values[0] <= CONDITION_CAP):
-            _check_form_matrix(a[k])  # raises, unless a complex form passes
+def _integrals(a: np.ndarray, b: np.ndarray, c: list) -> list:
+    """`gaussian_integral` of a stack of checked forms, complex A (m, n, n) and b (m, n),
+    n > 0, and constants c, each with its lone form's bits: LAPACK runs form by form,
+    matmul dots as np.dot, math.prod from 1 multiplies as np.prod."""
     roots = np.sqrt(np.linalg.eigvals(a)).tolist()
     dots = (b[:, None, :] @ np.linalg.solve(a, b[:, :, None])).ravel().tolist()
     scale = (2.0 * math.pi) ** (b.shape[1] / 2.0)
@@ -451,8 +454,8 @@ def _integrals(a: np.ndarray, b: np.ndarray, c: list, prior=None) -> list:
 
 
 def gaussian_integral(form: QuadForm) -> complex:
-    """Closed-form value of the canonical Gaussian integral: the one-form case of
-    `_integrals`.
+    """Closed-form value of the canonical Gaussian integral: `_check_form_matrix`
+    on the arbitrary form, then the one-form case of `_integrals`.
 
     The determinant square root multiplies the principal square roots of the
     eigenvalues of A.  With Re(A) positive definite every eigenvalue lies in
@@ -468,6 +471,7 @@ def gaussian_integral(form: QuadForm) -> complex:
     if form.n == 0:
         return complex(np.exp(form.constant))
     a = np.asarray(form.matrix, dtype=complex)
+    _check_form_matrix(a)
     return _integrals(a[None], np.asarray(form.linear, dtype=complex)[None], [form.constant])[0]
 
 
@@ -492,7 +496,8 @@ def compile_pair(f: Primitive, g: Primitive, kernel: KernelSpec) -> QuadForm:
     """Compile the inner-product integrand k(x,y) f(x) conj(g(y)) to canonical form.
 
     Deltas substitute their centers exactly: the form has dimension 2d when
-    both factors are free, d when one is a delta, and 0 when both are.
+    both factors are free, d when one is a delta, and 0 when both are.  A free
+    pair must pass `_check_free_pairs`.
     """
     if f.dimension != g.dimension:
         raise DomainError(f"dimension mismatch between {f!r} and {g!r}")
@@ -515,7 +520,7 @@ def compile_pair(f: Primitive, g: Primitive, kernel: KernelSpec) -> QuadForm:
         b = 2.0 * pair * anchor + lin[0]
         c = -(conf + pair) * float(np.dot(anchor, anchor)) + const[0]
         return QuadForm(a.astype(complex), b.astype(complex), complex(c))
-    _free_pair_margin(sides[0][3][0], sides[1][3][0], kernel)
+    _check_free_pairs(sides[0][3], sides[1][3], kernel)
     a, b, c = _free_forms(sides[0][2], sides[1][2], conf, pair)
     return QuadForm(a[0], b[0], c[0])
 
@@ -556,20 +561,17 @@ _blocks: dict = {}
 
 
 def _free_block(f_split, g_split, kernel: KernelSpec) -> np.ndarray:
-    """Free-free overlaps of two `Basis.split`s, the forms of `compile_pair` in one
-    `_integrals` stack: its bits, and the first failing pair's error, row by row.
-    Memoised by value, a copy returned; errors are raised again on every call."""
+    """Free-free overlaps of two `Basis.split`s: `_check_free_pairs` once, then the
+    forms of `compile_pair` in one `_integrals` stack, with their bits.  Memoised by
+    value, a copy returned; errors are raised again on every call."""
     conf, pair = kernel_coefficients(kernel)
     (f_profile, f_keys, f_tag), (g_profile, g_keys, g_tag) = f_split[2:], g_split[2:]
     key = f_tag, g_tag, conf, pair
     entries = _blocks.get(key)
     if entries is None:
-        columns = len(g_keys)
-        entries = np.array(_integrals(
-            *_free_forms(f_profile, g_profile, conf, pair),
-            lambda k: _free_pair_margin(f_keys[k // columns], g_keys[k % columns], kernel)
-        )).reshape(-1, columns)
-        _store(_blocks, key, entries, _BLOCK_MEMO_SIZE)
+        _check_free_pairs(f_keys, g_keys, kernel)
+        entries = np.array(_integrals(*_free_forms(f_profile, g_profile, conf, pair)))
+        entries = _store(_blocks, key, entries.reshape(-1, len(g_keys)), _BLOCK_MEMO_SIZE)
     return entries.copy()
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import (Basis, Delta, Packet, StateExpr, _clamp_norm, _finite_complex,
-                      _joined_slots, blend, overlap_matrix)
+                      _blended, _joined_slots, blend, overlap_matrix)
 from .errors import DomainError, NumericalFailureError
 from .geometry import (GeodesicPath, SphereState, _alignment, _arc, _unit_scale, collapse_time,
                        geodesic_at, geodesic_between, normalize)
@@ -281,7 +281,7 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     arrived, split, aimed = normalized([arrival, blend(c1, slit1, c2, slit2), target])
     # refraction: packet -> normalized two-slit superposition, the endpoints' bases joined once
     slots = _joined_slots(arrived.expr, split.expr)
-    refraction = [arrived, *normalized([blend(1.0 - t, arrived.expr, t, split.expr, slots)
+    refraction = [arrived, *normalized([_blended(1.0 - t, arrived.expr, t, split.expr, slots)
                                         for t in ts]), split]
     theta, phase, factor = _alignment(_overlaps(gram, [(split.expr, aimed.expr)])[0])
     aligned = SphereState(aimed.expr.scaled(factor), _SLIT_KERNEL, aimed.raw_norm)

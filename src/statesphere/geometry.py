@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .algebra import StateExpr, _joined_slots, blend, inner_product, norm_sq
+from .algebra import StateExpr, _blended, _joined_slots, inner_product, norm_sq
 from .errors import DomainError, GeodesicUndeterminedError
 from .kernels import KernelSpec, _positive, as_vec
 
@@ -146,8 +146,8 @@ def geodesic_at(path: GeodesicPath, t: float) -> SphereState:
     if theta < _DEGENERATE_ANGLE:
         return path.start
     sin_theta = math.sin(theta)
-    mixed = blend(math.sin((1.0 - t) * theta) / sin_theta, path.start.expr,
-                  math.sin(t * theta) / sin_theta, path.end_aligned.expr, path._slots)
+    mixed = _blended(math.sin((1.0 - t) * theta) / sin_theta, path.start.expr,
+                     math.sin(t * theta) / sin_theta, path.end_aligned.expr, path._slots)
     return SphereState(mixed, path.start.kernel, raw_norm=1.0)
 
 

@@ -15,10 +15,9 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (Basis, Delta, PlaneWave, StateExpr, _check_form_matrix,
-                      _free_pair_margin, _stacked, overlap_matrix)
+from .algebra import Basis, Delta, PlaneWave, StateExpr, _check_free_pairs, _stacked, overlap_matrix
 from .errors import DomainError
-from .geometry import SphereState, normalize
+from .geometry import SphereState, _arc, normalize
 from .kernels import KernelSpec, _finite, _integer, as_vec, kernel_coefficients
 
 _TIE_TOL = 1e-9  # relative to the compared overlaps
@@ -117,19 +116,19 @@ def _normalize_box(box, axes: int):
     return out
 
 
-def _slot_exponents(basis: Basis, target: type, kernel: KernelSpec, margins: dict):
+def _slot_exponents(basis: Basis, target: type, kernel: KernelSpec):
     """Per primitive of one slot basis, (alpha, beta, gamma) with
     log(<prim, m(t)> / ||m(t)||) = alpha + beta.t + gamma |t|^2 for a delta or
     plane-wave target m(t): the closed forms of `compile_pair` and
     `gaussian_integral`, the deltas and the free primitives each in one
     broadcast, since the per-axis matrix M depends on s alone (0 a plane wave's).
-    `margins` maps each free s to its checked det(M) / 4 against a plane wave,
-    the target norm's to 0.0."""
+    Against a plane wave, det(M) / 4 = (conf + s)(conf + pair) + pair conf, as
+    `_check_free_pairs` forms it, which must have passed it for every free s and 0."""
     conf, pair = kernel_coefficients(kernel)
-    (n, d), (deltas, free, (s, lin, const), keys, _) = basis.center.shape, basis.split(False)
+    (n, d), (deltas, free, (s, lin, const), *_) = basis.center.shape, basis.split(False)
     alpha, beta, gamma = np.empty(n, dtype=complex), np.empty((n, d), dtype=complex), np.empty(n)
     if target is PlaneWave:  # log ||w_t|| = norm_alpha + norm_gamma |t|^2
-        norm_alpha = 0.25 * d * math.log(math.pi**2 / margins[0.0])
+        norm_alpha = 0.25 * d * math.log(math.pi**2 / (conf * (conf + pair) + pair * conf))
         norm_gamma = -1.0 / (4.0 * (conf + 2.0 * pair))
     if len(deltas):
         u = basis.center[deltas]
@@ -149,7 +148,7 @@ def _slot_exponents(basis: Basis, target: type, kernel: KernelSpec, margins: dic
             beta[free] = (2.0 * pair / m)[:, None] * lin
             gamma[free] = -pair * (conf + s) / (conf + pair + s)
         else:
-            margin = np.array([margins[key] for key in keys])
+            margin = (conf + s) * (conf + pair) + pair * conf
             alpha[free] = (0.5 * d * np.log(math.pi**2 / margin)
                            + (conf + pair) * lin_sq / (4.0 * margin) + const - norm_alpha)
             beta[free] = (-0.5j * pair / margin)[:, None] * lin
@@ -172,8 +171,9 @@ class ManifoldOverlap:
     padding can move the last bit of long or multi-axis rows only.
     Compiling raises the errors of the term-by-term `inner_product` and
     `hilbert_norm` in the same order: only a 2x2 M against a plane wave can
-    fail, checked once per distinct free s, the target norm's last;
-    a basis row no term uses (see `StateExpr.from_arrays`) is checked too.
+    fail, and `_check_free_pairs` checks [each distinct free s, in slot and row
+    order, then 0.0 for the target norm] x [0.0]; a basis row no term uses (see
+    `StateExpr.from_arrays`) is checked too.
     """
 
     def __init__(self, exprs, kernel: KernelSpec, manifold: ManifoldId):
@@ -189,16 +189,11 @@ class ManifoldOverlap:
         rows = [np.concatenate([start[e.bases[k]] + e.indices[k] for e in exprs])
                 for k, start in enumerate(starts)]
         bases = [slot[0] if len(slot) == 1 else _stacked(slot) for slot in bases]
-        margins = {}
         if manifold.primitive is PlaneWave:
-            conf, pair = kernel_coefficients(kernel)
-            free = [s for basis in bases for s in basis.split(False)[3]]
-            for s in dict.fromkeys(free + [0.0]):
-                margins[s] = _free_pair_margin(s, 0.0, kernel)
-                _check_form_matrix(2.0 * np.array([[conf + pair + s, -pair],
-                                                   [-pair, conf + pair]]))
+            _check_free_pairs([s for basis in bases for s in basis.split(False)[3]] + [0.0],
+                              [0.0], kernel)
         alphas, betas, gammas = zip(*([x[r] for x in _slot_exponents(
-            basis, manifold.primitive, kernel, margins)] for basis, r in zip(bases, rows)))
+            basis, manifold.primitive, kernel)] for basis, r in zip(bases, rows)))
         self.axes = arity * dimension
         # a last term, alpha = -inf and beta = gamma = 0, pads each state with exact zeros
         # to the width, at least 2: numpy rounds a one-column product on another path
@@ -330,7 +325,7 @@ def nearest_classical_points(states, manifold: ManifoldId, box,
 
     d, final = states[0].expr.dimension, [min(1.0, max(0.0, v)) for v in value.tolist()]
     return [ProjectionResult(point=(tuple(p[:d]), tuple(p[d:])) if manifold.is_pair else tuple(p),
-                             overlap=f, residual_angle=math.acos(f), iterations=n, tie=t)
+                             overlap=f, residual_angle=_arc(f), iterations=n, tie=t)
             for p, f, n, t in zip(points.tolist(), final, evals.tolist(), tie.tolist())]
 
 
@@ -354,4 +349,4 @@ def manifold_separation(params, manifold_a: ManifoldId, manifold_b: ManifoldId,
     overlap = ManifoldOverlap(state_a.expr, kernel, manifold_b)
     grids = [np.linspace(lo, hi, resolution) for lo, hi in _normalize_box(box, overlap.axes)]
     best = max(float(np.abs(values).max()) for _, values in overlap.grid(grids))
-    return math.acos(min(1.0, best))
+    return _arc(best)

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
@@ -15,6 +15,7 @@ from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
                          gaussian_integral, inner_product, l2_inner_product,
                          normalize, overlap_matrix, primitive_overlap, compile_pair)
 from statesphere import ManifoldId, algebra
+from statesphere.kernels import kernel_coefficients
 from statesphere.manifolds import ManifoldOverlap
 from statesphere.oracle import QuadratureSpec, quad_inner_product, quad_pair_overlap
 
@@ -98,6 +99,13 @@ class TestTypes:
             inner_product(single, pair, K1)
         with pytest.raises(DomainError):
             blend(1.0, single, 1.0, pair)
+
+    def test_blend_takes_four_arguments(self):
+        # joined bases are `_blended`'s; `blend` would use any it were given, silently
+        packet, wave = StateExpr.single(Packet((0.0,), 1.0)), StateExpr.single(PlaneWave((1.0,)))
+        with pytest.raises(TypeError):
+            blend(1.0, StateExpr.single(Delta((0.0,))), 1.0, StateExpr.single(Delta((1.0,))),
+                  algebra._joined_slots(packet, wave))
 
     def test_rejects_dimension_above_three(self):
         with pytest.raises(DomainError):
@@ -205,6 +213,58 @@ class TestGaussianIntegral:
         f, g = (side[kind] for side, kind in zip((first, second), kinds.split("-")))
         value = gaussian_integral(compile_pair(f, g, kernel))
         assert (value.real.hex(), value.imag.hex()) == (real, imag)
+
+
+def _decades(low: float, high: float):
+    """Hypothesis strategy: 10**x for x drawn from [low, high]."""
+    return st.floats(low, high).map(lambda x: 10.0**x)
+
+
+class TestFreePairRule:
+    """`_check_free_pairs`, the one rule for the per-axis matrix M of two free factors."""
+
+    def test_near_singular_pair_is_a_numerical_failure(self):
+        # det(M) / 4 = conf (conf + 2 pair) > 0 and cond(M) ~ 2e17: near singular, not
+        # invalid, though LAPACK's smallest eigenvalue of M comes out <= 0
+        kernel, waves = ConfinedKernel(1e-17, 1.0), (PlaneWave((0.1,)), PlaneWave((0.2,)))
+        for evaluate in (primitive_overlap, compile_pair):
+            with pytest.raises(NumericalFailureError, match="near singular"):
+                evaluate(*waves, kernel)
+
+    @pytest.mark.parametrize("other, kernel", [(Packet((0.0,), 1e-5), K1),
+                                               (PlaneWave((0.0,)), KC)], ids=["packet", "wave"])
+    def test_extreme_width_is_a_numerical_failure(self, other, kernel):
+        # s = 2.5e299: det(M) formed unscaled overflows to inf, and lambda_max^2 / inf
+        # would pass the cap
+        with pytest.raises(NumericalFailureError, match="near singular"):
+            primitive_overlap(Packet((0.0,), 1e-150), other, kernel)
+
+    @settings(max_examples=500, deadline=None)
+    @given(kernel=st.one_of(st.builds(TranslationKernel, _decades(-5.0, 5.0)),
+                            st.builds(ConfinedKernel, _decades(-20.0, 4.0), _decades(-10.0, 10.0))),
+           s=st.lists(st.one_of(st.just(0.0), _decades(-300.0, 300.0)), min_size=2, max_size=2),
+           d=st.integers(1, 3))
+    def test_decides_as_the_eigenvalues(self, kernel, s, d):
+        # the rule against `_check_form_matrix` on the form's matrix M (x) I_d: both pass,
+        # or both raise, the rule DivergenceError where det(M) <= 0 and NumericalFailureError
+        # elsewhere, also where LAPACK's smallest eigenvalue is <= 0.  M's entries are
+        # rounded sums, so near the cap cond(M) is known to about 2 eps cond = 2e-4
+        # (relative), and draws within 1e-3 of it are skipped
+        (conf, pair), (s_f, s_g) = kernel_coefficients(kernel), s
+        m = 2.0 * np.array([[conf + pair + s_f, -pair], [-pair, conf + pair + s_g]])
+        try:
+            with np.errstate(all="ignore"):  # an eigenvalue ratio or cond may overflow to inf
+                assume(not abs(np.linalg.cond(m) / algebra.CONDITION_CAP - 1.0) < 1e-3)
+                algebra._check_form_matrix(np.kron(m, np.eye(d)).astype(complex))
+            want = None
+        except (DomainError, NumericalFailureError):
+            singular = (conf + s_f) * (conf + pair + s_g) + pair * (conf + s_g) <= 0.0
+            want = DivergenceError if singular else NumericalFailureError
+        if want is None:
+            algebra._check_free_pairs([s_f], [s_g], kernel)
+        else:
+            with pytest.raises(want):
+                algebra._check_free_pairs([s_f], [s_g], kernel)
 
 
 def _random_symmetric(rng, n):

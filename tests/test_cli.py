@@ -520,6 +520,13 @@ def test_numerical_failure_exit_code_three():
     assert error["error"]["type"] == "DivergenceError"
 
 
+def test_near_singular_waves_exit_code_three():
+    # det(M) / 4 = conf (conf + 2 pair) > 0: a near singular form, not invalid input
+    cp = run_cli("distance", "--kernel", "confined:1e-17,1", "--wave", "0.1", "--wave", "0.2")
+    assert cp.returncode == 3
+    assert json.loads(cp.stderr)["error"]["type"] == "NumericalFailureError"
+
+
 def test_unknown_flag_rejected():
     cp = run_cli("constants", "--bogus")
     assert cp.returncode == 2

@@ -415,6 +415,8 @@ class TestManifoldOverlap:
     @pytest.mark.parametrize("kernel, error", [
         (K1, DivergenceError),
         (ConfinedKernel(1e-13, 1.0), NumericalFailureError),
+        # det(M) > 0, but LAPACK's smallest eigenvalue of the target norm's M is <= 0
+        (ConfinedKernel(1e-17, 1.0), NumericalFailureError),
     ])
     def test_momentum_errors_match(self, kernel, error):
         # a delta reaches the error through the target norm, a plane wave
