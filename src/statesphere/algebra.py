@@ -203,26 +203,33 @@ class Basis:
                                       self.width.tolist(), self.momentum.tolist())]
 
     def split(self, conjugate: bool):
-        """Delta rows, free rows, and the free rows' profile (s, linear vector,
-        constant) of exp(...), their s as floats and the profile's bytes (a key
-        by value), the conjugated side's if `conjugate`; once per basis and side,
-        from the parts both sides share (memo key None).  A packet's profile is
-        (s, 2 s mu +- i p, -s |mu|^2), a plane wave's (0, +- i p, 0)."""
+        """Delta rows, free rows, and the free rows' profile (s, linear vector, constant)
+        of exp(...), their s as floats and the profile's bytes (a key by value), the
+        conjugated side's if `conjugate`; once per basis and side, from the parts both
+        sides share (memo key None).  A packet's profile is (s, 2 s mu +- i p, -s |mu|^2),
+        finite or `NumericalFailureError`; a plane wave's is (0, +- i p, 0)."""
         if conjugate not in self._memo:
             if None not in self._memo:
                 free = self.kind.nonzero()[0]
                 shared = (self.kind == 0).nonzero()[0], free
                 if len(free):
-                    s, mu, kind = self.s[free], self.center[free], self.kind[free]
-                    const = np.where(kind == 2, -s * (mu[:, None, :] @ mu[:, :, None])[:, 0, 0], 0.0)
-                    shared += s, mu, kind == 2, const, s.tolist()
+                    s, mu, packet = self.s[free], self.center[free], self.kind[free] == 2
+                    scaled = const = 0.0  # a plane wave's 2 s mu and -s |mu|^2
+                    if packet.any():
+                        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                            scaled = (2.0 * s)[:, None] * mu  # inf * 0 is NaN: checks 2 s too
+                            const = -s * (mu[:, None] @ mu[..., None])[:, 0, 0]
+                        if not (np.isfinite(scaled).all() and np.isfinite(const).all()):
+                            raise NumericalFailureError("a packet's profile is not finite: 2 s, "
+                                                        "2 s center or s |center|^2 overflows")
+                    shared += s, scaled, packet, np.where(packet, const, 0.0), s.tolist()
                 _store(self._memo, None, shared)
             deltas, free, *shared = self._memo[None]
             profile, keys, tag = (None,) * 3, [], None
             if len(free):
-                s, mu, packet, const, keys = shared
+                s, scaled, packet, const, keys = shared
                 wave = 1j * (-1.0 if conjugate else 1.0) * self.momentum[free]
-                lin = np.where(packet[:, None], (2.0 * s)[:, None] * mu + wave, wave)
+                lin = np.where(packet[:, None], scaled + wave, wave)
                 profile, tag = (s, lin, const), (s.tobytes(), lin.tobytes(), const.tobytes())
             _store(self._memo, conjugate, (deltas, free, profile, keys, tag))
         return self._memo[conjugate]

@@ -118,41 +118,32 @@ def _normalize_box(box, axes: int):
 
 def _slot_exponents(basis: Basis, target: type, kernel: KernelSpec):
     """Per primitive of one slot basis, (alpha, beta, gamma) with
-    log(<prim, m(t)> / ||m(t)||) = alpha + beta.t + gamma |t|^2 for a delta or
-    plane-wave target m(t): the closed forms of `compile_pair` and
-    `gaussian_integral`, the deltas and the free primitives each in one
-    broadcast, since the per-axis matrix M depends on s alone (0 a plane wave's).
-    Against a plane wave, det(M) / 4 = (conf + s)(conf + pair) + pair conf, as
-    `_check_free_pairs` forms it, which must have passed it for every free s and 0."""
+    log(<prim, m(t)> / ||m(t)||) = alpha + beta.t + gamma |t|^2: against a delta, the
+    closed forms of `compile_pair` and `gaussian_integral`, the deltas and the free
+    primitives each in one broadcast; against a plane wave w_t, the integral over y of
+    exp(i t.y) delta_y, their Gaussian integral, with g = conf - gamma > 0 where
+    `_check_free_pairs` passed every free s, and 0, against 0, less log ||w_t|| =
+    d/4 log(pi^2 / (conf (conf + 2 pair))) - |t|^2 / (4 (conf + 2 pair))."""
     conf, pair = kernel_coefficients(kernel)
     (n, d), (deltas, free, (s, lin, const), *_) = basis.center.shape, basis.split(False)
     alpha, beta, gamma = np.empty(n, dtype=complex), np.empty((n, d), dtype=complex), np.empty(n)
-    if target is PlaneWave:  # log ||w_t|| = norm_alpha + norm_gamma |t|^2
-        norm_alpha = 0.25 * d * math.log(math.pi**2 / (conf * (conf + pair) + pair * conf))
-        norm_gamma = -1.0 / (4.0 * (conf + 2.0 * pair))
-    if len(deltas):
+    if len(deltas):  # against a plane wave alpha already has + beta.beta / (4 g): it cancels
         u = basis.center[deltas]
         uu = (u * u).sum(axis=1)
-        if target is Delta:
-            alpha[deltas], beta[deltas], gamma[deltas] = -(conf + pair) * uu, 2.0 * pair * u, -pair
-        else:
-            alpha[deltas] = (0.5 * d * math.log(math.pi / (conf + pair))
-                             - conf * (conf + 2.0 * pair) / (conf + pair) * uu - norm_alpha)
-            beta[deltas] = -1j * pair / (conf + pair) * u
-            gamma[deltas] = -1.0 / (4.0 * (conf + pair)) - norm_gamma
+        k = conf * (conf + 2.0 * pair) / (conf + pair) if target is PlaneWave else conf + pair
+        alpha[deltas], beta[deltas], gamma[deltas] = -k * uu, 2.0 * pair * u, -pair
     if len(free):
-        lin_sq = (lin * lin).sum(axis=1)
-        if target is Delta:
-            m = 2.0 * (conf + pair + s)
-            alpha[free] = 0.5 * d * np.log(2.0 * math.pi / m) + lin_sq / (2.0 * m) + const
-            beta[free] = (2.0 * pair / m)[:, None] * lin
-            gamma[free] = -pair * (conf + s) / (conf + pair + s)
-        else:
-            margin = (conf + s) * (conf + pair) + pair * conf
-            alpha[free] = (0.5 * d * np.log(math.pi**2 / margin)
-                           + (conf + pair) * lin_sq / (4.0 * margin) + const - norm_alpha)
-            beta[free] = (-0.5j * pair / margin)[:, None] * lin
-            gamma[free] = -(conf + pair + s) / (4.0 * margin) - norm_gamma
+        m, lin_sq = 2.0 * (conf + pair + s), (lin * lin).sum(axis=1)
+        alpha[free] = 0.5 * d * np.log(2.0 * math.pi / m) + lin_sq / (2.0 * m) + const
+        beta[free] = (2.0 * pair / m)[:, None] * lin
+        gamma[free] = -pair * (conf + s) / (conf + pair + s)
+    if target is PlaneWave:  # + beta.beta r, then d/2 log(pi / g) less the norm's constant
+        r = 0.25 / (conf - gamma)  # 1 / (4 g)
+        if len(free):
+            alpha[free] += (beta[free] * beta[free]).sum(axis=1) * r[free]
+        alpha += 0.5 * d * np.log(4.0 * math.sqrt(conf * (conf + pair) + pair * conf) * r)
+        beta *= (-2j * r)[:, None]
+        gamma = 0.25 / (conf + 2.0 * pair) - r
     return alpha, beta, gamma
 
 
@@ -170,9 +161,9 @@ class ManifoldOverlap:
     complex exp over (states, points, width) per _CHUNK (state, point) pairs;
     padding can move the last bit of long or multi-axis rows only.
     Compiling raises the errors of the term-by-term `inner_product` and
-    `hilbert_norm` in the same order: only a 2x2 M against a plane wave can
-    fail, and `_check_free_pairs` checks [each distinct free s, in slot and row
-    order, then 0.0 for the target norm] x [0.0]; a basis row no term uses (see
+    `hilbert_norm` in the same order: a non-finite packet profile, or a 2x2 M
+    against a plane wave (`_check_free_pairs` on [each distinct free s, slot by
+    slot, then 0.0 for the target norm] x [0.0]); a basis row no term uses (see
     `StateExpr.from_arrays`) is checked too.
     """
 
@@ -189,9 +180,10 @@ class ManifoldOverlap:
         rows = [np.concatenate([start[e.bases[k]] + e.indices[k] for e in exprs])
                 for k, start in enumerate(starts)]
         bases = [slot[0] if len(slot) == 1 else _stacked(slot) for slot in bases]
-        if manifold.primitive is PlaneWave:
-            _check_free_pairs([s for basis in bases for s in basis.split(False)[3]] + [0.0],
-                              [0.0], kernel)
+        if manifold.primitive is PlaneWave:  # in term-by-term order: each slot, then the norm
+            for basis in bases:
+                _check_free_pairs(basis.split(False)[3], [0.0], kernel)
+            _check_free_pairs([0.0], [0.0], kernel)
         alphas, betas, gammas = zip(*([x[r] for x in _slot_exponents(
             basis, manifold.primitive, kernel)] for basis, r in zip(bases, rows)))
         self.axes = arity * dimension

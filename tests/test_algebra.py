@@ -239,6 +239,22 @@ class TestFreePairRule:
         with pytest.raises(NumericalFailureError, match="near singular"):
             primitive_overlap(Packet((0.0,), 1e-150), other, kernel)
 
+    @pytest.mark.parametrize("f, g", [
+        # s = 1e308 is finite, 2 s is not: the form's diagonal overflowed into LAPACK
+        (Packet((0.0,), 5e-155), Packet((0.0,), 5e-155)),
+        # 2 s mu and -s |mu|^2 overflow: the overlap came out nan + nan j
+        (Packet((1e10,), 1e-150), Packet((1e10,), 1e-150)),
+        (Delta((0.0,)), Packet((1e10,), 1e-150)),
+        (Packet((1e10,), 1e-150), Delta((0.0,))),
+    ], ids=["two-s", "packet-packet", "delta-packet", "packet-delta"])
+    def test_non_finite_profile_is_a_numerical_failure(self, f, g):
+        for evaluate in (primitive_overlap, compile_pair):
+            with pytest.raises(NumericalFailureError, match="profile is not finite"):
+                evaluate(f, g, K1)
+        packet = g if isinstance(f, Delta) else f
+        with pytest.raises(NumericalFailureError, match="profile is not finite"):
+            ManifoldOverlap(StateExpr.single(packet), K1, ManifoldId.POSITION)
+
     @settings(max_examples=500, deadline=None)
     @given(kernel=st.one_of(st.builds(TranslationKernel, _decades(-5.0, 5.0)),
                             st.builds(ConfinedKernel, _decades(-20.0, 4.0), _decades(-10.0, 10.0))),
@@ -608,3 +624,76 @@ class TestL2InnerProduct:
                            - sg * (z[:, 0] - g.center[0]) ** 2 - 1j * g.momentum[0] * z[:, 0]),
                 [(lo, hi)], n=4001)
             np.testing.assert_allclose(closed, quad, rtol=1e-8)
+
+
+def fourier_image(prim):
+    """(k, F prim / k) for F f(q) = integral of f(x) exp(-i q.x) dx: a delta at u is the
+    plane wave -u (k = 1), a plane wave p is 2 pi per axis times the delta at p, and a
+    packet (c, w, p) is 2 w sqrt(pi) per axis times exp(i p.c) times the packet
+    (p, 1 / (2 w), -c)."""
+    d = prim.dimension
+    if isinstance(prim, Delta):
+        return 1.0, PlaneWave(tuple(-x for x in prim.center))
+    if isinstance(prim, PlaneWave):
+        return (2.0 * math.pi) ** d, Delta(prim.momentum)
+    phase = sum(p * c for p, c in zip(prim.momentum, prim.center))
+    k = (2.0 * prim.width * math.sqrt(math.pi)) ** d * complex(math.cos(phase), math.sin(phase))
+    return k, Packet(prim.momentum, 1.0 / (2.0 * prim.width), tuple(-c for c in prim.center))
+
+
+def dual_kernel(c: float, a: float):
+    """K' and N with F (x) F of exp(-c (x^2 + y^2) - a (x - y)^2) = N K' per axis."""
+    return (ConfinedKernel(1.0 / (4.0 * (c + 2.0 * a)), a / (4.0 * c * (c + 2.0 * a))),
+            math.pi / math.sqrt(c * (c + 2.0 * a)))
+
+
+@st.composite
+def dual_primitives(draw, d, kind):
+    """One primitive of the kind, coordinates and momenta +-4, so that no overlap
+    under either kernel underflows."""
+    vec = st.tuples(*[st.floats(-4.0, 4.0)] * d)
+    if kind == "delta":
+        return Delta(draw(vec))
+    if kind == "wave":
+        return PlaneWave(draw(vec))
+    return Packet(draw(vec), draw(st.floats(0.2, 3.0)), draw(vec))
+
+
+DUAL_KINDS = [(f, g) for f in ("delta", "wave", "packet") for g in ("delta", "wave", "packet")]
+
+
+class TestDualKernel:
+    """The Fourier transform maps a confined kernel exp(-c (x^2 + y^2) - a (x - y)^2) to
+    N exp(-c' (p^2 + q^2) - a' (p - q)^2), c' = 1 / (4 (c + 2 a)), a' = a / (4 c (c + 2 a))
+    and N = pi / sqrt(c (c + 2 a)) per axis, so <f, g>_K = (N / (2 pi)^2)^d k_f conj(k_g)
+    <Ff, Fg>_K' exactly: a referee of the plane-wave algebra that needs no quadrature.
+    Deltas become plane waves and plane waves deltas, so every closed form is checked
+    against another one."""
+
+    @pytest.mark.parametrize("kinds", DUAL_KINDS, ids=["-".join(k) for k in DUAL_KINDS])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), c=st.floats(0.05, 1.0), a=st.floats(0.2, 2.0))
+    def test_overlaps_match_the_dual_kernel(self, kinds, data, d, c, a):
+        f, g = (data.draw(dual_primitives(d, kind)) for kind in kinds)
+        (k_f, image_f), (k_g, image_g) = fourier_image(f), fourier_image(g)
+        dual, scale = dual_kernel(c, a)
+        want = primitive_overlap(f, g, ConfinedKernel(c, a))
+        got = ((scale / (2.0 * math.pi) ** 2) ** d * k_f * k_g.conjugate()
+               * primitive_overlap(image_f, image_g, dual))
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3), c=st.floats(0.05, 1.0), a=st.floats(0.2, 2.0))
+    def test_momentum_manifold_is_the_dual_position_manifold(self, data, d, c, a):
+        # F w_t = (2 pi)^d delta_t and ||w_t||_K = N^(d/2) ||delta_t||_K', so the
+        # plane-wave target's Gaussian transform meets the delta target's closed forms
+        f = data.draw(st.sampled_from(["delta", "wave", "packet"]).flatmap(
+            lambda kind: dual_primitives(d, kind)))
+        theta = np.array(data.draw(st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * d),
+                                            min_size=1, max_size=4)))
+        k_f, image = fourier_image(f)
+        dual, scale = dual_kernel(c, a)
+        want = ManifoldOverlap(StateExpr.single(f), ConfinedKernel(c, a), ManifoldId.MOMENTUM)
+        got = ManifoldOverlap(StateExpr.single(image), dual, ManifoldId.POSITION)
+        want, got = want(theta), (math.sqrt(scale) / (2.0 * math.pi)) ** d * k_f * got(theta)
+        assert (np.abs(got - want) <= 1e-11 * np.abs(want)).all()

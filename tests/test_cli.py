@@ -527,6 +527,16 @@ def test_near_singular_waves_exit_code_three():
     assert json.loads(cp.stderr)["error"]["type"] == "NumericalFailureError"
 
 
+@pytest.mark.parametrize("packets", [("0:5e-155", "0:5e-155"), ("1e10:1e-150", "0:1")])
+def test_non_finite_packet_profile_exit_code_three(packets, capsys):
+    # a LinAlgError traceback (2 s overflows) and a "zero or undefined norm (nan)"
+    # DomainError (2 s mu overflows) before packet profiles were checked
+    argv = ["distance"] + [arg for packet in packets for arg in ("--packet", packet)]
+    assert main(argv) == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "NumericalFailureError" and "profile is not finite" in error["message"]
+
+
 def test_unknown_flag_rejected():
     cp = run_cli("constants", "--bogus")
     assert cp.returncode == 2

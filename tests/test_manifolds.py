@@ -25,6 +25,7 @@ from helpers import coords, kernels, primitives, random_pair_state, random_state
 K1 = TranslationKernel(1.0)
 KC = ConfinedKernel(0.1, 1.0)
 NARROW = Packet((0.2,), 1e-7)  # per-axis form against a plane wave: cond ~ 5e13 under K1
+OVERFLOWING = Packet((1e10,), 1e-150)  # its profile's 2 s center overflows
 
 EMBED = {
     ManifoldId.POSITION: lambda t, d: embed_position(t),
@@ -441,11 +442,37 @@ class TestManifoldOverlap:
          DivergenceError),
         (((1.0, Delta((0.5,)), Packet((0.0,), 1.0)), (1.0, Delta((1.0,)), NARROW)),
          NumericalFailureError),
+        # a packet profile that is not finite raises where its slot is met, not before
+        (((1.0, PlaneWave((0.5,)), OVERFLOWING),), DivergenceError),
+        (((1.0, OVERFLOWING, PlaneWave((0.5,))),), NumericalFailureError),
     ])
     def test_momentum_errors_in_term_by_term_order(self, terms, error):
         # under K1 a plane wave's form diverges and NARROW's is near singular:
         # the first form the term-by-term path meets decides the error
         assert_momentum_error_matches(StateExpr(terms), K1, error)
+
+    @pytest.mark.parametrize("conf", [1e-1, 1e-2, 1e-4, 1e-6])
+    def test_weak_confinement_keeps_delta_digits(self, conf):
+        # against a plane wave, a delta's alpha + beta.beta / (4 g) = -(conf + 1) |u|^2 +
+        # |u|^2 / (conf + 1) cancels to -conf (conf + 2) / (conf + 1) |u|^2; summed as
+        # written, it lost up to 2.5 digits at |u| = 60 (2e-13 to 7e-13 relative at each
+        # conf).  The bound is 5e-14 beyond eps |exponent|, the rounding of the exponent
+        # itself, which reaches 1.5e-13 at conf = 0.1 (exponent -687)
+        mpmath = pytest.importorskip("mpmath")
+        u, t = np.linspace(-60.0, 60.0, 25), np.linspace(-1.0, 1.0, 9)
+        got = ManifoldOverlap([StateExpr.single(Delta((x,))) for x in u],
+                              ConfinedKernel(conf, 1.0), ManifoldId.MOMENTUM)(t[:, None])
+        with mpmath.workdps(50):
+            c, pi = mpmath.mpf(conf), mpmath.pi
+            g, dual = c + 1, c + 2  # conf + pair, conf + 2 pair
+            scale = mpmath.sqrt(pi / g) * mpmath.root(c * dual / pi**2, 4)
+            for row, x in zip(got, u.tolist()):
+                for value, y in zip(row, t.tolist()):
+                    exponent = (-c * dual / g * x**2 - 1j * x * y / g
+                                - (1 / (4 * g) - 1 / (4 * dual)) * y**2)
+                    want = complex(scale * mpmath.exp(exponent))
+                    bound = 5e-14 + np.finfo(float).eps * abs(complex(exponent))
+                    assert abs(value - want) <= bound * abs(want)
 
     def test_batch_memory_is_bounded(self):
         # 256 terms over 20000 points: one unchunked (points, terms) complex
