@@ -402,30 +402,6 @@ def _blended(wa, a: StateExpr, wb, b: StateExpr, slots: tuple | None = None) -> 
     return object.__new__(StateExpr)._set(np.array(coeffs), *(slots or _joined_slots(a, b)))
 
 
-@dataclass
-class QuadForm:
-    """Canonical complex Gaussian exponent: integrand exp(-z^T A z / 2 + b^T z + c)."""
-
-    matrix: np.ndarray
-    linear: np.ndarray
-    constant: complex
-
-    @property
-    def n(self) -> int:
-        return len(self.linear)
-
-
-def _check_form_matrix(a: np.ndarray):
-    """Re(A) positive definite, else `DomainError`; cond(A) <= CONDITION_CAP (a real
-    A's from its eigenvalues, a complex A's by SVD), else `NumericalFailureError`."""
-    eigenvalues = np.linalg.eigvalsh(a.real)  # ascending
-    if eigenvalues[0] <= 0.0:
-        raise DomainError("real part of the quadratic form is not positive definite")
-    cond = np.linalg.cond(a) if np.count_nonzero(a.imag) else eigenvalues[-1] / eigenvalues[0]
-    if cond > CONDITION_CAP:
-        raise NumericalFailureError(_NEAR_SINGULAR)
-
-
 def _check_free_pairs(s_f: list, s_g: list, kernel: KernelSpec):
     """The one rule for whether free pairs' forms are usable: per distinct pair of the
     floats `s_f` (rows) and `s_g` (columns; 0 a plane wave's), row by row, the per-axis
@@ -450,36 +426,17 @@ def _check_free_pairs(s_f: list, s_g: list, kernel: KernelSpec):
 
 
 def _integrals(a: np.ndarray, b: np.ndarray, c: list) -> list:
-    """`gaussian_integral` of a stack of checked forms, complex A (m, n, n) and b (m, n),
-    n > 0, and constants c, each with its lone form's bits: LAPACK runs form by form,
-    matmul dots as np.dot, math.prod from 1 multiplies as np.prod."""
+    """The integrals of exp(-z^T A z / 2 + b^T z + c) of a stack of checked forms, complex
+    A (m, n, n) and b (m, n), n > 0, and constants c: (2 pi)^(n/2) det(A)^(-1/2)
+    exp(b^T A^-1 b / 2 + c), the root of det(A) the product of the principal roots of
+    A's eigenvalues (in the right half plane, as Re(A) is positive definite).  Each
+    entry has its lone form's bits: LAPACK runs form by form, matmul dots as np.dot,
+    math.prod from 1 multiplies as np.prod."""
     roots = np.sqrt(np.linalg.eigvals(a)).tolist()
     dots = (b[:, None, :] @ np.linalg.solve(a, b[:, :, None])).ravel().tolist()
     scale = (2.0 * math.pi) ** (b.shape[1] / 2.0)
     return [complex(scale / math.prod(r, start=1 + 0j) * np.exp(0.5 * dot + ci))
             for r, dot, ci in zip(roots, dots, c)]
-
-
-def gaussian_integral(form: QuadForm) -> complex:
-    """Closed-form value of the canonical Gaussian integral: `_check_form_matrix`
-    on the arbitrary form, then the one-form case of `_integrals`.
-
-    The determinant square root multiplies the principal square roots of the
-    eigenvalues of A.  With Re(A) positive definite every eigenvalue lies in
-    the right half plane, so this branch is continuous with the real case.
-
-    Raises
-    ------
-    DomainError
-        If the real part of A is not positive definite.
-    NumericalFailureError
-        If the condition number of A exceeds CONDITION_CAP.
-    """
-    if form.n == 0:
-        return complex(np.exp(form.constant))
-    a = np.asarray(form.matrix, dtype=complex)
-    _check_form_matrix(a)
-    return _integrals(a[None], np.asarray(form.linear, dtype=complex)[None], [form.constant])[0]
 
 
 def _free_forms(f_profile, g_profile, conf: float, pair: float):
@@ -497,39 +454,6 @@ def _free_forms(f_profile, g_profile, conf: float, pair: float):
     b[..., :d], b[..., d:] = lin_f[:, None], lin_g
     c = [complex(x + y) for x in const_f.tolist() for y in const_g.tolist()]
     return a.reshape(-1, n, n), b.reshape(-1, n), c
-
-
-def compile_pair(f: Primitive, g: Primitive, kernel: KernelSpec) -> QuadForm:
-    """Compile the inner-product integrand k(x,y) f(x) conj(g(y)) to canonical form.
-
-    Deltas substitute their centers exactly: the form has dimension 2d when
-    both factors are free, d when one is a delta, and 0 when both are.  A free
-    pair must pass `_check_free_pairs`.
-    """
-    if f.dimension != g.dimension:
-        raise DomainError(f"dimension mismatch between {f!r} and {g!r}")
-    d = f.dimension
-    conf, pair = kernel_coefficients(kernel)
-
-    if isinstance(f, Delta) and isinstance(g, Delta):
-        u = np.array(f.center)
-        v = np.array(g.center)
-        du = u - v
-        c = -conf * float(np.dot(u, u) + np.dot(v, v)) - pair * float(np.dot(du, du))
-        return QuadForm(np.empty((0, 0), dtype=complex), np.empty(0, dtype=complex), complex(c))
-
-    sides = [None if isinstance(p, Delta) else Basis.of([p]).split(conj)
-             for p, conj in ((f, False), (g, True))]
-    if None in sides:
-        anchor = np.array((f if sides[0] is None else g).center)
-        s, lin, const = (sides[0] or sides[1])[2]
-        a = 2.0 * (conf + pair + s[0]) * np.eye(d)
-        b = 2.0 * pair * anchor + lin[0]
-        c = -(conf + pair) * float(np.dot(anchor, anchor)) + const[0]
-        return QuadForm(a.astype(complex), b.astype(complex), complex(c))
-    _check_free_pairs(sides[0][3], sides[1][3], kernel)
-    a, b, c = _free_forms(sides[0][2], sides[1][2], conf, pair)
-    return QuadForm(a[0], b[0], c[0])
 
 
 def _delta_delta(u: np.ndarray, v: np.ndarray, conf: float, pair: float) -> np.ndarray:
@@ -552,7 +476,7 @@ def _delta_free(anchors: np.ndarray, profile, conf: float, pair: float) -> np.nd
     """Overlaps of deltas at `anchors` (rows) with free primitives (columns) of
     `Basis.split` profile (s, linear vectors, constants).
 
-    The form `compile_pair` builds is A = m I_d with m = 2 (conf + pair + s)
+    Substituting the delta leaves the form A = m I_d with m = 2 (conf + pair + s)
     > 0, so the integral is `_isotropic` and can neither fail nor need the
     eigen/solve route.
     """
@@ -569,8 +493,9 @@ _blocks: dict = {}
 
 def _free_block(f_split, g_split, kernel: KernelSpec) -> np.ndarray:
     """Free-free overlaps of two `Basis.split`s: `_check_free_pairs` once, then the
-    forms of `compile_pair` in one `_integrals` stack, with their bits.  Memoised by
-    value, a copy returned; errors are raised again on every call."""
+    `_free_forms` in one `_integrals` stack, each entry with the bits of its pair's
+    1x1 block.  Memoised by value, a copy returned; errors are raised again on every
+    call."""
     conf, pair = kernel_coefficients(kernel)
     (f_profile, f_keys, f_tag), (g_profile, g_keys, g_tag) = f_split[2:], g_split[2:]
     key = f_tag, g_tag, conf, pair
@@ -589,9 +514,10 @@ def overlap_matrix(fs, gs, kernel: KernelSpec) -> np.ndarray:
 
     Delta-delta entries (`_delta_delta`) and delta-free entries
     (`_delta_free`) are closed forms, each block in one broadcast pass.
-    Free-free entries (packets and plane waves) are
-    `gaussian_integral(compile_pair(f, g, kernel))`, in one memoised stack of
-    forms per block (`_free_block`), and raise what it raises.
+    Free-free entries (packets and plane waves) are the 2d-dimensional integrals
+    of `_free_forms`, in one memoised stack per block (`_free_block`), after
+    `_check_free_pairs` decides, row by row, whether each pair diverges
+    (`DivergenceError`) or is near singular (`NumericalFailureError`).
     """
     if not (isinstance(fs, Basis) and isinstance(gs, Basis)):  # skipped: its cost shows on 1x1
         fs, gs = (b if isinstance(b, Basis) else tuple(b) for b in (fs, gs))

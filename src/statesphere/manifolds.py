@@ -119,9 +119,9 @@ def _normalize_box(box, axes: int):
 def _slot_exponents(basis: Basis, target: type, kernel: KernelSpec):
     """Per primitive of one slot basis, (alpha, beta, gamma) with
     log(<prim, m(t)> / ||m(t)||) = alpha + beta.t + gamma |t|^2: against a delta, the
-    closed forms of `compile_pair` and `gaussian_integral`, the deltas and the free
-    primitives each in one broadcast; against a plane wave w_t, the integral over y of
-    exp(i t.y) delta_y, their Gaussian integral, with g = conf - gamma > 0 where
+    logs of the closed forms of `_delta_delta` and `_delta_free`, the deltas and the
+    free primitives each in one broadcast; against a plane wave w_t, the integral over y
+    of exp(i t.y) delta_y, their Gaussian integral, with g = conf - gamma > 0 where
     `_check_free_pairs` passed every free s, and 0, against 0, less log ||w_t|| =
     d/4 log(pi^2 / (conf (conf + 2 pair))) - |t|^2 / (4 (conf + 2 pair))."""
     conf, pair = kernel_coefficients(kernel)

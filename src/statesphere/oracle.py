@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Delta, Packet, Primitive, StateExpr, _slot_matrices
-from .errors import BoxTooSmallError, DomainError, NumericalFailureError
+from .errors import BoxTooSmallError, DivergenceError, DomainError, NumericalFailureError
 from .kernels import KernelSpec, _integer, _positive, kernel_coefficients
 
 BOUNDARY_DECAY = 1e-16
@@ -98,7 +98,7 @@ def _box(prim: Primitive, other: Primitive, kernel, axis: int):
         cyy = 2.0 * (conf + pair + _quad_weight(other))
         det = cxx * cyy - cxy * cxy
         if det <= 0.0:
-            raise DomainError("integrand does not decay; the pair diverges under this kernel")
+            raise DivergenceError("integrand does not decay; the pair diverges under this kernel")
         ry = 2.0 * _quad_weight(other) * _real_anchor(other, axis)
         peak, curvature = (cyy * rx - cxy * ry) / det, cxx - cxy * cxy / cyy
     pad = _PAD / math.sqrt(curvature)

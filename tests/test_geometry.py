@@ -2,19 +2,21 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from statesphere import (ConfinedKernel, Delta, DomainError, GeodesicUndeterminedError,
+from statesphere import (ConfinedKernel, Delta, DomainError, GeodesicUndeterminedError, Packet,
                          StateExpr, StateSphereError, TranslationKernel, UnitSystem, blend,
-                         classical_path_length, collapse_time, fs_angle,
+                         classical_path_length, collapse_time, embed_position, fs_angle,
                          geodesic_at, geodesic_between, induced_metric,
                          normalize, sphere_angle, state_overlap)
 
 from statesphere.geometry import _DEGENERATE_ANGLE
 
+import referee
 from helpers import diff_norm, kernels, primitives, random_pair_state, random_state
 
 K1 = TranslationKernel(1.0)
@@ -63,6 +65,43 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize(expr, K1)
 
+    @pytest.mark.parametrize("h", [
+        1e-3, 1.0,
+        pytest.param(10.0, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 4: the expanded exponent of ||packet(10, 0.25)||^2 cancels, "
+            "b.A^-1.b / 2 against c = -800, and loses 1.1e-13 (relative)")),
+    ])
+    def test_packet_difference_norm_is_good_to_its_terms(self, h):
+        # ||a - b||^2 sums four overlaps of size up to ||a||^2: whatever it cancels, its
+        # rounding error should be a few ulps of their moduli's sum (1.4 at h = 10)
+        a, b = StateExpr.single(Packet((0.0,), 0.25)), StateExpr.single(Packet((h,), 0.25))
+        expr = blend(1.0, a, -1.0, b)
+        want = referee.norm(expr, K1) ** 2
+        scale = sum(abs(referee.inner_product(x, y, K1)) for x in (a, b) for y in (a, b))
+        assert abs(normalize(expr, K1).raw_norm ** 2 - want) <= 1e-14 * scale
+
+    @pytest.mark.xfail(strict=True, raises=DomainError,
+                       reason="ROADMAP item 4: ||delta(30)||^2 = exp(-1800) under "
+                       "confined:1,1 underflows to 0")
+    def test_far_confined_delta_normalizes(self):
+        expr, kernel = embed_position((30.0,)), ConfinedKernel(1.0, 1.0)
+        with mpmath.workdps(referee.DPS):
+            assert abs(referee.norm(expr, kernel) / mpmath.exp(-900) - 1) <= 1e-40  # 1.2e-391
+        assert normalize(expr, kernel).norm_defect() <= 1e-12
+
+    @pytest.mark.parametrize("h", [
+        0.5,
+        pytest.param(1e-9, marks=pytest.mark.xfail(
+            strict=True, raises=DomainError,
+            reason="ROADMAP item 6: 2 - 2 exp(-h^2 / 2) cancels to 0 at h = 1e-9")),
+    ])
+    def test_near_coincident_difference_has_its_norm(self, h):
+        # ||delta(0) - delta(h)|| = sqrt(2 - 2 exp(-h^2 / 2)) = 1.0e-9 at h = 1e-9
+        expr = blend(1.0, embed_position((0.0,)), -1.0, embed_position((h,)))
+        want = referee.norm(expr, K1)
+        assert abs(normalize(expr, K1).raw_norm - want) <= 1e-12 * want
+
 
 class TestAngles:
     def test_self_angle_zero(self):
@@ -78,6 +117,18 @@ class TestAngles:
         assert all(b >= a for a, b in zip(angles, angles[1:]))
         # strictly increasing while the angle is resolvable below pi/2
         assert all(b > a for a, b in zip(angles[:18], angles[1:18]))
+
+    @pytest.mark.parametrize("b", [
+        1.0, 0.1,
+        *(pytest.param(b, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 6: acos(exp(-b^2 / 2)) cancels: 1.49 b at b = 1e-8, "
+            "0 at b = 1e-9")) for b in (1e-8, 1e-9)),
+    ])
+    def test_delta_angle_matches_the_referee(self, b):
+        # the angle is b (1 - b^2 / 24 + ...), 1.0e-9 at b = 1e-9
+        want = referee.sphere_angle(embed_position((0.0,)), embed_position((b,)), K1)
+        assert abs(sphere_angle(delta_state(0.0), delta_state(b)) - want) <= 1e-12 * want
 
     def test_far_deltas_approach_right_angle(self):
         for b in (6.0, 8.0, 10.0):

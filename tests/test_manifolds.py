@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
                          ManifoldId, NumericalFailureError, Packet, PlaneWave,
-                         StateExpr, StateSphereError, TranslationKernel,
+                         StateExpr, TranslationKernel,
                          blend, embed_momentum, embed_pair_momentum,
                          embed_pair_position, embed_position,
                          gram_min_eigenvalue, hilbert_norm, inner_product,
@@ -20,6 +21,7 @@ from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
 from statesphere.kernels import kernel_coefficients, kernel_value
 from statesphere.manifolds import ManifoldOverlap, gram_matrix
 
+import referee
 from helpers import coords, kernels, primitives, random_pair_state, random_state
 
 K1 = TranslationKernel(1.0)
@@ -39,6 +41,13 @@ def scalar_overlap(expr, kernel, manifold, theta):
     """Term-by-term reference: <expr, m(theta)> / ||m(theta)||."""
     target = EMBED[manifold](tuple(float(t) for t in theta), expr.dimension)
     return inner_product(expr, target, kernel) / hilbert_norm(target, kernel)
+
+
+def referee_overlap(expr, kernel, manifold, theta):
+    """The same in the 50-digit referee."""
+    target = EMBED[manifold](tuple(float(t) for t in theta), expr.dimension)
+    with mpmath.workdps(referee.DPS):
+        return referee.inner_product(expr, target, kernel) / referee.norm(target, kernel)
 
 
 @st.composite
@@ -393,25 +402,25 @@ class TestNearestClassicalPoint:
 
 
 class TestManifoldOverlap:
-    """The batched evaluator against the term-by-term inner product."""
+    """The batched evaluator against the term-by-term referee."""
 
     @settings(max_examples=300, deadline=None)
     @given(overlap_cases())
     def test_matches_term_by_term(self, case):
         manifold, kernel, expr, theta = case
-        try:
-            want = [scalar_overlap(expr, kernel, manifold, t) for t in theta]
-        except StateSphereError as exc:
-            with pytest.raises(type(exc)):
+        try:  # per point, the terms' values
+            want = [[referee_overlap(StateExpr((term,)), kernel, manifold, t)
+                     for term in expr.terms] for t in theta]
+        except DivergenceError:
+            with pytest.raises(DivergenceError):
                 ManifoldOverlap(expr, kernel, manifold)(theta)
             return
         got = ManifoldOverlap(expr, kernel, manifold)(theta)
-        for t, g, w in zip(theta, got, want):
+        for g, terms in zip(got, want):
             # relative to the term magnitudes, so cancellation between terms
             # does not loosen or tighten the check
-            scale = sum(abs(scalar_overlap(StateExpr((term,)), kernel, manifold, t))
-                        for term in expr.terms)
-            assert abs(g - w) <= 1e-12 * scale + 1e-300
+            scale = sum(map(abs, terms))
+            assert abs(mpmath.mpc(g) - mpmath.fsum(terms)) <= 1e-12 * scale + 1e-300
 
     @pytest.mark.parametrize("kernel, error", [
         (K1, DivergenceError),

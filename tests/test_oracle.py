@@ -11,11 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import referee
 from helpers import run_python
-from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DomainError, ManifoldId,
-                         NumericalFailureError, Packet, PlaneWave, StateExpr, TranslationKernel,
-                         induced_metric, inner_product, kernel_value, overlap_matrix,
-                         primitive_overlap)
+from statesphere import (BoxTooSmallError, ConfinedKernel, Delta, DivergenceError, DomainError,
+                         ManifoldId, NumericalFailureError, Packet, PlaneWave, StateExpr,
+                         TranslationKernel, induced_metric, inner_product, kernel_value,
+                         overlap_matrix, primitive_overlap)
 from statesphere.cli import _random_convergent_pair
 from statesphere.kernels import _metric_reference, kernel_coefficients
 from statesphere.manifolds import ManifoldOverlap
@@ -70,12 +71,22 @@ class TestQuadPairOverlap:
                              ids=[f"{f}-{g}-{type(k).__name__}" for f, g, k in KIND_PAIRS])
     def test_every_kind_pair_matches_closed_form(self, f_kind, g_kind, kernel, d):
         # one block routine for all nine kind pairs, with one- and multi-axis
-        # delta sides; a delta pair is the same one-node block at every level
+        # delta sides; a delta pair is the same one-node block at every level.  The
+        # 50-digit referee agrees with both
         f, g = KINDS[f_kind](d), KINDS[g_kind](d)
         value, estimate = quad_pair_overlap(f, g, kernel, QuadratureSpec(129, 2))
         np.testing.assert_allclose(value, overlap_matrix([f], [g], kernel)[0, 0], rtol=1e-8)
+        np.testing.assert_allclose(value, complex(referee.overlap(f, g, kernel)), rtol=1e-8)
         if f_kind == g_kind == "delta":
             assert estimate == 0.0
+
+    def test_diverging_pair_raises_as_the_closed_form(self):
+        # two plane waves under a translation kernel: the integrand does not decay
+        waves = PlaneWave((1.0,)), PlaneWave((0.5,))
+        with pytest.raises(DivergenceError, match="diverges under this kernel"):
+            quad_pair_overlap(*waves, K1)
+        with pytest.raises(DivergenceError):
+            primitive_overlap(*waves, K1)
 
     def test_delta_delta_is_exact_substitution(self):
         value, estimate = quad_pair_overlap(Delta((0.0,)), Delta((2.0,)), K1)

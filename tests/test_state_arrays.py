@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from statesphere import (Basis, Delta, DomainError, EPRConfig, Packet, PlaneWave, StateExpr,
                          StateSphereError, TranslationKernel, blend, build_epr_state,
-                         compile_pair, gaussian_integral, inner_product, l2_inner_product,
-                         norm_ratio)
+                         inner_product, l2_inner_product, norm_ratio, primitive_overlap)
 from statesphere.algebra import _MEMO_SIZE, KINDS
 from statesphere.cli import main
 
@@ -97,7 +96,7 @@ def test_arrays_match_the_term_by_term_algebra(case, kernel):
     assert StateExpr(phi.terms) == phi and hash(StateExpr(phi.terms)) == hash(phi)
     assert from_arrays(pool, a) == phi and hash(from_arrays(pool, a)) == hash(phi)
     try:
-        pairs = [ci * dj.conjugate() * np.prod([gaussian_integral(compile_pair(f, g, kernel))
+        pairs = [ci * dj.conjugate() * np.prod([primitive_overlap(f, g, kernel)
                                                 for f, g in zip(fs, gs)])
                  for ci, *fs in phi.terms for dj, *gs in psi.terms]
     except StateSphereError as exc:
