@@ -103,7 +103,6 @@ class Packet:
 Primitive = Union[Delta, PlaneWave, Packet]
 KINDS = (Delta, PlaneWave, Packet)  # the kind codes of a `Basis`
 _FIELDS = ("kind", "center", "width", "momentum", "s")
-_MEMO_SIZE = 64  # entries a basis keeps of what is derived from it
 
 
 def _reals(value, name: str) -> np.ndarray:
@@ -119,22 +118,14 @@ def _reals(value, name: str) -> np.ndarray:
         raise DomainError(f"{name} must be arrays of reals") from None
 
 
-def _store(memo: dict, key, value, size: int = _MEMO_SIZE):
-    """memo[key] = value, emptying the memo first once it holds `size` entries."""
-    if len(memo) >= size:
-        memo.clear()
-    memo[key] = value
-    return value
-
-
 class Basis:
     """The distinct primitives of one particle slot as read-only arrays: `kind`
     (codes into KINDS), `center` (n, d), `width`, `s` = 1/(4 width^2) and
     `momentum` (n, d), 0 where a kind lacks the field.  The constructor takes
     arrays, or one value (one KINDS class for `kind`) for every row, and checks
     them at once; a bad row raises the message its primitive raises.  `of`
-    takes primitive objects.  `_memo` keeps, up to _MEMO_SIZE entries, what is
-    derived from a basis: its `split` per side and its `cut` per index array."""
+    takes primitive objects.  `_memo` keeps a basis's `split`: per side (key
+    False or True), and the parts both sides share (key None)."""
 
     __slots__ = (*_FIELDS, "_memo")
 
@@ -223,7 +214,7 @@ class Basis:
                             raise NumericalFailureError("a packet's profile is not finite: 2 s, "
                                                         "2 s center or s |center|^2 overflows")
                     shared += s, scaled, packet, np.where(packet, const, 0.0), s.tolist()
-                _store(self._memo, None, shared)
+                self._memo[None] = shared
             deltas, free, *shared = self._memo[None]
             profile, keys, tag = (None,) * 3, [], None
             if len(free):
@@ -231,17 +222,16 @@ class Basis:
                 wave = 1j * (-1.0 if conjugate else 1.0) * self.momentum[free]
                 lin = np.where(packet[:, None], scaled + wave, wave)
                 profile, tag = (s, lin, const), (s.tobytes(), lin.tobytes(), const.tobytes())
-            _store(self._memo, conjugate, (deltas, free, profile, keys, tag))
+            self._memo[conjugate] = deltas, free, profile, keys, tag
         return self._memo[conjugate]
 
     def cut(self, idx: np.ndarray):
-        """This basis cut to the rows `idx` uses, and `idx` into it; once per index array."""
-        key = idx.tobytes()
-        if key not in self._memo:
-            used = np.bincount(idx, minlength=len(self)) > 0
-            _store(self._memo, key, None if used.all() else (object.__new__(Basis)._set(
-                *(getattr(self, name)[used] for name in _FIELDS)), (np.cumsum(used) - 1)[idx]))
-        return self._memo[key] or (self, idx)
+        """This basis cut to the rows `idx` uses, and `idx` into it."""
+        used = np.bincount(idx, minlength=len(self)) > 0
+        if used.all():
+            return self, idx
+        return (object.__new__(Basis)._set(*(getattr(self, name)[used] for name in _FIELDS)),
+                (np.cumsum(used) - 1)[idx])
 
 
 def _stacked(bases) -> Basis:
@@ -276,7 +266,7 @@ def _checked(coeffs, bases, indices) -> tuple:
         if not (isinstance(basis, Basis) and i.dtype.kind in "iu"
                 and 0 <= min(i.tolist()) and max(i.tolist()) < len(basis)):
             raise DomainError("each slot needs a Basis and integer rows into it")
-    indices = [i.astype(np.intp, copy=False) for i in indices]  # one dtype: `Basis.cut` keys
+    indices = [i.astype(np.intp, copy=False) for i in indices]  # one dtype: equal rows, equal bytes
     if len({basis.dimension for basis in bases}) > 1:
         raise DomainError("all primitives in a state must share one dimension")
     return coeffs, bases, indices
@@ -503,7 +493,9 @@ def _free_block(f_split, g_split, kernel: KernelSpec) -> np.ndarray:
     if entries is None:
         _check_free_pairs(f_keys, g_keys, kernel)
         entries = np.array(_integrals(*_free_forms(f_profile, g_profile, conf, pair)))
-        entries = _store(_blocks, key, entries.reshape(-1, len(g_keys)), _BLOCK_MEMO_SIZE)
+        if len(_blocks) >= _BLOCK_MEMO_SIZE:
+            _blocks.clear()
+        entries = _blocks[key] = entries.reshape(-1, len(g_keys))
     return entries.copy()
 
 

@@ -232,17 +232,11 @@ class Trajectory:
 
 
 def _overlaps(gram: np.ndarray, pairs) -> list[complex]:
-    """<a, b> of state pairs over the frame of `gram` as `inner_product` forms them, a norm
-    (a is b) clamped; one stack per shape: numpy rounds a stacked 1x1 product otherwise."""
-    values, shapes = {}, {}
-    for k, (a, b) in enumerate(pairs):
-        shapes.setdefault((len(a.coeffs), len(b.coeffs)), []).append(k)
-    for ks in shapes.values():
-        weights = np.stack([pairs[k][0].coeffs[:, None] * pairs[k][1].coeffs.conj() for k in ks])
-        ia, ib = (np.array([pairs[k][side].indices[0] for k in ks]) for side in (0, 1))
-        totals = (weights * gram[ia[:, :, None], ib[:, None, :]]).sum(axis=(1, 2))
-        values.update(zip(ks, totals.tolist()))
-    return [_clamp_norm(values[k]) if a is b else values[k] for k, (a, b) in enumerate(pairs)]
+    """<a, b> of state pairs over the frame of `gram`, pair by pair as `inner_product`
+    forms them, a norm (a is b) clamped."""
+    values = [complex((a.coeffs[:, None] * b.coeffs.conj()
+                       * gram[a.indices[0]][:, b.indices[0]]).sum()) for a, b in pairs]
+    return [_clamp_norm(v) if a is b else v for v, (a, b) in zip(values, pairs)]
 
 
 def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:

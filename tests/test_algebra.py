@@ -273,6 +273,14 @@ class TestInnerProduct:
             value = inner_product(state, reordered, K1)
             assert abs(value.imag) <= 1e-10 * max(1.0, abs(value))
 
+    def test_norm_clamp_takes_only_residues_within_tolerance(self):
+        # within IMAG_RESIDUE_TOL of max(1, |total|) a norm clamps; beyond it, it raises
+        assert algebra._clamp_norm(1 + 1e-12j) == complex(1.0, 0.0)
+        assert algebra._clamp_norm(-1e-12) == complex(0.0, 0.0)
+        for total, message in ((1 + 1e-9j, "imaginary residue"), (-1e-9 + 0j, "negative")):
+            with pytest.raises(NumericalFailureError, match=message):
+                algebra._clamp_norm(total)
+
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(13)
         for _ in range(50):

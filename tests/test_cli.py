@@ -416,6 +416,8 @@ OUT_OF_RANGE = [
     ("geodesic --delta 0 --delta 1 --samples 100001", "--samples"),
     ("double-slit --grid=-30,30,100000000000000000000", "--grid"),
     ("double-slit --grid=-30,30,100001", "--grid"),
+    # too few points for the central fringe window
+    ("double-slit --grid=-30,30,2", "detector grid is too coarse for the central fringe window"),
     ("epr --grid=-2,2,100000000000000000000", "--grid"),
     ("epr --grid=-2,2,100001", "--grid"),
     ("epr --profile momentum --grid=-2,2,317", "--grid"),

@@ -6,7 +6,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statesphere import (DivergenceError, DomainError,
@@ -347,6 +347,10 @@ class TestTrajectoryFrame:
 
     @settings(max_examples=80, deadline=None)
     @given(slit_configs())
+    # a broadcast of the weights over stacked coefficients moved a static leg's arc in both
+    @example(SlitConfig(slit_positions=(-1, 1), coefficients=(1, 0.15625j), packet_width=0.14302,
+                        which_path=True))
+    @example(SlitConfig(slit_positions=(-2, 2), coefficients=(1, -0.5j), packet_width=0.2576))
     def test_matches_the_stateexpr_geometry(self, cfg):
         trajectory = build_double_slit_trajectory(cfg)
         frame = trajectory.segments[0].samples[0][1].expr.bases[0]

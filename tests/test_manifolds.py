@@ -392,6 +392,7 @@ class TestNearestClassicalPoint:
         ({"box": (-math.inf, 1.0)}, "box"),
         ({"box": (0.0, math.inf)}, "box"),
         ({"box": (math.nan, 1.0)}, "box"),
+        ({"box": ((-1.0, 1.0),) * 3}, r"box must give 1 \(lo, hi\) intervals"),
     ])
     def test_rejects_bad_search_arguments(self, kwargs, name):
         # non-finite box bounds made the refinement loop forever

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from statesphere import (Basis, Delta, DomainError, EPRConfig, Packet, PlaneWave, StateExpr,
                          StateSphereError, TranslationKernel, blend, build_epr_state,
                          inner_product, l2_inner_product, norm_ratio, primitive_overlap)
-from statesphere.algebra import _MEMO_SIZE, KINDS
+from statesphere.algebra import KINDS
 from statesphere.cli import main
 
 from helpers import kernels, primitives
@@ -202,17 +202,17 @@ def test_arrays_are_read_only_copies():
 
 
 def test_basis_memo_is_bounded():
-    """Blends with many partners, and cuts to many row sets, keep at most
-    _MEMO_SIZE entries on a long-lived basis."""
+    """Blends with many partners, and cuts to many row sets, keep no more on a
+    long-lived basis than its `split`: the two sides and their shared part."""
     a = StateExpr.single(Packet((0.0,), 1.0))
-    for k in range(3 * _MEMO_SIZE):
+    for k in range(200):
         inner_product(blend(1.0, a, 1.0, StateExpr.single(Packet((k + 1.0,), 1.0))), a,
                       TranslationKernel(1.0))
     basis = Basis(Delta, [[float(k)] for k in range(8)])
-    for k in range(3 * _MEMO_SIZE):
+    for k in range(200):
         state = StateExpr.from_arrays([1.0, 1.0], [basis], [[k % 8, (k // 8) % 8]])
         inner_product(state, state, TranslationKernel(1.0))
-    assert len(a.bases[0]._memo) <= _MEMO_SIZE and len(basis._memo) <= _MEMO_SIZE
+    assert set(a.bases[0]._memo) <= {None, False, True} and set(basis._memo) <= {None, False, True}
 
 
 def test_blend_and_scaled_keep_the_bases():
