@@ -124,10 +124,10 @@ class Basis:
     `momentum` (n, d), 0 where a kind lacks the field.  The constructor takes
     arrays, or one value (one KINDS class for `kind`) for every row, and checks
     them at once; a bad row raises the message its primitive raises.  `of`
-    takes primitive objects.  `_memo` keeps a basis's `split`: per side (key
-    False or True), and the parts both sides share (key None)."""
+    takes primitive objects.  `_split` keeps a basis's `split`, None until it is
+    first read."""
 
-    __slots__ = (*_FIELDS, "_memo")
+    __slots__ = (*_FIELDS, "_split")
 
     def __init__(self, kind, center, width=0.0, momentum=0.0):
         center, width, momentum = map(_reals, (center, width, momentum),
@@ -165,7 +165,7 @@ class Basis:
         for name, field in zip(_FIELDS, (kind, center, width, momentum, s)):
             field.setflags(write=False)
             setattr(self, name, field)
-        self._memo = {}
+        self._split = None
         return self
 
     @classmethod
@@ -193,37 +193,28 @@ class Basis:
                 for k, c, w, p in zip(self.kind.tolist(), self.center.tolist(),
                                       self.width.tolist(), self.momentum.tolist())]
 
-    def split(self, conjugate: bool):
+    def split(self):
         """Delta rows, free rows, and the free rows' profile (s, linear vector, constant)
-        of exp(...), their s as floats and the profile's bytes (a key by value), the
-        conjugated side's if `conjugate`; once per basis and side, from the parts both
-        sides share (memo key None).  A packet's profile is (s, 2 s mu +- i p, -s |mu|^2),
-        finite or `NumericalFailureError`; a plane wave's is (0, +- i p, 0)."""
-        if conjugate not in self._memo:
-            if None not in self._memo:
-                free = self.kind.nonzero()[0]
-                shared = (self.kind == 0).nonzero()[0], free
-                if len(free):
-                    s, mu, packet = self.s[free], self.center[free], self.kind[free] == 2
-                    scaled = const = 0.0  # a plane wave's 2 s mu and -s |mu|^2
-                    if packet.any():
-                        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                            scaled = (2.0 * s)[:, None] * mu  # inf * 0 is NaN: checks 2 s too
-                            const = -s * (mu[:, None] @ mu[..., None])[:, 0, 0]
-                        if not (np.isfinite(scaled).all() and np.isfinite(const).all()):
-                            raise NumericalFailureError("a packet's profile is not finite: 2 s, "
-                                                        "2 s center or s |center|^2 overflows")
-                    shared += s, scaled, packet, np.where(packet, const, 0.0), s.tolist()
-                self._memo[None] = shared
-            deltas, free, *shared = self._memo[None]
-            profile, keys, tag = (None,) * 3, [], None
+        of exp(...), once per basis: a packet's is (s, 2 s mu + i p, -s |mu|^2), finite or
+        `NumericalFailureError`, a plane wave's (0, i p, 0), and with no free rows it is
+        (None,) * 3.  The conjugated side of an inner product conjugates the linear vector
+        where it reads it."""
+        if self._split is None:
+            free, profile = self.kind.nonzero()[0], (None,) * 3
             if len(free):
-                s, scaled, packet, const, keys = shared
-                wave = 1j * (-1.0 if conjugate else 1.0) * self.momentum[free]
-                lin = np.where(packet[:, None], scaled + wave, wave)
-                profile, tag = (s, lin, const), (s.tobytes(), lin.tobytes(), const.tobytes())
-            self._memo[conjugate] = deltas, free, profile, keys, tag
-        return self._memo[conjugate]
+                s, mu, packet = self.s[free], self.center[free], self.kind[free] == 2
+                lin, const = 1j * self.momentum[free], 0.0  # a plane wave's
+                if packet.any():
+                    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                        scaled = (2.0 * s)[:, None] * mu  # inf * 0 is NaN: checks 2 s too
+                        const = -s * (mu[:, None] @ mu[..., None])[:, 0, 0]
+                    if not (np.isfinite(scaled).all() and np.isfinite(const).all()):
+                        raise NumericalFailureError("a packet's profile is not finite: 2 s, "
+                                                    "2 s center or s |center|^2 overflows")
+                    lin = np.where(packet[:, None], scaled + lin, lin)
+                profile = s, lin, np.where(packet, const, 0.0)
+            self._split = (self.kind == 0).nonzero()[0], free, profile
+        return self._split
 
     def cut(self, idx: np.ndarray):
         """This basis cut to the rows `idx` uses, and `idx` into it."""
@@ -481,21 +472,21 @@ _BLOCK_MEMO_SIZE = 256  # free-free blocks `_free_block` keeps, emptied when ful
 _blocks: dict = {}
 
 
-def _free_block(f_split, g_split, kernel: KernelSpec) -> np.ndarray:
-    """Free-free overlaps of two `Basis.split`s: `_check_free_pairs` once, then the
-    `_free_forms` in one `_integrals` stack, each entry with the bits of its pair's
-    1x1 block.  Memoised by value, a copy returned; errors are raised again on every
-    call."""
+def _free_block(f_profile, g_profile, kernel: KernelSpec) -> np.ndarray:
+    """Free-free overlaps of two `Basis.split` profiles, the columns' conjugated:
+    `_check_free_pairs` once, then the `_free_forms` in one `_integrals` stack, each entry
+    with the bits of its pair's 1x1 block.  Memoised on the profiles' bytes, a copy
+    returned; errors are raised again on every call."""
     conf, pair = kernel_coefficients(kernel)
-    (f_profile, f_keys, f_tag), (g_profile, g_keys, g_tag) = f_split[2:], g_split[2:]
-    key = f_tag, g_tag, conf, pair
+    key = *(x.tobytes() for x in (*f_profile, *g_profile)), conf, pair
     entries = _blocks.get(key)
     if entries is None:
-        _check_free_pairs(f_keys, g_keys, kernel)
+        (s_f, *_), (s_g, *_) = f_profile, g_profile
+        _check_free_pairs(s_f.tolist(), s_g.tolist(), kernel)
         entries = np.array(_integrals(*_free_forms(f_profile, g_profile, conf, pair)))
         if len(_blocks) >= _BLOCK_MEMO_SIZE:
             _blocks.clear()
-        entries = _blocks[key] = entries.reshape(-1, len(g_keys))
+        entries = _blocks[key] = entries.reshape(-1, len(s_g))
     return entries.copy()
 
 
@@ -521,8 +512,9 @@ def overlap_matrix(fs, gs, kernel: KernelSpec) -> np.ndarray:
         raise DomainError(f"dimension mismatch between {fs.dimension}-d and "
                           f"{gs.dimension}-d primitives")
     conf, pair = kernel_coefficients(kernel)
-    f_split, g_split = fs.split(False), gs.split(True)
-    (f_delta, f_free, f_profile, *_), (g_delta, g_free, g_profile, *_) = f_split, g_split
+    (f_delta, f_free, f_profile), (g_delta, g_free, g_profile) = fs.split(), gs.split()
+    if len(g_free):  # the conjugated side
+        g_profile = g_profile[0], g_profile[1].conj(), g_profile[2]
     u = fs.center[f_delta] if len(f_delta) else None  # an empty index costs as much as a row
     v = gs.center[g_delta] if len(g_delta) else None
     blocks = []  # (rows, columns, entries)
@@ -533,7 +525,7 @@ def overlap_matrix(fs, gs, kernel: KernelSpec) -> np.ndarray:
     if len(f_free) and len(g_delta):
         blocks.append((f_free, g_delta, _delta_free(v, f_profile, conf, pair).T))
     if len(f_free) and len(g_free):
-        blocks.append((f_free, g_free, _free_block(f_split, g_split, kernel)))
+        blocks.append((f_free, g_free, _free_block(f_profile, g_profile, kernel)))
     if len(blocks) == 1:  # no scatter: its fixed cost shows on 1-3 term states
         return np.asarray(blocks[0][2], dtype=complex)
     out = np.empty((len(fs), len(gs)), dtype=complex)
@@ -609,9 +601,9 @@ def hilbert_norm(expr: StateExpr, kernel: KernelSpec) -> float:
 
 def _l2_matrix(fs: Basis, gs: Basis) -> np.ndarray:
     """L2 overlaps of the packets of fs (rows) and gs (columns): the forms
-    (2 (s_f + s_g) I, lin_f + lin_g, const_f + const_g), in closed form."""
-    (s_f, lin_f, const_f), (s_g, lin_g, const_g) = fs.split(False)[2], gs.split(True)[2]
-    return _isotropic(2.0 * (s_f[:, None] + s_g), lin_f[:, None] + lin_g,
+    (2 (s_f + s_g) I, lin_f + conj(lin_g), const_f + const_g), in closed form."""
+    (s_f, lin_f, const_f), (s_g, lin_g, const_g) = fs.split()[2], gs.split()[2]
+    return _isotropic(2.0 * (s_f[:, None] + s_g), lin_f[:, None] + lin_g.conj(),
                       const_f[:, None] + const_g)
 
 

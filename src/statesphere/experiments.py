@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import (Basis, Delta, Packet, StateExpr, _clamp_norm, _finite_complex,
                       _blended, _joined_slots, blend, overlap_matrix)
 from .errors import DomainError, NumericalFailureError
-from .geometry import (GeodesicPath, SphereState, _alignment, _arc, _unit_scale, collapse_time,
+from .geometry import (GeodesicPath, SphereState, _arc, _geodesic, _on_sphere, collapse_time,
                        geodesic_at, geodesic_between, normalize)
 from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
                       _formed, _integer, _positive)
@@ -268,18 +268,16 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     ts = np.linspace(0.0, 1.0, n)[1:-1]
 
     def normalized(exprs):  # `normalize` over the frame
-        units = [_unit_scale(n2.real) for n2 in _overlaps(gram, [(e, e) for e in exprs])]
-        return [SphereState(e.scaled(scale), _SLIT_KERNEL, norm)
-                for e, (norm, scale) in zip(exprs, units)]
+        return [_on_sphere(e, _SLIT_KERNEL, n2.real)
+                for e, n2 in zip(exprs, _overlaps(gram, [(e, e) for e in exprs]))]
 
     arrived, split, aimed = normalized([arrival, blend(c1, slit1, c2, slit2), target])
     # refraction: packet -> normalized two-slit superposition, the endpoints' bases joined once
     slots = _joined_slots(arrived.expr, split.expr)
     refraction = [arrived, *normalized([_blended(1.0 - t, arrived.expr, t, split.expr, slots)
                                         for t in ts]), split]
-    theta, phase, factor = _alignment(_overlaps(gram, [(split.expr, aimed.expr)])[0])
-    aligned = SphereState(aimed.expr.scaled(factor), _SLIT_KERNEL, aimed.raw_norm)
-    path = GeodesicPath(split, aligned, theta, phase)
+    path = _geodesic(split, aimed, _overlaps(gram, [(split.expr, aimed.expr)])[0])
+    aligned = path.end_aligned
     collapse = [split, *(geodesic_at(path, t) for t in ts), aligned]
     legs = [(SegmentKind.PROPAGATION, [arrived] * n), (SegmentKind.REFRACTION_SPLIT, refraction)]
     if cfg.which_path:

@@ -57,18 +57,18 @@ class SphereState:
         return abs(norm_sq(self.expr, self.kernel) - 1.0)
 
 
-def _unit_scale(n2: float) -> tuple[float, complex]:
-    """Norm and rescaling factor of a state of squared norm n2 (finite and > 0, or DomainError)."""
+def _on_sphere(expr: StateExpr, kernel: KernelSpec, n2: float) -> SphereState:
+    """`expr` rescaled to unit norm, given its squared norm n2 (finite and > 0, or
+    DomainError)."""
     if not math.isfinite(n2) or n2 <= 0.0:
         raise DomainError(f"state has zero or undefined norm ({n2!r}); cannot normalize")
     norm = math.sqrt(n2)
-    return norm, complex(1.0 / norm)
+    return SphereState(expr.scaled(complex(1.0 / norm)), kernel, norm)
 
 
 def normalize(expr: StateExpr, kernel: KernelSpec) -> SphereState:
     """Project a state expression onto the unit sphere of the kernel norm."""
-    norm, scale = _unit_scale(norm_sq(expr, kernel))
-    return SphereState(expr=expr.scaled(scale), kernel=kernel, raw_norm=norm)
+    return _on_sphere(expr, kernel, norm_sq(expr, kernel))
 
 
 def state_overlap(a: SphereState, b: SphereState) -> complex:
@@ -113,24 +113,23 @@ class GeodesicPath:
         return _joined_slots(self.start.expr, self.end_aligned.expr)
 
 
-def _alignment(ov: complex) -> tuple[float, float, complex]:
-    """Angle, alignment phase and phase factor of a geodesic whose endpoints overlap
-    by `ov`; antipodal ones (real overlap -1) raise GeodesicUndeterminedError."""
+def _geodesic(start: SphereState, end: SphereState, ov: complex) -> GeodesicPath:
+    """The geodesic from `start` to `end`, whose overlap is `ov`: the end's phase factor
+    removed, none if `ov` is 0; antipodal endpoints (real overlap -1) raise
+    GeodesicUndeterminedError."""
     if ov.real <= -(1.0 - _ANTIPODAL_TOL):
         raise GeodesicUndeterminedError(
             "endpoints are antipodal; the geodesic plane is undetermined")
     magnitude = abs(ov)
-    if magnitude > 0.0:
-        phase = math.atan2(ov.imag, ov.real)
-        return _arc(magnitude), phase, complex(math.cos(phase), math.sin(phase))
-    return _arc(magnitude), 0.0, 1.0 + 0j
+    phase = math.atan2(ov.imag, ov.real) if magnitude > 0.0 else 0.0
+    factor = complex(math.cos(phase), math.sin(phase))
+    aligned = SphereState(end.expr.scaled(factor), end.kernel, end.raw_norm)
+    return GeodesicPath(start, aligned, _arc(magnitude), phase)
 
 
 def geodesic_between(start: SphereState, end: SphereState) -> GeodesicPath:
     """The geodesic from `start` to `end`; antipodal endpoints have no unique plane."""
-    theta, phase, factor = _alignment(state_overlap(start, end))
-    aligned = SphereState(end.expr.scaled(factor), end.kernel, end.raw_norm)
-    return GeodesicPath(start, aligned, theta, phase)
+    return _geodesic(start, end, state_overlap(start, end))
 
 
 def geodesic_at(path: GeodesicPath, t: float) -> SphereState:

@@ -125,7 +125,7 @@ def _slot_exponents(basis: Basis, target: type, kernel: KernelSpec):
     `_check_free_pairs` passed every free s, and 0, against 0, less log ||w_t|| =
     d/4 log(pi^2 / (conf (conf + 2 pair))) - |t|^2 / (4 (conf + 2 pair))."""
     conf, pair = kernel_coefficients(kernel)
-    (n, d), (deltas, free, (s, lin, const), *_) = basis.center.shape, basis.split(False)
+    (n, d), (deltas, free, (s, lin, const)) = basis.center.shape, basis.split()
     alpha, beta, gamma = np.empty(n, dtype=complex), np.empty((n, d), dtype=complex), np.empty(n)
     if len(deltas):  # against a plane wave alpha already has + beta.beta / (4 g): it cancels
         u = basis.center[deltas]
@@ -181,8 +181,8 @@ class ManifoldOverlap:
                 for k, start in enumerate(starts)]
         bases = [slot[0] if len(slot) == 1 else _stacked(slot) for slot in bases]
         if manifold.primitive is PlaneWave:  # in term-by-term order: each slot, then the norm
-            for basis in bases:
-                _check_free_pairs(basis.split(False)[3], [0.0], kernel)
+            for basis in bases:  # the free rows' s, once the split has checked their profile
+                _check_free_pairs(basis.s[basis.split()[1]].tolist(), [0.0], kernel)
             _check_free_pairs([0.0], [0.0], kernel)
         alphas, betas, gammas = zip(*([x[r] for x in _slot_exponents(
             basis, manifold.primitive, kernel)] for basis, r in zip(bases, rows)))

@@ -281,6 +281,20 @@ def test_csv_rows_built_only_for_csv(tmp_path: Path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_position_profile_csv_rows(tmp_path: Path, capsys):
+    # one (a, b, overlap) row per a-value and grid point, peaking where the record says
+    out = tmp_path / "profile.csv"
+    argv = "epr --profile position --n 16 --a-values=-1,0,1 --grid=-2,2,9 --csv".split()
+    assert main(argv + [str(out)]) == 0
+    ridges = json.loads(capsys.readouterr().out)["results"]["position_ridge"]
+    header, *rows = out.read_text().splitlines()
+    assert header == "a,b,overlap" and len(rows) == 27
+    table = [tuple(map(float, row.split(","))) for row in rows]
+    for ridge in ridges:
+        profile = [(b, v) for a, b, v in table if a == ridge["a"]]
+        assert len(profile) == 9 and max(profile, key=lambda bv: bv[1])[0] == ridge["argmax_b"]
+
+
 def test_momentum_profile_built_only_for_csv(tmp_path: Path, monkeypatch, capsys):
     # the ridges scan their own rows; only the csv needs the COUNT^2 profile
     profile = cli.momentum_correlation_profile
@@ -404,6 +418,10 @@ MALFORMED = [
     "distance --packet 0:abc --delta 1",
     "distance --state 1@packet:0:abc --delta 1",
     "distance --packet 0:1,2 --delta 1",
+    "distance --delta 0",
+    "distance --kernel bogus:1 --delta 0 --delta 1",
+    "double-slit --coeffs 1,2,3",
+    "distance --state foo:1 --delta 0",
 ]
 
 # (argv, flag the error message must name): counts beyond the CLI's bounds
@@ -475,6 +493,14 @@ def test_invalid_input_exit_code_two(capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert json.loads(captured.err)["error"]["type"] == "DomainError", argv
+
+
+def test_confined_kernel_beta_defaults_to_one(capsys):
+    results = []
+    for spec in ("confined:0.1", "confined:0.1,1"):
+        assert main(f"distance --kernel {spec} --delta 0 --delta 1".split()) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"])
+    assert results[0] == results[1]
 
 
 def test_non_finite_input_names_field(capsys):

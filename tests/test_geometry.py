@@ -264,6 +264,14 @@ class TestGeodesic:
         with pytest.raises(GeodesicUndeterminedError):
             geodesic_between(a, minus)
 
+    def test_orthogonal_endpoints_take_no_phase(self):
+        # the overlap underflows to 0, whose phase is undefined: the end is kept as it is
+        a, b = delta_state(0.0), delta_state(100.0)
+        path = geodesic_between(a, b)
+        assert state_overlap(a, b) == 0
+        assert (path.theta, path.alignment_phase) == (math.pi / 2, 0.0)
+        assert path.end_aligned.expr.coeffs.tobytes() == b.expr.coeffs.tobytes()
+
     def test_parameter_out_of_range(self):
         path = geodesic_between(delta_state(0.0), delta_state(1.0))
         with pytest.raises(DomainError):

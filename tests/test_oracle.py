@@ -151,6 +151,12 @@ class TestQuadPairOverlap:
         with pytest.raises(NumericalFailureError, match="at 257 nodes per axis is not finite"):
             _refine(lambda n: bad, QuadratureSpec())
 
+    def test_growing_estimates_raise(self):
+        # each level moves 100x further than the last, beyond 1e-6 of the value
+        levels = {257: 1.0, 513: 1.001, 1025: 1.1}
+        with pytest.raises(NumericalFailureError, match="quadrature refinement is not converging"):
+            _refine(levels.get, QuadratureSpec())
+
     def test_refinement_estimates_decrease(self, monkeypatch):
         # a deliberately wide box (half-width 65 / sqrt(8/3) = 39.8) keeps the
         # early levels under-resolved, so the ladder is visible above the
