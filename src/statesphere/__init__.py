@@ -6,8 +6,8 @@ double-slit / entangled-pair scenarios built on top of them."""
 __version__ = "0.1.0"
 
 from .algebra import (Basis, Delta, Packet, PlaneWave, StateExpr, blend,
-                      hilbert_norm, inner_product, l2_inner_product, norm_sq,
-                      overlap_matrix, primitive_overlap)
+                      hilbert_norm, inner_product, l2_inner_product, norm_ratio,
+                      norm_sq, overlap_matrix, primitive_overlap)
 from .errors import (BoxTooSmallError, DivergenceError, DomainError,
                      GeodesicUndeterminedError, NumericalFailureError,
                      StateSphereError)
@@ -23,7 +23,7 @@ from .geometry import (GeodesicPath, SphereState, UnitSystem,
                        state_overlap)
 from .kernels import (ConfinedKernel, KernelSpec, MetricReference,
                       MetricReport, TranslationKernel, induced_metric,
-                      kernel_value, norm_ratio)
+                      kernel_value)
 from .manifolds import (ManifoldId, ProjectionResult, embed_momentum,
                         embed_pair_momentum, embed_pair_position,
                         embed_position, gram_matrix, gram_min_eigenvalue,

@@ -24,8 +24,8 @@ from typing import Union
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericalFailureError
-from .kernels import (MAX_DIMENSION, KernelSpec, Vec, _formed, _positive, _shown, as_vec,
-                      kernel_coefficients)
+from .kernels import (MAX_DIMENSION, KernelSpec, TranslationKernel, Vec, _formed, _positive,
+                      _shown, as_vec, kernel_coefficients)
 
 IMAG_RESIDUE_TOL = 1e-10
 CONDITION_CAP = 1e12
@@ -553,29 +553,26 @@ def _clamp_norm(total: complex) -> complex:
     return complex(re, 0.0)
 
 
-def _slot_matrices(phi: StateExpr, psi: StateExpr, pair_matrix):
-    """Weights outer(c, conj(d)) of two validated states and, per slot k,
-    pair_matrix(slot-k basis of phi, slot-k basis of psi) at the term rows."""
+def _slot_matrices(phi: StateExpr, psi: StateExpr, pair_matrix) -> list:
+    """Per slot k of two validated states, pair_matrix(slot-k basis of phi, slot-k
+    basis of psi) at the term rows."""
     if not isinstance(phi, StateExpr) or not isinstance(psi, StateExpr):
         raise DomainError("inner products need two state expressions")
     if phi.arity != psi.arity:
         raise DomainError(f"states have different arities ({phi.arity} and {psi.arity})")
     if phi.dimension != psi.dimension:
         raise DomainError("states have different dimensions")
-    slots = [pair_matrix(fs, gs)[ia][:, ib]
-             for (fs, ia), (gs, ib) in zip(phi._slots(), psi._slots())]
-    return phi.coeffs[:, None] * psi.coeffs.conj(), slots
+    return [pair_matrix(fs, gs)[ia][:, ib]
+            for (fs, ia), (gs, ib) in zip(phi._slots(), psi._slots())]
 
 
-def _sum_terms(phi: StateExpr, psi: StateExpr, pair_matrix) -> complex:
-    """Sum over term pairs of c_i conj(d_j) times the product, particle by
-    particle, of the primitive overlaps: the one array reduction
-    sum(outer(c, conj(d)) * M_1 * ... * M_arity) over `_slot_matrices`.
-    For phi == psi the value is real nonnegative; an imaginary residue within
-    1e-10 (relative) is clamped to zero, anything larger raises.
+def _sum_terms(phi: StateExpr, psi: StateExpr, matrices) -> complex:
+    """Sum over term pairs of c_i conj(d_j) times the product, particle by particle, of
+    the primitive overlaps: the one reduction sum(outer(c, conj(d)) * M_1 * ... * M_arity)
+    over the per-slot term matrices M_k.  For phi == psi the value is real nonnegative;
+    an imaginary residue within 1e-10 (relative) is clamped to zero, anything larger raises.
     """
-    weights, matrices = _slot_matrices(phi, psi, pair_matrix)
-    total = complex(math.prod(matrices, start=weights).sum())
+    total = complex(math.prod(matrices, start=phi.coeffs[:, None] * psi.coeffs.conj()).sum())
     # the clamp leaves a real total >= 0 with imaginary part +0.0 as it is: skip comparing then
     if (total.real < 0.0 or math.copysign(1.0, total.imag) < 0.0 or total.imag) and phi == psi:
         total = _clamp_norm(total)
@@ -587,7 +584,8 @@ def inner_product(phi: StateExpr, psi: StateExpr, kernel: KernelSpec) -> complex
 
     On pair states the factors of each product term multiply.
     """
-    return _sum_terms(phi, psi, lambda fs, gs: overlap_matrix(fs, gs, kernel))
+    return _sum_terms(phi, psi, _slot_matrices(
+        phi, psi, lambda fs, gs: overlap_matrix(fs, gs, kernel)))
 
 
 def norm_sq(expr: StateExpr, kernel: KernelSpec) -> float:
@@ -616,4 +614,19 @@ def l2_inner_product(phi: StateExpr, psi: StateExpr) -> complex:
         if (basis.kind != 2).any():
             raise DomainError("L2 inner product requires packets only, got "
                               f"{KINDS[basis.kind[basis.kind != 2][0]].__name__}")
-    return _sum_terms(phi, psi, _l2_matrix)
+    return _sum_terms(phi, psi, _slot_matrices(phi, psi, _l2_matrix))
+
+
+def norm_ratio(phi, kernel: TranslationKernel) -> float:
+    """Kernel-norm to L2-norm ratio of a packet state, mass-normalized.
+
+    Returns <phi,phi>_K / ((2 pi sigma^2)^(d/2) <phi,phi>_L2).  The divisor is
+    the total mass of the Gaussian kernel, so the ratio tends to 1 as packet
+    widths grow large against sigma.
+    """
+    if not isinstance(kernel, TranslationKernel):
+        raise DomainError("norm_ratio compares against translation kernels only")
+    l2_norm = l2_inner_product(phi, phi).real  # rejects anything but packets
+    h_norm = inner_product(phi, phi, kernel).real
+    mass = (2.0 * math.pi * kernel.sigma**2) ** (phi.dimension / 2.0)
+    return h_norm / (mass * l2_norm)

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (Basis, Delta, Packet, StateExpr, _clamp_norm, _finite_complex,
-                      _blended, _joined_slots, blend, overlap_matrix)
+from .algebra import (Basis, Delta, Packet, StateExpr, _finite_complex, _blended,
+                      _joined_slots, _sum_terms, blend, overlap_matrix)
 from .errors import DomainError, NumericalFailureError
 from .geometry import (GeodesicPath, SphereState, _arc, _geodesic, _on_sphere, collapse_time,
                        geodesic_at, geodesic_between, normalize)
@@ -231,14 +231,6 @@ class Trajectory:
         return sum(seg.arc_length for seg in self.segments)
 
 
-def _overlaps(gram: np.ndarray, pairs) -> list[complex]:
-    """<a, b> of state pairs over the frame of `gram`, pair by pair as `inner_product`
-    forms them, a norm (a is b) clamped."""
-    values = [complex((a.coeffs[:, None] * b.coeffs.conj()
-                       * gram[a.indices[0]][:, b.indices[0]]).sum()) for a, b in pairs]
-    return [_clamp_norm(v) if a is b else v for v, (a, b) in zip(values, pairs)]
-
-
 def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     """Full state-space trajectory through the double-slit scenario, under
     the unit translation kernel.
@@ -256,6 +248,8 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
     w = cfg.packet_width
     x1, x2 = cfg.slit_positions
     c1, c2 = cfg.coefficients
+    if not (c1 and c2):  # one slit open: its coefficient's phase is global
+        c1, c2 = abs(c1), abs(c2)
     curve = detector_intensity(cfg)
     detected = curve.detected_point
     box = (min(x1, x2, detected) - 6.0 * w - 2.0, max(x1, x2, detected) + 6.0 * w + 2.0)
@@ -267,16 +261,18 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
                                      for x in centers)
     ts = np.linspace(0.0, 1.0, n)[1:-1]
 
+    def overlap(a, b):  # `inner_product` over the frame
+        return _sum_terms(a, b, [gram[a.indices[0]][:, b.indices[0]]])
+
     def normalized(exprs):  # `normalize` over the frame
-        return [_on_sphere(e, _SLIT_KERNEL, n2.real)
-                for e, n2 in zip(exprs, _overlaps(gram, [(e, e) for e in exprs]))]
+        return [_on_sphere(e, _SLIT_KERNEL, overlap(e, e).real) for e in exprs]
 
     arrived, split, aimed = normalized([arrival, blend(c1, slit1, c2, slit2), target])
     # refraction: packet -> normalized two-slit superposition, the endpoints' bases joined once
     slots = _joined_slots(arrived.expr, split.expr)
     refraction = [arrived, *normalized([_blended(1.0 - t, arrived.expr, t, split.expr, slots)
                                         for t in ts]), split]
-    path = _geodesic(split, aimed, _overlaps(gram, [(split.expr, aimed.expr)])[0])
+    path = _geodesic(split, aimed, overlap(split.expr, aimed.expr))
     aligned = path.end_aligned
     collapse = [split, *(geodesic_at(path, t) for t in ts), aligned]
     legs = [(SegmentKind.PROPAGATION, [arrived] * n), (SegmentKind.REFRACTION_SPLIT, refraction)]
@@ -291,8 +287,7 @@ def build_double_slit_trajectory(cfg: SlitConfig) -> Trajectory:
              for _, states in legs]
     distinct = [state for _, state in slot.values()]
     steps = list(dict.fromkeys((a, b) for ks in order for a, b in zip(ks, ks[1:])))
-    overlaps = _overlaps(gram, [(distinct[a].expr, distinct[b].expr) for a, b in steps])
-    angles = {step: _arc(ov.real) for step, ov in zip(steps, overlaps)}
+    angles = {(a, b): _arc(overlap(distinct[a].expr, distinct[b].expr).real) for a, b in steps}
     projections = nearest_classical_points(distinct, ManifoldId.POSITION, box, coarse=41)
     seconds = collapse_time(path)
     segments = tuple(

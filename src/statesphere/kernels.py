@@ -244,19 +244,3 @@ def induced_metric(kernel: KernelSpec, at, h: float = 1e-3) -> MetricReport:
     return MetricReport(point=point, matrix=g, deviation=deviation,
                         reference=reference, reference_factor=factor)
 
-
-def norm_ratio(phi, kernel: TranslationKernel) -> float:
-    """Kernel-norm to L2-norm ratio of a packet state, mass-normalized.
-
-    Returns <phi,phi>_K / ((2 pi sigma^2)^(d/2) <phi,phi>_L2).  The divisor is
-    the total mass of the Gaussian kernel, so the ratio tends to 1 as packet
-    widths grow large against sigma.
-    """
-    from .algebra import inner_product, l2_inner_product
-
-    if not isinstance(kernel, TranslationKernel):
-        raise DomainError("norm_ratio compares against translation kernels only")
-    l2_norm = l2_inner_product(phi, phi).real  # rejects anything but packets
-    h_norm = inner_product(phi, phi, kernel).real
-    mass = (2.0 * math.pi * kernel.sigma**2) ** (phi.dimension / 2.0)
-    return h_norm / (mass * l2_norm)

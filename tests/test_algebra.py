@@ -56,6 +56,33 @@ class TestTypes:
         with pytest.raises(DomainError, match=name):
             make(bad)
 
+    @pytest.mark.parametrize("make, text", [
+        (lambda: Packet((0.0,), 1.0, (0.0, 1.0)), "packet momentum and center dimensions differ"),
+        (lambda: algebra.Basis(Packet, [[0.0], [1.0]], [1.0, 2.0, 3.0]),
+         "the arrays of a basis need 2 rows"),
+        (lambda: StateExpr.from_arrays(["abc"], [algebra.Basis(Delta, [[0.0]])], [[0]]),
+         "a state needs complex coefficients and integer row arrays"),
+        (lambda: StateExpr.from_arrays([1.0, 1.0], [algebra.Basis(Delta, [[0.0], [1.0]])],
+                                       [[0, [1]]]),
+         "a state needs complex coefficients and integer row arrays"),
+        (lambda: StateExpr(((1.0, "abc"),)), "not a primitive: 'abc'"),
+        (lambda: inner_product(StateExpr.single(Delta((0.0,))), Delta((0.0,)), K1),
+         "inner products need two state expressions"),
+        (lambda: inner_product(StateExpr.single(Delta((0.0,))),
+                               StateExpr.single(Delta((0.0, 1.0))), K1),
+         "states have different dimensions"),
+        (lambda: kernel_coefficients("translation:1"), "unknown kernel spec"),
+    ], ids=["packet-momentum", "basis-rows", "array-coefficients", "array-rows", "term",
+            "inner-product-operand", "inner-product-dimensions", "kernel"])
+    def test_malformed_input_is_a_domain_error(self, make, text):
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}"):
+            make()
+
+    def test_equality_with_a_non_state_is_not_implemented(self):
+        state = StateExpr.single(Delta((0.0,)))
+        assert state.__eq__(Delta((0.0,))) is NotImplemented
+        assert state != Delta((0.0,)) and state != 1.0
+
     def test_rejects_empty_or_zero_state(self):
         with pytest.raises(DomainError):
             StateExpr(())

@@ -129,6 +129,17 @@ def test_double_slit_which_path():
     assert kinds == ["propagation", "refraction-split", "collapse", "propagation"]
 
 
+def test_double_slit_one_open_slit_with_a_phased_coefficient(capsys):
+    # --coeffs=0,-1 exited 2: "state has zero or undefined norm (0.0)"
+    for phased, plain in (("0,-1", "0,1"), ("-1,0", "1,0"), ("0,-0.3", "0,0.3"), ("-2,0", "2,0"),
+                          ("0,1j", "0,1")):
+        segments = []
+        for coeffs in (phased, plain):
+            assert main(["double-slit", f"--coeffs={coeffs}"]) == 0, coeffs
+            segments.append(json.loads(capsys.readouterr().out)["results"]["segments"])
+        assert segments[0] == segments[1], phased
+
+
 def test_epr_position_profile():
     record = record_of(run_cli("epr", "--profile", "position", "--a-values=-5,0,5",
                                "--grid=-3,3,25", "--n", "48"))
@@ -364,6 +375,11 @@ def test_round_trip_reproducibility():
 
     second, _ = run_record(first["command"], first["config"])
     assert second == first
+
+
+def test_run_record_rejects_an_unknown_command():
+    with pytest.raises(DomainError, match="^unknown command 'bogus'"):
+        cli.run_record("bogus", {})
 
 
 @pytest.mark.parametrize("key, value, name", [("x0", "abc", "x0"),

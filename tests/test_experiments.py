@@ -190,6 +190,24 @@ class TestDoubleSlitTrajectory:
         curve = detector_intensity(cfg)
         assert curve.visibility < 0.01
 
+    @pytest.mark.parametrize("which_path", [False, True])
+    @pytest.mark.parametrize("at_open_slit", [False, True])
+    def test_one_open_slit_ignores_the_phase_of_its_coefficient(self, which_path, at_open_slit):
+        # the refraction blend of the arriving packet and its negative (-1) was the zero
+        # state at t = 1/2, a DomainError; 1j read a refraction arc of pi/2
+        def segments(coefficients):
+            open_slit = SlitConfig().slit_positions[1 if coefficients[0] == 0 else 0]
+            cfg = SlitConfig(coefficients=coefficients, which_path=which_path,
+                             detected_point=open_slit if at_open_slit else None)
+            return [(seg.kind, seg.arc_length.hex(), seg.max_residual_angle.hex(),
+                     seg.collapse_time_s and seg.collapse_time_s.hex(),
+                     [(t.hex(), repr(state)) for t, state in seg.samples])
+                    for seg in build_double_slit_trajectory(cfg).segments]
+
+        for phased, plain in (((0, -1), (0, 1)), ((-2, 0), (2, 0)), ((0, 1j), (0, 1)),
+                              ((0, -0.3), (0, 0.3))):
+            assert segments(phased) == segments(plain), phased
+
     def test_which_path_reorders_segments(self):
         cfg = SlitConfig(which_path=True)
         trajectory = build_double_slit_trajectory(cfg)

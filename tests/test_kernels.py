@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from statesphere import (ConfinedKernel, Delta, DomainError, EPRConfig, ManifoldId,
-                         MetricReference, Packet, QuadratureSpec, SlitConfig, StateExpr,
-                         TranslationKernel, induced_metric, kernel_value, manifold_separation,
-                         nearest_classical_points, norm_ratio, normalize)
+                         MetricReference, MetricReport, Packet, QuadratureSpec, SlitConfig,
+                         StateExpr, TranslationKernel, induced_metric, kernel_value,
+                         manifold_separation, nearest_classical_points, norm_ratio, normalize)
 
 K1 = TranslationKernel(1.0)
 
@@ -106,8 +106,9 @@ class TestCoordinates:
     def test_zero_d_array_is_a_one_vector(self, coordinates):
         assert coordinates(np.asarray(0.5)) == coordinates(0.5) == (0.5,)
 
-    @pytest.mark.parametrize("bad", [np.array([[0.5]]), [[0.5, 1.0]], None, [1 + 2j], "abc"],
-                             ids=["2-d array", "nested list", "None", "complex", "str"])
+    @pytest.mark.parametrize("bad", [np.array([[0.5]]), [[0.5, 1.0]], None, [1 + 2j], "abc", list],
+                             ids=["2-d array", "nested list", "None", "complex", "str",
+                                  "iterable class"])
     def test_malformed_coordinates_are_domain_errors(self, bad):
         with pytest.raises(DomainError, match="^coordinates must be reals"):
             Delta(bad)
@@ -183,6 +184,14 @@ class TestInducedMetric:
             for h in (0.9e-5 * scale, 1e-10, 1e-170, 0.11 * scale, 1000.0):
                 with pytest.raises(DomainError, match="^h must lie"):
                     induced_metric(kernel, (0.3,), h)
+
+    @pytest.mark.parametrize("matrix, text", [(np.zeros((2, 3)), "must be square"),
+                                              (np.zeros(2), "must be square"),
+                                              ([[1.0, 0.5], [0.0, 1.0]], "is not symmetric")],
+                             ids=["non-square", "1-d", "non-symmetric"])
+    def test_report_matrix_is_square_and_symmetric(self, matrix, text):
+        with pytest.raises(DomainError, match=f"^metric matrix {text}"):
+            MetricReport((0.0, 0.0), matrix, 0.0, MetricReference.EUCLIDEAN)
 
     def test_translation_unit_sigma_is_euclidean(self):
         rng = np.random.default_rng(4)
