@@ -24,25 +24,12 @@ from typing import Union
 import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericalFailureError
-from .kernels import (MAX_DIMENSION, KernelSpec, TranslationKernel, Vec, _formed, _positive,
-                      _shown, as_vec, kernel_coefficients)
+from .kernels import (MAX_DIMENSION, KernelSpec, TranslationKernel, Vec, _finite_complex, _formed,
+                      _positive, _reals, as_vec, kernel_coefficients)
 
 IMAG_RESIDUE_TOL = 1e-10
 CONDITION_CAP = 1e12
 _NEAR_SINGULAR = f"quadratic form is near singular (condition number above {CONDITION_CAP:g})"
-
-
-def _finite_complex(z, name: str) -> complex:
-    """complex(z) if finite; a value complex() rejects is a DomainError, as in `_real`."""
-    try:
-        z = complex(z)
-    except OverflowError:
-        raise DomainError(f"{name} is out of floating-point range") from None
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a complex number, got {_shown(z)}") from None
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{name} must be finite, got {z!r}")
-    return z
 
 
 @dataclass(frozen=True)
@@ -103,19 +90,6 @@ class Packet:
 Primitive = Union[Delta, PlaneWave, Packet]
 KINDS = (Delta, PlaneWave, Packet)  # the kind codes of a `Basis`
 _FIELDS = ("kind", "center", "width", "momentum", "s")
-
-
-def _reals(value, name: str) -> np.ndarray:
-    """A new float array of `value`, whose entries must be reals in floating-point range."""
-    try:
-        array = np.array(value)
-        if array.dtype.kind == "c":
-            raise TypeError
-        return array.astype(float)
-    except OverflowError:
-        raise DomainError(f"{name} is out of floating-point range") from None
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be arrays of reals") from None
 
 
 class Basis:
@@ -599,21 +573,19 @@ def hilbert_norm(expr: StateExpr, kernel: KernelSpec) -> float:
 
 def _l2_matrix(fs: Basis, gs: Basis) -> np.ndarray:
     """L2 overlaps of the packets of fs (rows) and gs (columns): the forms
-    (2 (s_f + s_g) I, lin_f + conj(lin_g), const_f + const_g), in closed form."""
+    (2 (s_f + s_g) I, lin_f + conj(lin_g), const_f + const_g), in closed form.
+    Deltas and plane waves are rejected since they are not square-integrable."""
+    for basis in (fs, gs):  # cut to the rows the terms use
+        if (basis.kind != 2).any():
+            raise DomainError("L2 inner product requires packets only, got "
+                              f"{KINDS[basis.kind[basis.kind != 2][0]].__name__}")
     (s_f, lin_f, const_f), (s_g, lin_g, const_g) = fs.split()[2], gs.split()[2]
     return _isotropic(2.0 * (s_f[:, None] + s_g), lin_f[:, None] + lin_g.conj(),
                       const_f[:, None] + const_g)
 
 
 def l2_inner_product(phi: StateExpr, psi: StateExpr) -> complex:
-    """Ordinary L2 inner product; defined for packet-only states.
-
-    Deltas and plane waves are rejected since they are not square-integrable.
-    """
-    for basis, _ in (*phi._slots(), *psi._slots()):  # the rows the terms use
-        if (basis.kind != 2).any():
-            raise DomainError("L2 inner product requires packets only, got "
-                              f"{KINDS[basis.kind[basis.kind != 2][0]].__name__}")
+    """Ordinary L2 inner product; defined for packet-only states (`_l2_matrix`)."""
     return _sum_terms(phi, psi, _slot_matrices(phi, psi, _l2_matrix))
 
 

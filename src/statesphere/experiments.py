@@ -17,13 +17,13 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (Basis, Delta, Packet, StateExpr, _finite_complex, _blended,
-                      _joined_slots, _sum_terms, blend, overlap_matrix)
+from .algebra import (Basis, Delta, Packet, StateExpr, _blended, _joined_slots, _sum_terms,
+                      blend, overlap_matrix)
 from .errors import DomainError, NumericalFailureError
 from .geometry import (GeodesicPath, SphereState, _arc, _geodesic, _on_sphere, collapse_time,
                        geodesic_at, geodesic_between, normalize)
-from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite,
-                      _formed, _integer, _positive)
+from .kernels import (ConfinedKernel, KernelSpec, TranslationKernel, _finite, _finite_complex,
+                      _formed, _integer, _positive, _real, _reals)
 from .manifolds import (ManifoldId, ManifoldOverlap, embed_pair_momentum,
                         embed_pair_position, nearest_classical_points)
 
@@ -393,14 +393,15 @@ def position_correlation_profile(state: SphereState, a: float,
     bias a / (envelope_width^2 + 1), which stays within one grid step for
     grids at least that coarse.
     """
-    bs = np.asarray(b_grid, dtype=float)
-    (values,) = correlation_rows(state, ManifoldId.POSITION_PAIR, [float(a)], [bs])
+    a, bs = _real(a, "a"), _reals(b_grid, "b_grid")
+    (values,) = correlation_rows(state, ManifoldId.POSITION_PAIR, [a], [bs])
     return list(zip(bs.tolist(), values.real.tolist()))
 
 
 def position_collapse(state: SphereState, a: float, cfg: EPRConfig) -> GeodesicPath:
     """Geodesic collapse onto the point pair (a, x0 + a)."""
-    target = normalize(embed_pair_position((float(a),), (cfg.x0 + float(a),)), state.kernel)
+    a = _real(a, "a")
+    target = normalize(embed_pair_position((a,), (cfg.x0 + a,)), state.kernel)
     return geodesic_between(state, target)
 
 
@@ -410,7 +411,8 @@ def momentum_collapse(state: SphereState, q: float) -> GeodesicPath:
     Requires a confined kernel; plane-wave targets have no finite norm under
     translation-invariant kernels.
     """
-    target = normalize(embed_pair_momentum((float(q),), (-float(q),)), state.kernel)
+    q = _real(q, "q")
+    target = normalize(embed_pair_momentum((q,), (-q,)), state.kernel)
     return geodesic_between(state, target)
 
 
@@ -422,7 +424,7 @@ def momentum_correlation_profile(state: SphereState,
     profile invariant under a global phase of the state.  Requires a
     confined kernel, as `momentum_collapse` does.
     """
-    qs = np.asarray(q_grid, dtype=float)
+    qs = _reals(q_grid, "q_grid")
     q = qs.tolist()
     rows = correlation_rows(state, ManifoldId.MOMENTUM_PAIR, q, [qs] * len(q))
     return [((q1, q2), v) for q1, row in zip(q, rows) for q2, v in zip(q, np.abs(row).tolist())]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import StateExpr, _blended, _joined_slots, inner_product, norm_sq
 from .errors import DomainError, GeodesicUndeterminedError
-from .kernels import KernelSpec, _positive, as_vec
+from .kernels import KernelSpec, _positive, _real, as_vec
 
 PLANCK_LENGTH_M = 1.6e-35
 LIGHT_SPEED_M_PER_S = 2.99792458e8
@@ -139,6 +139,7 @@ def geodesic_at(path: GeodesicPath, t: float) -> SphereState:
     unit norm holds because the aligned overlap equals cos(theta).  Below
     _DEGENERATE_ANGLE the path is the start state.
     """
+    t = _real(t, "path parameter")
     if not -1e-12 <= t <= 1.0 + 1e-12:
         raise DomainError(f"path parameter must lie in [0, 1], got {t!r}")
     theta = path.theta

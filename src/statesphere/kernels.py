@@ -53,6 +53,32 @@ def _real(value, name: str = "coordinates", kind: str = "a real number") -> floa
     raise DomainError(f"{name} must be {kind}, got {_shown(value)}")
 
 
+def _reals(value, name: str) -> np.ndarray:
+    """A new float array of `value`, whose entries must be reals in floating-point range."""
+    try:
+        array = np.array(value)
+        if array.dtype.kind == "c":
+            raise TypeError
+        return array.astype(float, copy=False)  # np.array copied it
+    except OverflowError:
+        raise DomainError(f"{name} is out of floating-point range") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be reals") from None
+
+
+def _finite_complex(z, name: str) -> complex:
+    """complex(z) if finite; a value complex() rejects is a DomainError, as in `_real`."""
+    try:
+        z = complex(z)
+    except OverflowError:
+        raise DomainError(f"{name} is out of floating-point range") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a complex number, got {_shown(z)}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"{name} must be finite, got {z!r}")
+    return z
+
+
 def _finite(value: float, name: str) -> float:
     value = _real(value, name)
     if not math.isfinite(value):
@@ -152,8 +178,7 @@ def kernel_value(kernel: KernelSpec, x, y):
     """The kernel at a pair of points of equal dimension d (a float), or at stacked
     points of shapes (..., d) that broadcast (an array); a stacked value is the
     one-pair value bit for bit (np.matmul sums as np.dot does, math.exp per value)."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
+    xv, yv = np.atleast_1d(_reals(x, "x")), np.atleast_1d(_reals(y, "y"))
     if xv.shape[-1] != yv.shape[-1]:
         raise DomainError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
     conf, pair = kernel_coefficients(kernel)
@@ -194,7 +219,7 @@ class MetricReport:
     reference_factor: float = 1.0
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _reals(self.matrix, "metric matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError("metric matrix must be square")
         if np.max(np.abs(m - m.T)) > 1e-9:
@@ -226,10 +251,13 @@ def induced_metric(kernel: KernelSpec, at, h: float = 1e-3) -> MetricReport:
     Richardson step over {h, h/2} cancels the leading error term; each value is
     oracle.finite_difference's over one-pair kernel values, bit for bit.  `h` must
     lie 1e-5 to 0.1 kernel length scales, and `at` has 1 to MAX_DIMENSION
-    finite coordinates, as every primitive's.
+    finite coordinates, as every primitive's, near enough to the origin that
+    rounding moves no corner `at +- h` off its step by more than 1e-5 of it.
     """
     h = _metric_step(kernel, h, "h")
     point = as_vec(at)
+    if math.ulp(max(map(abs, point)) + h) > 1e-5 * h:
+        raise DomainError(f"at is too far from the origin for step {h!r}: got {point!r}")
     d = len(point)
     # v[step, x sign, y sign, i, k]: k at x = point +- step e_i, y = point +- step e_k
     steps = np.array([h / 2.0, h])[:, None, None]

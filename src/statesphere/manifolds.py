@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import Basis, Delta, PlaneWave, StateExpr, _check_free_pairs, _stacked, overlap_matrix
 from .errors import DomainError
 from .geometry import SphereState, _arc, normalize
-from .kernels import KernelSpec, _finite, _integer, as_vec, kernel_coefficients
+from .kernels import KernelSpec, _finite, _integer, _reals, as_vec, kernel_coefficients
 
 _TIE_TOL = 1e-9  # relative to the compared overlaps
 _STEP_TOL = 1e-8  # an ascent ends after a step this short
@@ -206,7 +206,7 @@ class ManifoldOverlap:
         return np.exp(self._alpha[:, None] + theta @ self._beta + (theta * theta) @ self._gamma)
 
     def __call__(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
+        theta = _reals(theta, "manifold points")
         if theta.ndim != 2 or theta.shape[1] != self.axes:
             raise DomainError(f"manifold points need {self.axes} coordinates each")
         values = np.empty((len(self._alpha), len(theta)), dtype=complex)
@@ -323,7 +323,7 @@ def nearest_classical_points(states, manifold: ManifoldId, box,
 
 def manifold_member(manifold: ManifoldId, params, kernel: KernelSpec) -> SphereState:
     """Normalized state of a manifold at the given parameter value."""
-    params = np.atleast_1d(np.asarray(params, dtype=float))
+    params = np.atleast_1d(_reals(params, "params"))
     slots = np.array_split(params, 2) if manifold.is_pair else (params,)
     return normalize(StateExpr.single(*(manifold.primitive(tuple(p)) for p in slots)), kernel)
 

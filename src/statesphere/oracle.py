@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import Delta, Packet, Primitive, StateExpr, _slot_matrices
 from .errors import BoxTooSmallError, DivergenceError, DomainError, NumericalFailureError
-from .kernels import KernelSpec, _integer, _positive, kernel_coefficients
+from .kernels import KernelSpec, _integer, _positive, _reals, kernel_coefficients
 
 BOUNDARY_DECAY = 1e-16
 BAND_DECAY = 1e-20  # share of K's peak below which entries are skipped (module docstring)
@@ -247,7 +247,7 @@ def finite_difference(f, at, directions: tuple[int, int], h: float) -> float:
     `f` maps two coordinate arrays to a scalar; `at` is the (x, y) base point.
     """
     h = _positive(h, "step")
-    x0, y0 = (np.asarray(v, dtype=float) for v in at)
+    x0, y0 = (_reals(v, "at") for v in at)
     ei, ek = np.zeros_like(x0), np.zeros_like(y0)
     ei[directions[0]], ek[directions[1]] = h, h
     return (f(x0 + ei, y0 + ek) - f(x0 + ei, y0 - ek)

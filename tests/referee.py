@@ -17,10 +17,11 @@ the conjugated side has -i p.  So an axis has one of three closed forms:
 
 Values are read from the primitives' and kernels' float fields (the width, not the
 engine's rounded s; sigma, not its rounded 1/(2 sigma^2)) and evaluated at DPS
-digits.  mpmath's exponent range is unbounded, so exp(-1800) is no underflow, but a
-value that cancels keeps only DPS digits less the cancellation: 1 - exp(-b^2 / 2) at
-b = 1e-9 keeps about 32.  Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed. (SIAM 2002); mpmath (mpmath.org).
+digits, or at the caller's working precision if that is higher.  mpmath's exponent
+range is unbounded, so exp(-1800) is no underflow, but a value that cancels keeps
+only DPS digits less the cancellation: 1 - exp(-b^2 / 2) at b = 1e-9 keeps about 32
+(`sphere_angle` raises its digits until it keeps DPS).  Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed. (SIAM 2002); mpmath (mpmath.org).
 """
 
 import mpmath
@@ -29,6 +30,12 @@ from mpmath import mpf
 from statesphere import Delta, DivergenceError, PlaneWave, TranslationKernel
 
 DPS = 50
+MAX_DPS = 1600  # sphere_angle's digits at most
+
+
+def _digits() -> int:
+    """DPS, or the caller's working precision if higher: a referee never lowers it."""
+    return max(DPS, mpmath.mp.dps)
 
 
 def coefficients(kernel) -> tuple:
@@ -69,7 +76,7 @@ def _axis(f, g, axis: int, conf, pair):
 def overlap(f, g, kernel) -> mpmath.mpc:
     """<f, g> under the kernel, linear in f and conjugate-linear in g."""
     assert f.dimension == g.dimension
-    with mpmath.workdps(DPS):
+    with mpmath.workdps(_digits()):
         conf, pair = coefficients(kernel)
         return mpmath.mpc(mpmath.fprod(_axis(f, g, axis, conf, pair)
                                        for axis in range(f.dimension)))
@@ -77,7 +84,7 @@ def overlap(f, g, kernel) -> mpmath.mpc:
 
 def inner_product(phi, psi, kernel) -> mpmath.mpc:
     """<phi, psi> term by term: the sum of c_i conj(d_j) times the slots' overlaps."""
-    with mpmath.workdps(DPS):
+    with mpmath.workdps(_digits()):
         return mpmath.fsum(mpmath.mpc(ci) * mpmath.conj(dj)
                            * mpmath.fprod(overlap(f, g, kernel) for f, g in zip(fs, gs))
                            for ci, *fs in phi.terms for dj, *gs in psi.terms)
@@ -85,13 +92,22 @@ def inner_product(phi, psi, kernel) -> mpmath.mpc:
 
 def norm(expr, kernel) -> mpf:
     """The kernel norm of a state."""
-    with mpmath.workdps(DPS):
+    with mpmath.workdps(_digits()):
         return mpmath.sqrt(mpmath.re(inner_product(expr, expr, kernel)))
 
 
 def sphere_angle(phi, psi, kernel) -> mpf:
-    """The angle between two states as vectors: arccos of Re<phi, psi> / (|phi| |psi|)."""
-    with mpmath.workdps(DPS):
-        cosine = mpmath.re(inner_product(phi, psi, kernel)) / (norm(phi, kernel)
-                                                               * norm(psi, kernel))
-        return mpmath.acos(max(-1, min(1, cosine)))
+    """The angle between two states as vectors: arccos of Re<phi, psi> / (|phi| |psi|).
+
+    Near 0 (or pi) 1 - |cos| cancels the leading digits: 1 - exp(-b^2 / 2) at b = 1e-300
+    needs about 650.  So the digits double until 1 - |cos| keeps DPS of them, up to
+    MAX_DPS, enough for deltas any two distinct floats apart (b^2 >= 2.5e-647).
+    """
+    dps = _digits()
+    while True:
+        with mpmath.workdps(dps):
+            cosine = mpmath.re(inner_product(phi, psi, kernel)) / (norm(phi, kernel)
+                                                                   * norm(psi, kernel))
+            if 1 - abs(cosine) > mpf(10) ** (DPS - dps) or dps >= MAX_DPS:
+                return mpmath.acos(max(-1, min(1, cosine)))
+        dps *= 2

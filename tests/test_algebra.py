@@ -13,7 +13,7 @@ from statesphere import (ConfinedKernel, Delta, DivergenceError, DomainError,
                          EPRConfig, NumericalFailureError, Packet, PlaneWave,
                          SlitConfig, StateExpr, StateSphereError,
                          TranslationKernel, blend, build_epr_state,
-                         inner_product, l2_inner_product,
+                         inner_product, l2_inner_product, norm_ratio,
                          normalize, overlap_matrix, primitive_overlap)
 from statesphere import ManifoldId, algebra
 from statesphere.kernels import kernel_coefficients
@@ -72,8 +72,13 @@ class TestTypes:
                                StateExpr.single(Delta((0.0, 1.0))), K1),
          "states have different dimensions"),
         (lambda: kernel_coefficients("translation:1"), "unknown kernel spec"),
+        # the L2 product read the operands' bases before checking them: an AttributeError
+        (lambda: l2_inner_product(1.0, StateExpr.single(Packet((0.0,), 1.0))),
+         "inner products need two state expressions"),
+        (lambda: norm_ratio(1.0, K1), "inner products need two state expressions"),
     ], ids=["packet-momentum", "basis-rows", "array-coefficients", "array-rows", "term",
-            "inner-product-operand", "inner-product-dimensions", "kernel"])
+            "inner-product-operand", "inner-product-dimensions", "kernel", "l2-operand",
+            "norm-ratio-operand"])
     def test_malformed_input_is_a_domain_error(self, make, text):
         with pytest.raises(DomainError, match=f"^{re.escape(text)}"):
             make()
@@ -606,6 +611,10 @@ class TestL2InnerProduct:
         delta = StateExpr.single(Delta((0.0,)))
         with pytest.raises(DomainError):
             l2_inner_product(delta, delta)
+        # pair states slot by slot: the packets of the first slot pass, the wave fails
+        pair = StateExpr.single(Packet((0.0,), 1.0), PlaneWave((0.5,)))
+        with pytest.raises(DomainError, match="^L2 inner product requires packets only, got PlaneWave"):
+            l2_inner_product(pair, pair)
 
     def test_momentum_separation_decay(self):
         # same center, width w: normalized overlap modulus is exp(-w^2 dp^2 / 2)

@@ -103,6 +103,15 @@ def test_metric_step_outside_window_rejected(step, capsys):
     assert error["type"] == "DomainError" and "--step" in error["message"]
 
 
+def test_metric_far_from_the_origin(capsys):
+    # rounding moved the stencil corners: --at 1e13 reported [[-1.2716]] with exit 0
+    assert main(["metric", "--at", "1e13"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "DomainError" and error["message"].startswith("at ")
+    record = record_of(run_cli("metric", "--at", "1e7"))
+    assert record["results"]["matrix"] == [[0.9999953608693287]]
+
+
 def test_gram_command_random():
     record = record_of(run_cli("gram", "--random", "20", "--seed", "7"))
     assert record["results"]["positive"] is True

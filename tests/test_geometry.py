@@ -123,10 +123,11 @@ class TestAngles:
         *(pytest.param(b, marks=pytest.mark.xfail(
             strict=True, raises=AssertionError,
             reason="ROADMAP item 6: acos(exp(-b^2 / 2)) cancels: 1.49 b at b = 1e-8, "
-            "0 at b = 1e-9")) for b in (1e-8, 1e-9)),
+            "0 at b = 1e-9 and below")) for b in (1e-8, 1e-9, 1e-20, 1e-300)),
     ])
     def test_delta_angle_matches_the_referee(self, b):
-        # the angle is b (1 - b^2 / 24 + ...), 1.0e-9 at b = 1e-9
+        # the angle is b (1 - b^2 / 24 + ...), 1.0e-9 at b = 1e-9; the referee raises
+        # its digits until 1 - cos keeps 50 (at 50 digits it read 0 at b = 1e-300)
         want = referee.sphere_angle(embed_position((0.0,)), embed_position((b,)), K1)
         assert abs(sphere_angle(delta_state(0.0), delta_state(b)) - want) <= 1e-12 * want
 

@@ -1,5 +1,6 @@
 """Tests for kernel evaluation, the induced metric, and the norm comparison."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,8 +8,12 @@ import pytest
 
 from statesphere import (ConfinedKernel, Delta, DomainError, EPRConfig, ManifoldId,
                          MetricReference, MetricReport, Packet, QuadratureSpec, SlitConfig,
-                         StateExpr, TranslationKernel, induced_metric, kernel_value,
-                         manifold_separation, nearest_classical_points, norm_ratio, normalize)
+                         StateExpr, TranslationKernel, build_epr_state, finite_difference,
+                         geodesic_at, geodesic_between, induced_metric, kernel_value,
+                         manifold_member, manifold_separation, momentum_collapse,
+                         momentum_correlation_profile, nearest_classical_points, norm_ratio,
+                         normalize, position_collapse, position_correlation_profile)
+from statesphere.manifolds import ManifoldOverlap
 
 K1 = TranslationKernel(1.0)
 
@@ -89,13 +94,53 @@ def test_every_count_takes_one_integer_check(name, call, valid, below):
     call(np.int64(valid))
 
 
+@functools.cache
+def _epr():
+    """A small pair state under a confined kernel (both collapses take it), its config
+    and a geodesic between two deltas."""
+    cfg = EPRConfig(discretization_n=8)
+    ends = (normalize(StateExpr.single(Delta((x,))), K1) for x in (0.0, 1.0))
+    return build_epr_state(cfg, ConfinedKernel(0.1, 1.0)), cfg, geodesic_between(*ends)
+
+
 def _real_sites(value):
-    """(call, field name) of one real field of each kind of object, set to `value`."""
+    """(call, field name) of one real field of each kind of object, and of each real
+    argument of a public function, set to `value`."""
+    state, cfg, path = _epr()
     return ((lambda: TranslationKernel(value), "sigma"),
             (lambda: ConfinedKernel(0.1, value), "beta"),
             (lambda: Packet((0.0,), value), "packet width"),
             (lambda: EPRConfig(x0=value), "x0"),
-            (lambda: SlitConfig(slit_positions=(value, 1.0)), "slit_positions"))
+            (lambda: SlitConfig(slit_positions=(value, 1.0)), "slit_positions"),
+            (lambda: position_collapse(state, value, cfg), "a"),
+            (lambda: momentum_collapse(state, value), "q"),
+            (lambda: position_correlation_profile(state, value, [0.0]), "a"),
+            (lambda: geodesic_at(path, value), "path parameter"))
+
+
+# (argument, a call passing it a value): every argument read as an array of reals
+ARRAY_SITES = [
+    ("b_grid", lambda v: position_correlation_profile(_epr()[0], 0.0, v)),
+    ("q_grid", lambda v: momentum_correlation_profile(_epr()[0], v)),
+    ("params", lambda v: manifold_member(ManifoldId.POSITION, v, K1)),
+    ("x", lambda v: kernel_value(K1, v, (0.0,))),
+    ("y", lambda v: kernel_value(K1, (0.0,), v)),
+    ("manifold points", lambda v: ManifoldOverlap(StateExpr.single(Delta((0.0,))), K1,
+                                                  ManifoldId.POSITION)(v)),
+    ("metric matrix", lambda v: MetricReport((0.0,), v, 0.0, MetricReference.EUCLIDEAN)),
+    ("at", lambda v: finite_difference(lambda x, y: 0.0, (v, (0.0,)), (0, 0), 1e-3)),
+]
+
+
+@pytest.mark.parametrize("value", [np.array([[1 + 2j]]), np.complex128(1 + 2j), "x"],
+                         ids=["complex-array", "complex128", "str"])
+@pytest.mark.parametrize("name, call", ARRAY_SITES, ids=[site[0] for site in ARRAY_SITES])
+def test_every_real_array_takes_one_check(name, call, value):
+    # np.asarray(value, dtype=float) kept a complex array's real part with only a
+    # ComplexWarning (kernel_value(K1, 1+1j, 0) read the value at 1) and raised a bare
+    # ValueError on a string
+    with pytest.raises(DomainError, match=f"^{name} must be reals"):
+        call(value)
 
 
 class TestCoordinates:
@@ -173,6 +218,15 @@ class TestInducedMetric:
         # as every primitive's coordinates; a d-coordinate point costs 8 d^2 kernel values
         with pytest.raises(DomainError, match="^dimension must be an integer from 1 to 3"):
             induced_metric(K1, (0.0, 1.0, 2.0, 3.0))
+
+    def test_rejects_a_point_whose_corners_round(self):
+        # rounding moved the stencil corners at +- h: at 1e13 the matrix read -1.27, and
+        # at 1e14 0, where the metric is 1; at h = 1e-3 the bound is 2^26, about 6.7e7
+        assert induced_metric(K1, (6e7,)).deviation < 1e-4
+        for at, h in (((1e8,), 1e-3), ((0.0, -1e13), 1e-3), ((1e200, 0.0, 0.0), 1e-3),
+                      ((1e6,), 1e-5)):
+            with pytest.raises(DomainError, match="^at is too far from the origin"):
+                induced_metric(K1, at, h)
 
     def test_step_lies_in_a_window_of_the_length_scale(self):
         # 1e-5 to 0.1 times 1/sqrt(reference_factor): sigma, or 1/sqrt(2 beta)
